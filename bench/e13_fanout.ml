@@ -2,23 +2,19 @@
 
    One in-process tpbsd broker, one raw publisher and K raw subscriber
    connections over real loopback sockets, all pumped from a single
-   thread. Each arm publishes P events of the same class with no
-   filters, so every event fans out to all K subscribers; the arms
-   differ only in [Broker.config.shared_frames]:
+   thread. P events of one class are published with no filters, so
+   every event fans out to all K subscribers; the broker encodes +
+   frames + CRCs each Deliver once and queues the same bytes on every
+   session. The per-session-encode baseline this replaced is recorded
+   in BENCH_10.json (rows with arm "persession").
 
-     shared      Deliver encoded + framed + CRC'd once per publish,
-                 the same bytes queued on every session (the default)
-     persession  the legacy baseline: one full encode per subscriber
+   Reported per K: delivered events/s and payload MB/s over broker
+   time (the fan-out phase alone — subscriber drain is off-box in a
+   deployment), GC allocated bytes per delivered event, write-batching
+   factor (frames/syscall), and the Deliver encode count — the
+   headline number, exactly the publish count, independent of K.
 
-   Reported per (K, arm): delivered events/s and payload MB/s over
-   broker time (the fan-out phase alone — subscriber drain is
-   byte-identical in both arms and off-box in a deployment), GC
-   allocated bytes per delivered event, write-batching factor
-   (frames/syscall), and the Deliver encode count — the headline
-   number, publishes x K in the baseline and exactly publishes in the
-   shared arm, independent of K.
-
-   A final fresh-trace gate run (64 subscribers, shared arm, 500
+   A final fresh-trace gate run (64 subscribers, 500
    publishes) exports its metrics to $TPBS_TRACE_FILE so CI can assert
    the counters exactly (tpbs_report --require-eq). *)
 
@@ -61,13 +57,11 @@ let dial ~port ~id ~window =
    Time is split per loop turn: the broker/publisher phase
    (Broker.poll — routing, encode, enqueue, kernel handoff — plus the
    publisher pump) is the fan-out cost under test; the subscriber
-   drain phase (read + CRC check + decode) is byte-identical in both
-   arms and belongs to remote subscriber machines in a deployment, so
-   it is kept off the broker clock. *)
-let run_one ~subs ~shared ~pubs =
-  let config =
-    { Broker.default_config with warmup_ms = 0; shared_frames = shared }
-  in
+   drain phase (read + CRC check + decode) belongs to remote
+   subscriber machines in a deployment, so it is kept off the broker
+   clock. *)
+let run_one ~subs ~pubs =
+  let config = { Broker.default_config with warmup_ms = 0 } in
   let broker = Broker.create ~config ~port:0 () in
   let port = Broker.port broker in
   (* subscribers first, each with a window large enough to never need
@@ -152,13 +146,13 @@ let run_one ~subs ~shared ~pubs =
 
 let counter tr name = Trace.Counter.value (Trace.counter tr name)
 
-(* Run one (K, arm) cell under a fresh ambient registry so the
+(* Run one K cell under a fresh ambient registry so the
    transport counters and GC numbers belong to this cell alone. *)
-let cell ~subs ~shared ~pubs =
+let cell ~subs ~pubs =
   let tr = Trace.create () in
   Trace.set_ambient tr;
   let a0 = Gc.allocated_bytes () in
-  let delivered, payload, dt = run_one ~subs ~shared ~pubs in
+  let delivered, payload, dt = run_one ~subs ~pubs in
   let alloc = Gc.allocated_bytes () -. a0 in
   let frames = counter tr "transport.frames_sent" in
   let syscalls = counter tr "transport.write_syscalls" in
@@ -176,7 +170,7 @@ let axis = [ 1; 8; 64; 256 ]
 let pubs_for subs = max 400 (min 4000 (120_000 / subs))
 
 let run () =
-  Workload.table_header "E13: broker fan-out, encode-once vs per-session"
+  Workload.table_header "E13: broker fan-out, encode-once frames"
     [ "subs"; "arm"; "events/s"; "MB/s"; "alloc/event(B)"; "frames/syscall";
       "deliver_encodes" ];
   Workload.json_table ~key:"e13_fanout"
@@ -186,23 +180,20 @@ let run () =
   List.iter
     (fun subs ->
       let pubs = pubs_for subs in
-      List.iter
-        (fun (arm, shared) ->
-          let evps, mbps, alloc_pe, fps, encodes = cell ~subs ~shared ~pubs in
-          Fmt.pr "%4d  %-10s  %10.0f  %6.1f  %10.0f  %6.1f  %8d@." subs arm
-            evps mbps alloc_pe fps encodes;
-          Workload.json_row ~key:"e13_fanout"
-            [ Workload.J_int subs; Workload.J_str arm; Workload.J_float evps;
-              Workload.J_float mbps; Workload.J_float alloc_pe;
-              Workload.J_float fps; Workload.J_int encodes ])
-        [ ("persession", false); ("shared", true) ])
+      let evps, mbps, alloc_pe, fps, encodes = cell ~subs ~pubs in
+      Fmt.pr "%4d  %-10s  %10.0f  %6.1f  %10.0f  %6.1f  %8d@." subs "shared"
+        evps mbps alloc_pe fps encodes;
+      Workload.json_row ~key:"e13_fanout"
+        [ Workload.J_int subs; Workload.J_str "shared"; Workload.J_float evps;
+          Workload.J_float mbps; Workload.J_float alloc_pe;
+          Workload.J_float fps; Workload.J_int encodes ])
     axis;
-  (* fresh-trace gate run for CI: 64 subscribers, shared arm, exactly
+  (* fresh-trace gate run for CI: 64 subscribers, exactly
      500 publishes — transport.deliver_encodes must equal 500 (not
      500 x 64) and transport.fanout_shared must equal 32000 *)
   let tr = Trace.create () in
   Trace.set_ambient tr;
-  let delivered, _, _ = run_one ~subs:64 ~shared:true ~pubs:500 in
+  let delivered, _, _ = run_one ~subs:64 ~pubs:500 in
   let buf = Buffer.create 4096 in
   Trace.metrics_to_jsonl tr buf;
   Trace.set_ambient (Trace.create ());

@@ -119,7 +119,8 @@ let run_prune_cell ~n ~dead =
 
    e3c_suppression — the broker install scan: filters arrive in order,
    each is suppressed iff an already-installed one covers it. Reported
-   per (population, redundancy) cell, with the mean decision cost. *)
+   per (population, redundancy) cell, with the install time per
+   covering decision. *)
 
 let conj ~k ~slack =
   let atom i =
@@ -158,36 +159,34 @@ let run_decision_cell ~k =
   let t_no = time (fun () -> covers wide narrow) in
   (2 * k, t_yes, t_no)
 
+(* The real install path: every filter is subscribed, in order, to a
+   covering broker core as one destination's subscription, so each is
+   suppressed iff an installed one covers it. *)
 let run_suppression_cell ~n ~redundancy =
   let reg = Workload.registry () in
   let rng = Rng.create (n + int_of_float (redundancy *. 1000.) + 7) in
-  let rfilters =
+  let filters =
     Workload.filter_population rng ~n ~redundancy ~pool:(max 1 (n / 20))
     |> List.filter_map (Rfilter.of_expr ~env:[] ~param:"StockQuote")
+    |> List.map Rfilter.to_value
   in
-  let covers = Subsume.covers ~registry:reg ~param:"StockQuote" in
-  let installed = ref [] in
-  let suppressed = ref 0 in
-  let decisions = ref 0 in
+  let core =
+    Tpbs_core.Broker_core.create ~covering:true ~equal:(fun () () -> true) reg
+  in
   let t0 = Sys.time () in
-  List.iter
-    (fun rf ->
-      let coverer =
-        List.exists
-          (fun ins ->
-            incr decisions;
-            covers rf ins)
-          !installed
-      in
-      if coverer then incr suppressed else installed := rf :: !installed)
-    rfilters;
+  List.iteri
+    (fun id filter ->
+      Tpbs_core.Broker_core.subscribe core ~id ~dest:() ~param:"StockQuote"
+        filter)
+    filters;
   let dt = Sys.time () -. t0 in
-  let total = List.length rfilters in
+  let st = Tpbs_core.Broker_core.stats core in
+  let total = List.length filters in
   ( total,
-    List.length !installed,
-    !suppressed,
-    100. *. float_of_int !suppressed /. float_of_int (max 1 total),
-    dt /. float_of_int (max 1 !decisions) *. 1e6 )
+    st.installed,
+    st.covered,
+    100. *. float_of_int st.covered /. float_of_int (max 1 total),
+    dt /. float_of_int (max 1 st.cover_checks) *. 1e6 )
 
 let run_cover () =
   Workload.table_header

@@ -38,7 +38,7 @@ let run_arm ~selectivity ~use_broker =
   let broker_proc =
     if use_broker then begin
       let p = Pubsub.Process.create domain (Net.add_node net) in
-      Pubsub.make_broker domain p;
+      Pubsub.add_broker domain p;
       Some p
     end
     else None

@@ -15,12 +15,7 @@
                                                -- CI covering smoke: fail if the
                                                   E3c install scan suppresses
                                                   less than 50% of a highly
-                                                  redundant population
-   dune exec bench/main.exe -- --guard-fanout 2.0 e13
-                                               -- CI fan-out smoke: fail if the
-                                                  shared-frame arm at 64 subs
-                                                  is under 2x the per-session
-                                                  encode baseline *)
+                                                  redundant population *)
 
 let experiments =
   [ "e1", E1_routing.run; "e2", E2_semantics.run; "e3", E3_factoring.run;
@@ -125,49 +120,13 @@ let guard_cover floor =
                   %.0f%%)@."
             r floor)
 
-let guard_fanout floor =
-  match Workload.json_find "e13_fanout" with
-  | None ->
-      Fmt.epr "--guard-fanout: the E13 fan-out table was not produced \
-               (run e13)@.";
-      exit 1
-  | Some (_, rows) -> (
-      (* events/s of each arm at 64 subscribers *)
-      let at_64 arm =
-        List.find_map
-          (function
-            | Workload.J_int 64 :: Workload.J_str a :: Workload.J_float e :: _
-              when a = arm ->
-                Some e
-            | _ -> None)
-          rows
-      in
-      match at_64 "shared", at_64 "persession" with
-      | Some s, Some p when p > 0.0 ->
-          let ratio = s /. p in
-          if ratio < floor then begin
-            Fmt.epr
-              "--guard-fanout: shared-frame fan-out at 64 subs is %.2fx the \
-               per-session baseline, below the %.2fx floor@."
-              ratio floor;
-            exit 1
-          end
-          else
-            Fmt.pr
-              "fanout guard: shared/persession at 64 subs = %.2fx (floor \
-               %.2fx)@."
-              ratio floor
-      | _ ->
-          Fmt.epr "--guard-fanout: missing 64-subs rows in the E13 table@.";
-          exit 1)
-
 let () =
-  let rec parse json guard shard cover fanout names = function
-    | [] -> json, guard, shard, cover, fanout, List.rev names
-    | "--json" :: rest -> parse true guard shard cover fanout names rest
+  let rec parse json guard shard cover names = function
+    | [] -> json, guard, shard, cover, List.rev names
+    | "--json" :: rest -> parse true guard shard cover names rest
     | "--guard-a4" :: limit :: rest -> (
         match float_of_string_opt limit with
-        | Some l -> parse json (Some l) shard cover fanout names rest
+        | Some l -> parse json (Some l) shard cover names rest
         | None ->
             Fmt.epr "--guard-a4 expects a ratio, got %s@." limit;
             exit 1)
@@ -176,7 +135,7 @@ let () =
         exit 1
     | "--guard-shard" :: floor :: rest -> (
         match float_of_string_opt floor with
-        | Some f -> parse json guard (Some f) cover fanout names rest
+        | Some f -> parse json guard (Some f) cover names rest
         | None ->
             Fmt.epr "--guard-shard expects a ratio, got %s@." floor;
             exit 1)
@@ -185,26 +144,17 @@ let () =
         exit 1
     | "--guard-cover" :: floor :: rest -> (
         match float_of_string_opt floor with
-        | Some f -> parse json guard shard (Some f) fanout names rest
+        | Some f -> parse json guard shard (Some f) names rest
         | None ->
             Fmt.epr "--guard-cover expects a percentage, got %s@." floor;
             exit 1)
     | [ "--guard-cover" ] ->
         Fmt.epr "--guard-cover expects a percentage@.";
         exit 1
-    | "--guard-fanout" :: floor :: rest -> (
-        match float_of_string_opt floor with
-        | Some f -> parse json guard shard cover (Some f) names rest
-        | None ->
-            Fmt.epr "--guard-fanout expects a ratio, got %s@." floor;
-            exit 1)
-    | [ "--guard-fanout" ] ->
-        Fmt.epr "--guard-fanout expects a ratio@.";
-        exit 1
-    | name :: rest -> parse json guard shard cover fanout (name :: names) rest
+    | name :: rest -> parse json guard shard cover (name :: names) rest
   in
-  let json, guard, shard, cover, fanout, requested =
-    parse false None None None None [] (List.tl (Array.to_list Sys.argv))
+  let json, guard, shard, cover, requested =
+    parse false None None None [] (List.tl (Array.to_list Sys.argv))
   in
   let requested =
     match requested with [] -> List.map fst experiments | names -> names
@@ -221,5 +171,4 @@ let () =
   if json then Workload.write_json json_path;
   Option.iter guard_a4 guard;
   Option.iter guard_shard shard;
-  Option.iter guard_cover cover;
-  Option.iter guard_fanout fanout
+  Option.iter guard_cover cover

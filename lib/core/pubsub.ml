@@ -19,7 +19,6 @@ module Rfilter = Tpbs_filter.Rfilter
 module Fexpr = Tpbs_filter.Expr
 module Subsume = Tpbs_filter.Subsume
 module Mobility = Tpbs_filter.Mobility
-module Factored = Tpbs_filter.Factored
 module Typecheck = Tpbs_filter.Typecheck
 module Trace = Tpbs_trace.Trace
 
@@ -101,15 +100,9 @@ and channel_meta = {
       (* keep acknowledged certified history for replay subscriptions *)
 }
 
-and broker_sub = { b_node : Net.node_id; b_param : string; b_always : bool }
-
-and broker_state = {
-  b_process : process;
-  factored : Factored.t;
-  broker_subs : (int, broker_sub) Hashtbl.t;
-  b_route : (int * broker_sub) Routing.t;
-      (* concrete class -> broker subscriptions it routes to *)
-}
+(* A filtering host: the shared core, with subscriptions keyed by their
+   global sid and delivering to subscriber nodes. *)
+and broker_state = { b_process : process; b_core : Net.node_id Broker_core.t }
 
 (* Observability handles captured once at Domain.create: counters are
    always-on plain int bumps; trace events additionally check
@@ -833,126 +826,6 @@ and arm_tx p six =
         drain_tx p six)
   end
 
-(* --- broker ------------------------------------------------------------------ *)
-
-(* Broker subscriptions whose param is a supertype of [cls], sid
-   ascending — memoized per concrete class, like the process-side
-   index. *)
-let broker_route d b cls =
-  Routing.find b.b_route cls ~build:(fun cls ->
-      Hashtbl.fold
-        (fun sid sub acc ->
-          if Registry.subtype d.registry cls sub.b_param then
-            (sid, sub) :: acc
-          else acc)
-        b.broker_subs []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
-
-let broker_on_publish d b bytes =
-  match decode_routed bytes with
-  | None ->
-      (* No class to key on: account the malformed frame to shard 0. *)
-      let st = sstats0 d in
-      st.Shard.decode_errors <- st.Shard.decode_errors + 1;
-      Trace.Counter.incr d.obs.c_decode_errors
-  | Some (cls, envelope) -> (
-      let st = sstats d cls in
-      st.Shard.broker_events <- st.Shard.broker_events + 1;
-      match decode_envelope envelope with
-      | None ->
-          st.Shard.decode_errors <- st.Shard.decode_errors + 1;
-          Trace.Counter.incr d.obs.c_decode_errors
-      | Some (_, eid, obvent_bytes) -> (
-          match broker_route d b cls with
-          | [] -> ()
-          | routed ->
-              (* Factored matching once per event, only when the class
-                 routes somewhere; O(1) set membership per routed
-                 subscription. The compound filter reads the event only
-                 through lazy cursor projections — one skip-navigation
-                 per unique getter path — so the filtering host decides
-                 match or drop without ever materializing the full
-                 obvent. Mirrors Rfilter.eval_path: getter names map to
-                 attributes, navigation descends through objects only.
-                 A payload the cursor cannot navigate matches nothing,
-                 exactly as a failed full decode used to. *)
-              let cursor = Cursor.of_string obvent_bytes in
-              let resolve path =
-                let rec to_attrs = function
-                  | [] -> Some []
-                  | m :: rest -> (
-                      match Obvent.attr_of_getter m with
-                      | None -> None
-                      | Some a -> (
-                          match to_attrs rest with
-                          | None -> None
-                          | Some tl -> Some (a :: tl)))
-                in
-                match to_attrs path with
-                | None -> None
-                | Some attrs -> Cursor.project cursor attrs
-              in
-              let matched_ids =
-                match Factored.matches_set_resolve b.factored resolve with
-                | ids -> ids
-                | exception Codec.Decode_error _ -> Hashtbl.create 1
-              in
-              let sent = Hashtbl.create 8 in
-              List.iter
-                (fun (sid, sub) ->
-                  if
-                    (sub.b_always || Hashtbl.mem matched_ids sid)
-                    && not (Hashtbl.mem sent sub.b_node)
-                  then begin
-                    Hashtbl.replace sent sub.b_node ();
-                    st.Shard.broker_forwards <- st.Shard.broker_forwards + 1;
-                    Trace.Counter.incr d.obs.c_broker_forwards;
-                    if Trace.emitting d.obs.tr then
-                      Trace.emit d.obs.tr ~layer:"broker" ~kind:"forward"
-                        ~node:b.b_process.node ~id:eid
-                        ~data:[ ("dst", Trace.I sub.b_node) ]
-                        ();
-                    Net.send d.net ~src:b.b_process.node ~dst:sub.b_node
-                      ~port:del_port
-                      (encode_routed ~cls envelope)
-                  end)
-                routed))
-
-let broker_on_ctl d b bytes =
-  match Codec.decode bytes with
-  | List [ Str "sub"; Int sid; Int node; Str param; filt ] ->
-      let always, rfilter =
-        match filt with
-        | Value.Null -> true, None
-        | v -> (
-            match Rfilter.of_value v with
-            | Some rf -> false, Some rf
-            | None -> true, None)
-      in
-      if not (Hashtbl.mem b.broker_subs sid) then begin
-        let sub = { b_node = node; b_param = param; b_always = always } in
-        Hashtbl.replace b.broker_subs sid sub;
-        (* Broker entries are kept sid-ascending; splice in place. *)
-        Routing.add b.b_route ~param
-          ~compare:(fun (s1, _) (s2, _) -> Int.compare s1 s2)
-          (sid, sub);
-        match rfilter with
-        | Some rf -> Factored.add b.factored ~id:sid rf
-        | None -> ()
-      end
-  | List [ Str "unsub"; Int sid ] -> (
-      match Hashtbl.find_opt b.broker_subs sid with
-      | None -> ()
-      | Some sub ->
-          Hashtbl.remove b.broker_subs sid;
-          Routing.remove b.b_route ~param:sub.b_param (fun (sid', _) ->
-              sid' = sid);
-          Factored.remove b.factored ~id:sid)
-  | _ | (exception Codec.Decode_error _) ->
-      let st = sstats0 d in
-      st.Shard.decode_errors <- st.Shard.decode_errors + 1;
-      Trace.Counter.incr d.obs.c_decode_errors
-
 (* --- the reflexive meta channel (§4.2) ----------------------------------------- *)
 
 (* Subscription and unsubscription requests are obvents themselves,
@@ -1398,29 +1271,57 @@ end
 
 (* --- broker designation --------------------------------------------------------------- *)
 
+(* The sim shell over [Broker_core]: control and publish frames arrive
+   on the host's node, forwards leave on [del_port], one per subscriber
+   node the core routes to. Subscriptions are keyed by their global
+   sid, so forward order follows sid order. *)
 let add_broker d p =
   if List.exists (fun b -> b.b_process.node = p.node) d.brokers then
     invalid_arg "add_broker: node is already a filtering host";
-  let b =
-    { b_process = p; factored = Factored.create ();
-      broker_subs = Hashtbl.create 32;
-      b_route = Routing.create d.registry }
+  let core = Broker_core.create ~covering:true ~equal:Int.equal d.registry in
+  d.brokers <- { b_process = p; b_core = core } :: d.brokers;
+  let decode_error st =
+    st.Shard.decode_errors <- st.Shard.decode_errors + 1;
+    Trace.Counter.incr d.obs.c_decode_errors
   in
-  d.brokers <- b :: d.brokers;
   Net.set_handler d.net p.node ~port:pub_port (fun _src bytes ->
-      broker_on_publish d b bytes);
+      match decode_routed bytes with
+      | None ->
+          (* No class to key on: account the malformed frame to shard 0. *)
+          decode_error (sstats0 d)
+      | Some (cls, envelope) -> (
+          let st = sstats d cls in
+          st.Shard.broker_events <- st.Shard.broker_events + 1;
+          match decode_envelope envelope with
+          | None -> decode_error st
+          | Some (_, eid, obvent_bytes) ->
+              List.iter
+                (fun node ->
+                  st.Shard.broker_forwards <- st.Shard.broker_forwards + 1;
+                  Trace.Counter.incr d.obs.c_broker_forwards;
+                  if Trace.emitting d.obs.tr then
+                    Trace.emit d.obs.tr ~layer:"broker" ~kind:"forward"
+                      ~node:p.node ~id:eid
+                      ~data:[ ("dst", Trace.I node) ]
+                      ();
+                  Net.send d.net ~src:p.node ~dst:node ~port:del_port
+                    (encode_routed ~cls envelope))
+                (Broker_core.route core ~cls obvent_bytes ~off:0
+                   ~len:(String.length obvent_bytes))));
   Net.set_handler d.net p.node ~port:ctl_port (fun _src bytes ->
-      broker_on_ctl d b bytes)
-
-let make_broker = add_broker
+      match Codec.decode bytes with
+      | List [ Str "sub"; Int sid; Int node; Str param; filt ] ->
+          Broker_core.subscribe core ~id:sid ~dest:node ~param filt
+      | List [ Str "unsub"; Int sid ] -> Broker_core.unsubscribe core sid
+      | _ | (exception Codec.Decode_error _) -> decode_error (sstats0 d))
 
 let broker_filter_stats d =
   match brokers_in_order d with
   | [] -> None
-  | b :: _ -> Some (Factored.stats b.factored)
+  | b :: _ -> Some (Broker_core.filter_stats b.b_core)
 
 let per_broker_filter_stats d =
-  List.map (fun b -> Factored.stats b.factored) (brokers_in_order d)
+  List.map (fun b -> Broker_core.filter_stats b.b_core) (brokers_in_order d)
 
 let per_broker_routing_stats d =
-  List.map (fun b -> Routing.stats b.b_route) (brokers_in_order d)
+  List.map (fun b -> Broker_core.routing_stats b.b_core) (brokers_in_order d)

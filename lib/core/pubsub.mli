@@ -327,11 +327,11 @@ val add_broker : Domain.t -> Process.t -> unit
     publisher → broker(s) → matching subscribers. With several hosts,
     subscriptions are gathered per host (by subscriber node, §2.3.2
     "gathering filters of several subscribers on a given host") and a
-    publisher sends one copy per host. Call before activity starts.
+    publisher sends one copy per host. Each host runs a {!Broker_core}
+    (routing, factored filters, covering among one subscriber node's
+    subscriptions), the same core as the TCP broker. Call before
+    activity starts.
     @raise Invalid_argument if the node is already a filtering host. *)
-
-val make_broker : Domain.t -> Process.t -> unit
-(** Alias of {!add_broker} (historical name). *)
 
 val broker_filter_stats : Domain.t -> Tpbs_filter.Factored.stats option
 (** The first broker's compound-filter statistics (None when no

@@ -164,7 +164,7 @@ let run ?(seed = 42) ?(net_config = Net.default_config) ?horizon
   in
   if broker then begin
     let broker_proc = Pubsub.Process.create domain (Net.add_node net) in
-    Pubsub.make_broker domain broker_proc
+    Pubsub.add_broker domain broker_proc
   end;
   (* Program order: all process bodies start at t=0, in declaration
      order (the engine preserves scheduling order on ties). *)

@@ -1,24 +1,18 @@
 module Registry = Tpbs_types.Registry
-module Routing = Tpbs_core.Routing
+module Broker_core = Tpbs_core.Broker_core
 module Pubsub = Tpbs_core.Pubsub
-module Factored = Tpbs_filter.Factored
-module Rfilter = Tpbs_filter.Rfilter
-module Subsume = Tpbs_filter.Subsume
-module Cursor = Tpbs_serial.Cursor
-module Value = Tpbs_serial.Value
-module Obvent = Tpbs_obvent.Obvent
 module Trace = Tpbs_trace.Trace
 
 (* The tpbsd broker engine — a library, so unit tests can run broker
    and clients in one process over real sockets, and the soak harness
    can fork broker children without an exec path.
 
-   It is the out-of-process twin of the in-simulation filtering host
-   (Pubsub.add_broker): the same Routing index memoizes type-based
-   fan-out per concrete class, the same Factored compound filter
-   decides matches through lazy cursor projections, and the registry
-   is grown dynamically from client Advertise messages instead of
-   being shared by construction.
+   It is the TCP shell over Broker_core, the filtering-host core the
+   in-simulation host (Pubsub.add_broker) also runs: sessions are the
+   core's destinations, broker-wide bsids its subscription ids. What
+   only a networked broker needs stays here: the registry grown from
+   client Advertise messages, credits and watermarks, cumulative acks,
+   the per-client publish frontier and the warmup window.
 
    Delivery and flow control: each session owns a bounded delivery
    queue drained by the credits the client granted. Publish credits
@@ -36,21 +30,6 @@ module Trace = Tpbs_trace.Trace
    life, a per-client publish frontier suppresses re-routing of
    retransmitted duplicates (they are re-acked, not re-delivered). *)
 
-(* What a delivery queue holds. With shared frames (the default) the
-   Deliver is encoded + framed + CRC'd once in [on_pub] and every
-   target session queues the same immutable string by reference —
-   fan-out cost is independent of subscriber count. [D_plain] is the
-   per-session-encode baseline, kept selectable ([config.shared_frames
-   = false]) so the win stays measurable. *)
-type delivery =
-  | D_shared of Frame.preframed
-  | D_plain of {
-      dp_origin : string;
-      dp_pseq : int;
-      dp_cls : string;
-      dp_envelope : string;
-    }
-
 type pubrec = {
   pr_session : session;  (* publisher awaiting the ack *)
   pr_pseq : int;
@@ -63,33 +42,18 @@ and session = {
   mutable s_hello : bool;
   mutable s_pub_credit_owed : int;  (* credits to return to this publisher *)
   mutable s_deliver_credit : int;  (* credits the client granted us *)
-  s_q : (delivery * pubrec) Queue.t;
+  s_q : (Frame.preframed * pubrec) Queue.t;
+      (* the once-encoded Deliver, shared by reference across sessions *)
   mutable s_unflushed : pubrec list;
       (* sent into s_conn but not yet drained to the kernel *)
-  mutable s_subs : int list;  (* broker-side sids owned *)
+  mutable s_subs : (int * int) list;
+      (* (client sid, bsid) owned; client sid space is per-session *)
   mutable s_acked : (int, unit) Hashtbl.t;  (* completed pseqs *)
   mutable s_ack_frontier : int;  (* all ≤ this are complete *)
   mutable s_ack_sent : int;  (* last cumulative ack shipped *)
   mutable s_closing : bool;
   mutable s_dropped : bool;
   mutable s_window_granted : bool;  (* full publish window released *)
-}
-
-type bsub = {
-  bs_session : session;
-  bs_param : string;
-  bs_always : bool;
-  bs_filter : Rfilter.t option;
-}
-
-(* A Sub covered by an installed subscription of the same session:
-   recorded but never indexed — the coverer already routes a superset
-   of its traffic to the same session, and delivery dedups per session,
-   so suppressing it cannot change the delivery multiset. *)
-type covrec = {
-  cv_sid : int;  (* client-side sid, for unsub matching *)
-  cv_sub : bsub;
-  mutable cv_by : int;  (* bsid of the covering indexed subscription *)
 }
 
 type config = {
@@ -99,13 +63,7 @@ type config = {
   max_frame : int;
   covering : bool;
       (* suppress Subs covered by an installed subscription of the
-         same session (§4.4.4-style covering at the broker): the Sub
-         is recorded, not re-indexed, and restored if its coverer is
-         unsubscribed *)
-  shared_frames : bool;
-      (* encode-once fan-out: frame each accepted Pub's Deliver once
-         and share the bytes across all target sessions. Off = the
-         per-session-encode baseline, for measurement *)
+         same session (see Broker_core) *)
   warmup_ms : int;
       (* a freshly started broker grants zero publish credits for this
          long, so after a crash every surviving subscriber gets a
@@ -122,7 +80,6 @@ let default_config =
     high_watermark = 256;
     max_frame = Frame.default_max_frame;
     covering = true;
-    shared_frames = true;
     warmup_ms = 750;
   }
 
@@ -131,13 +88,9 @@ type t = {
   listen_fd : Unix.file_descr;
   port : int;
   registry : Registry.t;
-  route : (int * bsub) Routing.t;
-  factored : Factored.t;
+  core : session Broker_core.t;
   mutable sessions : session list;
-  bsubs : (int, int * bsub) Hashtbl.t;  (* client sid space is per-session *)
-  covered : (int, covrec) Hashtbl.t;  (* bsid → suppressed Sub *)
   mutable next_bsid : int;
-  tr : Trace.t;
   pub_frontier : (string, int) Hashtbl.t;  (* client id → routed frontier *)
   t_started : float;
   mutable stopped : bool;
@@ -150,8 +103,6 @@ type t = {
   c_bad_frames : Trace.Counter.t;
   c_bad_adverts : Trace.Counter.t;
   c_disconnects : Trace.Counter.t;
-  c_subs_covered : Trace.Counter.t;
-  c_subs_restored : Trace.Counter.t;
   g_sessions : Trace.Gauge.t;
   g_qdepth : Trace.Gauge.t;
   g_credit : Trace.Gauge.t;
@@ -185,13 +136,9 @@ let create ?(config = default_config) ?(host = "127.0.0.1") ?listen_fd
     listen_fd;
     port;
     registry;
-    route = Routing.create registry;
-    factored = Factored.create ();
+    core = Broker_core.create ~covering:config.covering ~equal:( == ) registry;
     sessions = [];
-    bsubs = Hashtbl.create 64;
-    covered = Hashtbl.create 16;
     next_bsid = 0;
-    tr;
     pub_frontier = Hashtbl.create 16;
     t_started = Unix.gettimeofday ();
     stopped = false;
@@ -203,8 +150,6 @@ let create ?(config = default_config) ?(host = "127.0.0.1") ?listen_fd
     c_bad_frames = Trace.counter tr "tpbsd.bad_frames";
     c_bad_adverts = Trace.counter tr "tpbsd.bad_adverts";
     c_disconnects = Trace.counter tr "tpbsd.disconnects";
-    c_subs_covered = Trace.counter tr "broker.subs_covered";
-    c_subs_restored = Trace.counter tr "broker.subs_restored";
     g_sessions = Trace.gauge tr "tpbsd.sessions";
     g_qdepth = Trace.gauge tr "tpbsd.qdepth";
     g_credit = Trace.gauge tr "tpbsd.credit_outstanding";
@@ -229,142 +174,23 @@ let on_advertise t cls supers =
 
 (* --- subscriptions --------------------------------------------------- *)
 
-(* Install an accepted subscription into the live index. *)
-let install t ~bsid ~sid (sub : bsub) =
-  Hashtbl.replace t.bsubs bsid (sid, sub);
-  Routing.add t.route ~param:sub.bs_param
-    ~compare:(fun (b1, _) (b2, _) -> Int.compare b1 b2)
-    (bsid, sub);
-  match sub.bs_filter with
-  | Some rf -> Factored.add t.factored ~id:bsid rf
-  | None -> ()
-
-(* An installed subscription of the same session whose traffic is a
-   superset of [sub]'s: same-session is essential — delivery dedups
-   one Deliver per session, so a same-session coverer makes the
-   suppressed Sub observationally absent, while a cross-session one
-   would not route anything to [sub]'s owner. *)
-let find_coverer t s (sub : bsub) =
-  List.find_map
-    (fun bsid ->
-      match Hashtbl.find_opt t.bsubs bsid with
-      | None -> None
-      | Some (_, cov) ->
-          if
-            cov.bs_session == s
-            && Registry.subtype t.registry sub.bs_param cov.bs_param
-            && (cov.bs_always
-               ||
-               (not sub.bs_always)
-               &&
-               match (sub.bs_filter, cov.bs_filter) with
-               | Some nf, Some cf ->
-                   Subsume.covers ~registry:t.registry ~param:sub.bs_param
-                     nf cf
-               | _ -> false)
-          then Some bsid
-          else None)
-    s.s_subs
-
+(* Client sids are per-session; the core is keyed by broker-wide
+   bsids, allocated in arrival order. *)
 let on_sub t s ~sid ~param ~filter =
   if not (Registry.exists t.registry param) then
     (* a subscription to a type nobody advertised yet: declare it bare
        so later advertisements can extend it *)
     (try Registry.declare_interface t.registry ~name:param ()
      with Registry.Type_error _ -> Trace.Counter.incr t.c_bad_adverts);
-  let always, rfilter =
-    match filter with
-    | Value.Null -> (true, None)
-    | v -> (
-        match Rfilter.of_value v with
-        | Some rf -> (false, Some rf)
-        | None -> (true, None))
-  in
   let bsid = t.next_bsid in
   t.next_bsid <- t.next_bsid + 1;
-  let sub =
-    { bs_session = s; bs_param = param; bs_always = always; bs_filter = rfilter }
-  in
-  let coverer = if t.cfg.covering then find_coverer t s sub else None in
-  s.s_subs <- bsid :: s.s_subs;
-  match coverer with
-  | Some by ->
-      Hashtbl.replace t.covered bsid { cv_sid = sid; cv_sub = sub; cv_by = by };
-      Trace.Counter.incr t.c_subs_covered;
-      if Trace.emitting t.tr then
-        Trace.emit t.tr ~layer:"broker" ~kind:"sub_covered"
-          ~data:[ ("bsid", Trace.I bsid); ("by", Trace.I by); ("param", Trace.S param) ]
-          ()
-  | None -> install t ~bsid ~sid sub
-
-(* [removed] just left the index: any Sub it was covering either finds
-   another coverer or is promoted into the index (in bsid order, so an
-   early promotion can re-cover a later orphan). *)
-let reparent t removed =
-  let orphans =
-    Hashtbl.fold
-      (fun bsid cv acc -> if cv.cv_by = removed then (bsid, cv) :: acc else acc)
-      t.covered []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  List.iter
-    (fun (bsid, cv) ->
-      match find_coverer t cv.cv_sub.bs_session cv.cv_sub with
-      | Some by -> cv.cv_by <- by
-      | None ->
-          Hashtbl.remove t.covered bsid;
-          install t ~bsid ~sid:cv.cv_sid cv.cv_sub;
-          Trace.Counter.incr t.c_subs_restored;
-          if Trace.emitting t.tr then
-            Trace.emit t.tr ~layer:"broker" ~kind:"sub_restored"
-              ~data:
-                [ ("bsid", Trace.I bsid); ("param", Trace.S cv.cv_sub.bs_param) ]
-              ())
-    orphans
+  s.s_subs <- (sid, bsid) :: s.s_subs;
+  Broker_core.subscribe t.core ~id:bsid ~dest:s ~param filter
 
 let on_unsub t s ~sid =
-  let covered_mine =
-    List.filter
-      (fun bsid ->
-        match Hashtbl.find_opt t.covered bsid with
-        | Some cv -> cv.cv_sid = sid && cv.cv_sub.bs_session == s
-        | None -> false)
-      s.s_subs
-  in
-  List.iter (fun bsid -> Hashtbl.remove t.covered bsid) covered_mine;
-  let mine =
-    List.filter
-      (fun bsid ->
-        match Hashtbl.find_opt t.bsubs bsid with
-        | Some (sid', sub) -> sid' = sid && sub.bs_session == s
-        | None -> false)
-      s.s_subs
-  in
-  List.iter
-    (fun bsid ->
-      match Hashtbl.find_opt t.bsubs bsid with
-      | None -> ()
-      | Some (_, sub) ->
-          Hashtbl.remove t.bsubs bsid;
-          Routing.remove t.route ~param:sub.bs_param (fun (b, _) -> b = bsid);
-          Factored.remove t.factored ~id:bsid)
-    mine;
-  s.s_subs <-
-    List.filter
-      (fun b -> not (List.mem b mine || List.mem b covered_mine))
-      s.s_subs;
-  List.iter (fun bsid -> reparent t bsid) mine
-
-(* --- publish routing -------------------------------------------------- *)
-
-let build_targets t cls =
-  Hashtbl.fold
-    (fun bsid (_, sub) acc ->
-      if Registry.subtype t.registry cls sub.bs_param then
-        (bsid, sub) :: acc
-      else acc)
-    t.bsubs []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let mine, rest = List.partition (fun (sid', _) -> sid' = sid) s.s_subs in
+  s.s_subs <- rest;
+  List.iter (fun (_, bsid) -> Broker_core.unsubscribe t.core bsid) mine
 
 (* Completion bookkeeping: pseq [n] of [s] is fully handled (all its
    deliveries handed to the kernel, or it matched nobody). Cumulative
@@ -387,10 +213,9 @@ let pubrec_done t pr =
 
 (* [envelope] is a view into the session's frame decoder buffer: valid
    only for the duration of this call (the next [Conn.recv] may move
-   it), which is enough — filter decisions project over it in place,
-   and it leaves either inside the once-encoded shared frame or as the
-   one queued copy of the baseline arm. A dropped event costs no
-   envelope copy at all. *)
+   it), which is enough — the core's filter decisions project over it
+   in place, and it leaves inside the once-encoded shared frame. A
+   dropped event costs no envelope copy at all. *)
 let on_pub t s ~pseq ~cls ~(envelope : Proto.slice) =
   Trace.Counter.incr t.c_pubs;
   (* first pub of a (re)connected session pins the ack base *)
@@ -419,80 +244,21 @@ let on_pub t s ~pseq ~cls ~(envelope : Proto.slice) =
         Trace.Counter.incr t.c_bad_frames;
         complete_pub t s pseq
     | Some (_, _, (obv_off, obv_len)) -> (
-        match Routing.find t.route cls ~build:(build_targets t) with
+        match
+          List.filter
+            (fun dst -> not dst.s_closing)
+            (Broker_core.route t.core ~cls envelope.Proto.sl_buf ~off:obv_off
+               ~len:obv_len)
+        with
         | [] -> complete_pub t s pseq
-        | routed ->
-            (* Factored matching through lazy cursor projections, as on
-               the in-simulation filtering host: match or drop without
-               materializing the obvent — or even copying its bytes out
-               of the frame. *)
-            let cursor =
-              Cursor.of_substring envelope.Proto.sl_buf ~off:obv_off
-                ~len:obv_len
+        | targets ->
+            let pr =
+              { pr_session = s; pr_pseq = pseq;
+                pr_outstanding = List.length targets }
             in
-            let resolve path =
-              let rec to_attrs = function
-                | [] -> Some []
-                | m :: rest -> (
-                    match Obvent.attr_of_getter m with
-                    | None -> None
-                    | Some a -> (
-                        match to_attrs rest with
-                        | None -> None
-                        | Some tl -> Some (a :: tl)))
-              in
-              match to_attrs path with
-              | None -> None
-              | Some attrs -> Cursor.project cursor attrs
-            in
-            let matched =
-              match Factored.matches_set_resolve t.factored resolve with
-              | ids -> ids
-              | exception Tpbs_serial.Codec.Decode_error _ ->
-                  Hashtbl.create 1
-            in
-            (* one Deliver per session, even when several of its
-               subscriptions match *)
-            let targets = Hashtbl.create 8 in
-            List.iter
-              (fun (bsid, sub) ->
-                if
-                  (sub.bs_always || Hashtbl.mem matched bsid)
-                  && (not sub.bs_session.s_closing)
-                  && not (Hashtbl.mem targets bsid)
-                then begin
-                  let dup =
-                    Hashtbl.fold
-                      (fun _ s' any -> any || s' == sub.bs_session)
-                      targets false
-                  in
-                  if not dup then Hashtbl.replace targets bsid sub.bs_session
-                end)
-              routed;
-            let n = Hashtbl.length targets in
-            if n = 0 then complete_pub t s pseq
-            else begin
-              let pr = { pr_session = s; pr_pseq = pseq; pr_outstanding = n } in
-              (* build the delivery once, outside the target loop: in
-                 shared mode this is THE encode+CRC of the whole
-                 fan-out *)
-              let delivery =
-                if t.cfg.shared_frames then
-                  D_shared
-                    (Proto.encode_deliver ~origin:s.s_id ~pseq ~cls envelope)
-                else
-                  D_plain
-                    {
-                      dp_origin = s.s_id;
-                      dp_pseq = pseq;
-                      dp_cls = cls;
-                      dp_envelope = Proto.slice_to_string envelope;
-                    }
-              in
-              Hashtbl.iter
-                (fun _ dst -> Queue.push (delivery, pr) dst.s_q)
-                targets
-            end)
+            (* THE encode+CRC of the whole fan-out *)
+            let frame = Proto.encode_deliver ~origin:s.s_id ~pseq ~cls envelope in
+            List.iter (fun dst -> Queue.push (frame, pr) dst.s_q) targets)
   end
 
 (* --- per-session pump -------------------------------------------------- *)
@@ -509,18 +275,8 @@ let pump_session t s =
   if not s.s_closing then begin
     (* drain the delivery queue into the connection, credit-gated *)
     while s.s_deliver_credit > 0 && not (Queue.is_empty s.s_q) do
-      let delivery, pr = Queue.pop s.s_q in
-      (match delivery with
-      | D_shared pf -> Conn.send_preframed s.s_conn pf
-      | D_plain { dp_origin; dp_pseq; dp_cls; dp_envelope } ->
-          Conn.send s.s_conn
-            (Proto.Deliver
-               {
-                 origin = dp_origin;
-                 pseq = dp_pseq;
-                 cls = dp_cls;
-                 envelope = dp_envelope;
-               }));
+      let frame, pr = Queue.pop s.s_q in
+      Conn.send_preframed s.s_conn frame;
       Trace.Counter.incr t.c_forwarded;
       s.s_deliver_credit <- s.s_deliver_credit - 1;
       s.s_unflushed <- pr :: s.s_unflushed
@@ -563,18 +319,7 @@ let drop_session t s reason =
   let un = s.s_unflushed in
   s.s_unflushed <- [];
   List.iter (fun pr -> pubrec_done t pr) un;
-  (* drop its subscriptions — covered ones too, with no restore: the
-     only session their coverer was shielding is the one dying *)
-  List.iter
-    (fun bsid ->
-      Hashtbl.remove t.covered bsid;
-      match Hashtbl.find_opt t.bsubs bsid with
-      | None -> ()
-      | Some (_, sub) ->
-          Hashtbl.remove t.bsubs bsid;
-          Routing.remove t.route ~param:sub.bs_param (fun (b, _) -> b = bsid);
-          Factored.remove t.factored ~id:bsid)
-    s.s_subs;
+  Broker_core.drop t.core s;
   s.s_subs <- [];
   Conn.close s.s_conn;
   t.sessions <- List.filter (fun s' -> not (s' == s)) t.sessions;

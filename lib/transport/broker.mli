@@ -1,6 +1,11 @@
-(** The [tpbsd] broker engine — the out-of-process twin of the
-    in-simulation filtering host ({!Tpbs_core.Pubsub.add_broker}),
-    serving real TCP clients.
+(** The [tpbsd] broker engine: the TCP shell over
+    {!Tpbs_core.Broker_core}, the filtering-host core that the
+    simulated host ({!Tpbs_core.Pubsub.add_broker}) runs too. Client
+    sessions are the core's destinations; each [Sub] gets a
+    broker-wide id in arrival order. Routing, factored filtering
+    through lazy cursor projections, and covering suppression are the
+    core's, so both hosts make the same decisions for the same
+    subscriptions.
 
     A library rather than a daemon so unit tests can run broker and
     clients in one process over real sockets (single-threaded,
@@ -8,46 +13,35 @@
     broker children without an exec path; [bin/tpbsd] is a thin CLI
     shell around it.
 
-    Same routing machinery as the in-simulation host: a
-    {!Tpbs_core.Routing} index memoizes type-based fan-out per
-    concrete class, a {!Tpbs_filter.Factored} compound filter decides
-    matches through lazy cursor projections, and the type lattice
-    grows dynamically from client [Advertise] messages.
-
-    Flow control: per-session bounded delivery queues drained by
-    client-granted credits; publish credits are replenished only while
-    every queue sits below the low watermark, so broker-side queue
-    depth is bounded by the sum of outstanding publish windows and
-    backpressure propagates from the slowest subscriber to every
-    publisher. A session whose owed credits exceed the high watermark
-    (a publisher ignoring backpressure) simply stops being read.
-
-    Certified delivery across broker crashes: a [Pub] is acknowledged
-    only after its [Deliver] frames have been fully handed to the
-    kernel for every matching subscriber session; an unacknowledged
-    event survives in the publisher, which retransmits after
-    reconnecting, and subscribers deduplicate by per-origin sequence.
-    Within one broker life a per-client publish frontier re-acks
-    retransmitted duplicates without re-delivering them.
-
-    Covering suppression ({!Tpbs_filter.Subsume.covers}, on by
-    default): an incoming [Sub] covered by an installed subscription
-    of the {e same session} — subtype of its parameter, filter
-    entailed by its filter — is recorded but never indexed or shipped
-    into the routing/factoring state. Since delivery dedups one
-    [Deliver] per session, suppression cannot change the delivery
-    multiset. When the covering subscription is unsubscribed, the
-    suppressed ones either find another coverer or are promoted into
-    the live index.
+    What only a networked broker needs lives here:
+    - the type lattice grows from client [Advertise] messages, and a
+      [Sub] to an unknown type declares it bare;
+    - fan-out encodes each accepted [Pub]'s [Deliver] once
+      ({!Proto.encode_deliver}) and queues the same immutable bytes on
+      every target session, so per-event encode cost is independent of
+      subscriber count;
+    - flow control: per-session bounded delivery queues drained by
+      client-granted credits; publish credits are replenished only
+      while every queue sits below the low watermark, so queue depth is
+      bounded by the sum of outstanding publish windows and
+      backpressure propagates from the slowest subscriber to every
+      publisher. A session whose owed credits exceed the high watermark
+      (a publisher ignoring backpressure) simply stops being read;
+    - certified delivery across broker crashes: a [Pub] is acknowledged
+      only after its [Deliver] frames have been fully handed to the
+      kernel for every matching subscriber session; an unacknowledged
+      event survives in the publisher, which retransmits after
+      reconnecting, and subscribers deduplicate by per-origin sequence.
+      Within one broker life a per-client publish frontier re-acks
+      retransmitted duplicates without re-delivering them.
 
     Metrics (ambient {!Tpbs_trace.Trace} registry): counters
     [tpbsd.accepts], [tpbsd.pubs], [tpbsd.dup_pubs],
     [tpbsd.forwarded], [tpbsd.acked], [tpbsd.bad_frames],
-    [tpbsd.bad_adverts], [tpbsd.disconnects], [broker.subs_covered],
-    [broker.subs_restored]; gauges [tpbsd.sessions], [tpbsd.qdepth]
-    (worst queue, with peak), [tpbsd.credit_outstanding]. Trace
-    events [sub_covered]/[sub_restored] are emitted on layer
-    ["broker"] when a sink is installed. *)
+    [tpbsd.bad_adverts], [tpbsd.disconnects], plus the core's
+    [broker.subs_covered] and [broker.subs_restored]; gauges
+    [tpbsd.sessions], [tpbsd.qdepth] (worst queue, with peak),
+    [tpbsd.credit_outstanding]. *)
 
 type t
 
@@ -62,15 +56,6 @@ type config = {
       (** suppress [Sub]s covered by an installed subscription of the
           same session (on in {!default_config}); delivery is
           observationally identical either way *)
-  shared_frames : bool;
-      (** encode-once fan-out (on in {!default_config}): each accepted
-          [Pub]'s [Deliver] is encoded + framed + CRC'd once
-          ({!Proto.encode_deliver}) and the same immutable bytes are
-          queued on every target session, so per-event encode cost is
-          independent of subscriber count (watch
-          [transport.deliver_encodes] against [tpbsd.pubs]). Off = the
-          per-session-encode baseline, kept for measurement; delivery
-          is byte-identical either way *)
   warmup_ms : int;
       (** a freshly started broker grants zero publish credits for
           this long (full windows follow as [Credit]), so after a

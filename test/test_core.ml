@@ -528,7 +528,7 @@ let test_ordered_defaults_single_threaded () =
 let test_broker_remote_filtering () =
   let reg, engine, _net, domain, procs = setup ~n:5 () in
   let broker = procs.(4) in
-  Pubsub.make_broker domain broker;
+  Pubsub.add_broker domain broker;
   let cheap = ref [] and telco = ref [] and opaque = ref [] in
   let s1 =
     Process.subscribe procs.(1) ~param:"StockQuote"
@@ -577,7 +577,7 @@ let test_broker_remote_filtering () =
 
 let test_broker_unsubscribe_stops_forwarding () =
   let reg, engine, _net, domain, procs = setup ~n:3 () in
-  Pubsub.make_broker domain procs.(2);
+  Pubsub.add_broker domain procs.(2);
   let got = ref [] in
   let s =
     Process.subscribe procs.(1) ~param:"StockQuote"
@@ -603,7 +603,7 @@ let test_broker_drop_zero_decodes () =
      the drop purely by lazy projection — at least one cursor
      projection, zero full decodes, zero clones anywhere. *)
   let reg, engine, _net, domain, procs = setup ~n:3 () in
-  Pubsub.make_broker domain procs.(2);
+  Pubsub.add_broker domain procs.(2);
   let got = ref [] in
   let s =
     Process.subscribe procs.(1) ~param:"StockQuote"

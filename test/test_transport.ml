@@ -541,9 +541,10 @@ let test_reconnect_with_backoff () =
 
 let slice_of ~buf ~off ~len = { Proto.sl_buf = buf; sl_off = off; sl_len = len }
 
-(* The shared-frame encoder against its oracle: byte-identical to the
-   per-session path for any origin/pseq/cls/envelope, including
-   envelopes handed over as proper slices of a larger buffer. *)
+(* The shared-frame encoder against its oracle: byte-identical to
+   framing the encoded [Deliver] message, for any origin/pseq/cls/
+   envelope, including envelopes handed over as proper slices of a
+   larger buffer. *)
 let test_preframed_oracle =
   QCheck.Test.make ~name:"encode_deliver = frame (encode (Deliver ...))"
     ~count:300
@@ -805,12 +806,11 @@ let test_syscall_stats_balance () =
   Conn.close cb
 
 (* In-process broker with raw connections: the encode-once ledger.
-   [shared_frames] on, K subscribers and P publishes cost exactly P
-   Deliver encodes and P*K shared enqueues; off, P*K encodes. *)
-let run_fanout_counters ~shared ~subs ~pubs =
+   K subscribers and P publishes cost exactly P Deliver encodes and
+   P*K shared enqueues. *)
+let run_fanout_counters ~subs ~pubs =
   Trace.set_ambient (Trace.create ());
-  let config = { instant_config with Broker.shared_frames = shared } in
-  let broker = Broker.create ~config ~port:0 () in
+  let broker = Broker.create ~config:instant_config ~port:0 () in
   let port = Broker.port broker in
   let dial id window =
     let fd = Unix.socket PF_INET SOCK_STREAM 0 in
@@ -891,16 +891,9 @@ let run_fanout_counters ~shared ~subs ~pubs =
   (v "transport.deliver_encodes", v "transport.fanout_shared")
 
 let test_broker_encode_once_counters () =
-  let encodes, shared_enqueues =
-    run_fanout_counters ~shared:true ~subs:4 ~pubs:10
-  in
+  let encodes, shared_enqueues = run_fanout_counters ~subs:4 ~pubs:10 in
   Alcotest.(check int) "one encode per publish, independent of K" 10 encodes;
-  Alcotest.(check int) "every enqueue shares the frame" 40 shared_enqueues;
-  let encodes, shared_enqueues =
-    run_fanout_counters ~shared:false ~subs:4 ~pubs:10
-  in
-  Alcotest.(check int) "baseline pays one encode per subscriber" 40 encodes;
-  Alcotest.(check int) "baseline never shares" 0 shared_enqueues
+  Alcotest.(check int) "every enqueue shares the frame" 40 shared_enqueues
 
 let suite =
   ( "transport",
