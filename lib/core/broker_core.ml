@@ -12,6 +12,7 @@ type 'd owner = {
   dest : 'd;
   mutable subs : 'd entry list;  (* installed and covered, newest first *)
   mutable mark : int;  (* last [route] epoch that picked this destination *)
+  mutable low_covered : int;  (* least covered id in [subs], or max_int *)
 }
 
 and 'd entry = {
@@ -85,6 +86,12 @@ let find_coverer t e =
             | _ -> false))
     e.owner.subs
 
+let refresh_low (o : _ owner) =
+  o.low_covered <-
+    List.fold_left
+      (fun m e -> if e.covered_by <> None && e.id < m then e.id else m)
+      max_int o.subs
+
 let parse_filter = function
   | Value.Null -> (true, None)
   | v -> (
@@ -98,7 +105,7 @@ let subscribe t ~id ~dest ~param filter =
       match List.find_opt (fun o -> t.equal o.dest dest) t.owners with
       | Some o -> o
       | None ->
-          let o = { dest; subs = []; mark = t.epoch } in
+          let o = { dest; subs = []; mark = t.epoch; low_covered = max_int } in
           t.owners <- o :: t.owners;
           o
     in
@@ -110,6 +117,7 @@ let subscribe t ~id ~dest ~param filter =
     match coverer with
     | Some by ->
         e.covered_by <- Some by.id;
+        refresh_low owner;
         Trace.Counter.incr t.c_covered;
         if Trace.emitting t.tr then
           Trace.emit t.tr ~layer:"broker" ~kind:"sub_covered"
@@ -134,7 +142,8 @@ let reparent t removed =
              if Trace.emitting t.tr then
                Trace.emit t.tr ~layer:"broker" ~kind:"sub_restored"
                  ~data:[ ("id", Trace.I e.id); ("param", Trace.S e.param) ]
-                 ())
+                 ());
+  refresh_low removed.owner
 
 let unsubscribe t id =
   match Hashtbl.find_opt t.subs id with
@@ -148,6 +157,7 @@ let unsubscribe t id =
         uninstall t e;
         reparent t e
       end
+      else refresh_low o
 
 let drop t dest =
   match List.find_opt (fun o -> t.equal o.dest dest) t.owners with
@@ -159,6 +169,7 @@ let drop t dest =
           if e.covered_by = None then uninstall t e)
         o.subs;
       o.subs <- [];
+      o.low_covered <- max_int;
       t.owners <- List.filter (fun o' -> o' != o) t.owners
 
 let build t cls =
@@ -179,6 +190,32 @@ let rec attrs_of_path = function
       | Some a, Some tl -> Some (a :: tl)
       | _ -> None)
 
+(* The id a destination is ordered by: that of its first matching
+   subscription. [e] is its first matching installed one; a covered
+   sibling with a lower id matches only events its coverer matches, so
+   it can only move the destination earlier — and only siblings below
+   [e] need testing, which [low_covered] rules out in one comparison
+   unless a newer coverer suppresses an older subscription. *)
+let first_match t ~cls resolve (e : _ entry) =
+  let o = e.owner in
+  if o.low_covered >= e.id then e.id
+  else
+    List.fold_left
+      (fun first c ->
+        if
+          c.covered_by <> None && c.id < first
+          && Registry.subtype t.registry cls c.param
+          && (c.always
+             ||
+             match c.filter with
+             | Some rf -> (
+                 try Rfilter.eval_resolve rf resolve
+                 with Codec.Decode_error _ -> false)
+             | None -> false)
+        then c.id
+        else first)
+      e.id o.subs
+
 let route t ~cls bytes ~off ~len =
   match Routing.find t.index cls ~build:(build t) with
   | [] -> []
@@ -193,16 +230,27 @@ let route t ~cls bytes ~off ~len =
         | exception Codec.Decode_error _ -> Hashtbl.create 1
       in
       t.epoch <- t.epoch + 1;
-      List.fold_left
-        (fun acc e ->
-          if (e.always || Hashtbl.mem matched e.id) && e.owner.mark <> t.epoch
-          then begin
-            e.owner.mark <- t.epoch;
-            e.owner.dest :: acc
-          end
-          else acc)
-        [] routed
-      |> List.rev
+      let reordered = ref false in
+      let picked =
+        List.fold_left
+          (fun acc e ->
+            if (e.always || Hashtbl.mem matched e.id) && e.owner.mark <> t.epoch
+            then begin
+              e.owner.mark <- t.epoch;
+              let first = first_match t ~cls resolve e in
+              if first < e.id then reordered := true;
+              (first, e.owner.dest) :: acc
+            end
+            else acc)
+          [] routed
+        |> List.rev
+      in
+      let picked =
+        if !reordered then
+          List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) picked
+        else picked
+      in
+      List.map snd picked
 
 type stats = { installed : int; covered : int; cover_checks : int }
 

@@ -475,11 +475,11 @@ let routed_subscriptions p cls =
 
 (* Learn interest from control traffic: every process sees the meta
    channel (it is broadcast) and updates its local routing view. *)
-let learn_interest p cls obvent_bytes =
+let learn_interest p cls bytes ~off ~len =
   let d = p.dom in
   if d.targeted && (cls = "SubscriptionActivated" || cls = "SubscriptionDeactivated")
   then
-    match Obvent.deserialize d.registry obvent_bytes with
+    match Obvent.deserialize_sub d.registry bytes ~off ~len with
     | exception Obvent.Invalid_obvent _ -> ()
     | o -> (
         match Obvent.get o "nodeId", Obvent.get o "subscribedType" with
@@ -500,8 +500,13 @@ let learn_interest p cls obvent_bytes =
    never a sibling's. Classes marked EagerClone opt out of sharing and
    fall back to one deserialization per subscriber, reusing the
    envelope's already-encoded bytes (serialize once, decode N
-   times). *)
-let on_event p cls envelope =
+   times).
+
+   The envelope is [bytes.[off .. off+len-1]] and is read in place —
+   over TCP it is still sitting in the connection's frame decoder —
+   so the only copy of the obvent is its decode. Every read of
+   [bytes] happens before this returns. *)
+let on_event_sub p cls bytes ~off ~len =
   let d = p.dom in
   let sh = shard_of d cls in
   let st = Shard.stats sh in
@@ -512,10 +517,10 @@ let on_event p cls envelope =
       Trace.emit d.obs.tr ~layer:"core" ~kind:"decode_error" ~node:p.node
         ~data:[ ("cls", Trace.S cls) ] ()
   in
-  match decode_envelope envelope with
+  match decode_envelope_sub bytes ~off ~len with
   | None -> decode_error ()
-  | Some (publish_time, eid, obvent_bytes) -> (
-      learn_interest p cls obvent_bytes;
+  | Some (publish_time, eid, (ooff, olen)) -> (
+      learn_interest p cls bytes ~off:ooff ~len:olen;
       match Hashtbl.find_opt (Shard.channel_meta sh) cls with
       | None ->
           (* Delivery raced channel registration: count the miss, do
@@ -533,7 +538,8 @@ let on_event p cls envelope =
                     [ ("cls", Trace.S cls);
                       ("targets", Trace.I (List.length subs)) ]
                   ();
-              if stale_lazy d meta (Cursor.of_string obvent_bytes) then begin
+              if stale_lazy d meta (Cursor.of_substring bytes ~off:ooff ~len:olen)
+              then begin
                 (* Once per event, not once per matching subscription —
                    and without ever materializing the obvent. *)
                 st.Shard.expired <- st.Shard.expired + 1;
@@ -543,7 +549,7 @@ let on_event p cls envelope =
                     ~node:p.node ~id:eid ()
               end
               else
-                match Obvent.deserialize d.registry obvent_bytes with
+                match Obvent.deserialize_sub d.registry bytes ~off:ooff ~len:olen with
                 | exception Obvent.Invalid_obvent _ -> decode_error ()
                 | gate ->
                     Trace.Counter.incr d.obs.c_cloned;
@@ -581,7 +587,8 @@ let on_event p cls envelope =
                             else begin
                               Trace.Counter.incr d.obs.c_cloned;
                               if eager then
-                                Obvent.deserialize d.registry obvent_bytes
+                                Obvent.deserialize_sub d.registry bytes
+                                  ~off:ooff ~len:olen
                               else Obvent.view gate
                             end
                           in
@@ -592,6 +599,9 @@ let on_event p cls envelope =
                       (fun (s, clone) ->
                         deliver_clone p ~publish_time ~eid sh s clone)
                       clones)))
+
+let on_event p cls envelope =
+  on_event_sub p cls envelope ~off:0 ~len:(String.length envelope)
 
 (* Replay delivery: a replayed history envelope goes only to the
    replay subscription that asked for it — every other subscriber on
@@ -1266,7 +1276,7 @@ module Remote = struct
     if meta_count d > 0 then
       invalid_arg "Remote.connect: connect before opening channels";
     d.remote <- Some endpoint;
-    fun ~cls envelope -> on_event p cls envelope
+    fun ~cls bytes ~off ~len -> on_event_sub p cls bytes ~off ~len
 end
 
 (* --- broker designation --------------------------------------------------------------- *)

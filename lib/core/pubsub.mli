@@ -312,12 +312,22 @@ module Remote : sig
   }
 
   val connect :
-    Domain.t -> Process.t -> t -> (cls:string -> string -> unit)
+    Domain.t ->
+    Process.t ->
+    t ->
+    cls:string ->
+    string ->
+    off:int ->
+    len:int ->
+    unit
   (** Wire the domain to a remote broker through [endpoint] and return
       the delivery injection: the connector calls it for every event
-      frame received from the broker, and it runs the ordinary local
-      delivery path (routing index, staleness, filters, COW clones)
-      on [p]. Call before any channel is opened.
+      frame received from the broker, with the envelope at
+      [bytes.[off .. off+len-1]] — a view into its receive buffer,
+      read in place and never retained past the call — and it runs
+      the ordinary local delivery path (routing index, staleness,
+      filters, COW clones) on [p]. Call before any channel is
+      opened.
       @raise Invalid_argument if already connected, if the process
       belongs to another domain, or if channels already exist. *)
 end

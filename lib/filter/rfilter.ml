@@ -275,20 +275,23 @@ let eval_atom_value (v : Value.t) a =
           end
       | _, _ -> false)
 
-let eval_atom root a =
-  match eval_path root a.path with
+let eval_atom_resolve resolve a =
+  match resolve a.path with
   | None -> false
   | Some v -> eval_atom_value v a
 
-let rec eval_formula root = function
+let eval_atom root a = eval_atom_resolve (eval_path root) a
+
+let rec eval_formula resolve = function
   | True -> true
   | False -> false
-  | Atom a -> eval_atom root a
-  | Not f -> not (eval_formula root f)
-  | And fs -> List.for_all (eval_formula root) fs
-  | Or fs -> List.exists (eval_formula root) fs
+  | Atom a -> eval_atom_resolve resolve a
+  | Not f -> not (eval_formula resolve f)
+  | And fs -> List.for_all (eval_formula resolve) fs
+  | Or fs -> List.exists (eval_formula resolve) fs
 
-let eval t root = eval_formula root t.formula
+let eval_resolve t resolve = eval_formula resolve t.formula
+let eval t root = eval_resolve t (eval_path root)
 let matches_obvent t o = eval t (Obvent.to_value o)
 
 (* --- wire format ----------------------------------------------------- *)

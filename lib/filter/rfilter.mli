@@ -66,6 +66,13 @@ val eval_atom : Tpbs_serial.Value.t -> atom -> bool
 val eval : t -> Tpbs_serial.Value.t -> bool
 (** Evaluate the formula against an obvent value. Never raises. *)
 
+val eval_resolve :
+  t -> (string list -> Tpbs_serial.Value.t option) -> bool
+(** {!eval} with path values supplied by [resolve] (for instance lazy
+    cursor projections of a serialized obvent) instead of read off a
+    value: [eval t v = eval_resolve t (eval_path v)]. Raises only
+    what [resolve] raises. *)
+
 val matches_obvent : t -> Tpbs_obvent.Obvent.t -> bool
 
 val to_value : t -> Tpbs_serial.Value.t

@@ -148,10 +148,12 @@ let of_value reg (v : Value.t) =
 
 let serialize o = Codec.encode (to_value o)
 
-let deserialize reg s =
-  match Codec.decode s with
+let deserialize_sub reg s ~off ~len =
+  match Codec.decode_sub s ~off ~len with
   | v -> of_value reg v
   | exception Codec.Decode_error msg -> err "deserialize: %s" msg
+
+let deserialize reg s = deserialize_sub reg s ~off:0 ~len:(String.length s)
 
 let clone reg o = deserialize reg (serialize o)
 

@@ -100,6 +100,12 @@ val serialize : t -> string
 val deserialize : Tpbs_types.Registry.t -> string -> t
 (** @raise Invalid_obvent on garbage or non-conforming payloads. *)
 
+val deserialize_sub :
+  Tpbs_types.Registry.t -> string -> off:int -> len:int -> t
+(** {!deserialize} of the obvent serialized at [s.[off .. off+len-1]],
+    read in place (the one copy is the decoded obvent itself).
+    @raise Invalid_obvent on garbage or non-conforming payloads. *)
+
 val clone : Tpbs_types.Registry.t -> t -> t
 (** Round trip through the codec: structurally equal, fresh uid. *)
 

@@ -45,8 +45,37 @@ let rec encode_into w (v : Value.t) =
       varint w r.node_id;
       varint w r.object_id
 
+(* Exactly the bytes [encode_into] writes, without writing them: one
+   walk over the value, O(1) per string however long. *)
+let str_size len = 1 + Wire.Writer.uvarint_size len + len
+let list_header_size n = 1 + Wire.Writer.uvarint_size n
+let name_size s = Wire.Writer.uvarint_size (String.length s) + String.length s
+
+let rec encoded_size (v : Value.t) =
+  match v with
+  | Null | Bool _ -> 1
+  | Int i -> 1 + Wire.Writer.zigzag_size i
+  | Float _ -> 9
+  | Str s -> str_size (String.length s)
+  | List vs ->
+      List.fold_left
+        (fun acc v -> acc + encoded_size v)
+        (list_header_size (List.length vs))
+        vs
+  | Obj o ->
+      List.fold_left
+        (fun acc (name, v) -> acc + name_size name + encoded_size v)
+        (1 + name_size o.cls + Wire.Writer.uvarint_size (List.length o.fields))
+        o.fields
+  | Remote r ->
+      1 + name_size r.iface
+      + Wire.Writer.uvarint_size r.node_id
+      + Wire.Writer.uvarint_size r.object_id
+
+(* Sized up front, the writer fills its buffer to the last byte and
+   hands it over: no doubling, no trailing copy. *)
 let encode v =
-  let w = Wire.Writer.create () in
+  let w = Wire.Writer.create ~capacity:(encoded_size v) () in
   encode_into w v;
   Wire.Writer.contents w
 
@@ -86,8 +115,8 @@ let rec decode_prefix r : Value.t =
   end
   else raise (Decode_error (Printf.sprintf "unknown tag %d" tag))
 
-let decode s =
-  let r = Wire.Reader.of_string s in
+let decode_sub s ~off ~len =
+  let r = Wire.Reader.of_substring s ~off ~len in
   match decode_prefix r with
   | v ->
       if not (Wire.Reader.at_end r) then
@@ -97,6 +126,8 @@ let decode s =
       raise (Decode_error ("truncated: " ^ what))
   | exception Wire.Malformed what ->
       raise (Decode_error ("malformed: " ^ what))
+
+let decode s = decode_sub s ~off:0 ~len:(String.length s)
 
 let decode_prefix r =
   try decode_prefix r with
@@ -186,7 +217,6 @@ let int_prefix r =
   else None
 
 let clone v = decode (encode v)
-let encoded_size v = String.length (encode v)
 
 let frame payload =
   let w = Wire.Writer.create ~capacity:(String.length payload + 10) () in

@@ -15,6 +15,13 @@ val decode : string -> Value.t
 (** Inverse of {!encode}.
     @raise Decode_error on malformed or truncated input. *)
 
+val decode_sub : string -> off:int -> len:int -> Value.t
+(** [decode_sub s ~off ~len] decodes the value encoded at
+    [s.[off .. off+len-1]] in place, with no slice copy — a payload
+    still sitting in a transport frame.
+    @raise Decode_error on malformed or truncated input, or bytes left
+    over in the slice. *)
+
 val decode_prefix : Wire.Reader.t -> Value.t
 (** Decode one value from the current position of a reader, leaving
     the reader positioned after it (for framed transports). *)
@@ -48,6 +55,12 @@ val encode_list_header : Wire.Writer.t -> int -> unit
 val encode_str_sub : Wire.Writer.t -> string -> pos:int -> len:int -> unit
 (** Encode [Str (String.sub s pos len)] without taking the sub. *)
 
+val list_header_size : int -> int
+(** Bytes {!encode_list_header} writes for this arity. *)
+
+val str_size : int -> int
+(** Bytes {!encode_str_sub} writes for a slice of this length. *)
+
 val list_header : Wire.Reader.t -> int option
 (** If the value at the reader is a list, consume its tag and return
     the arity, leaving the reader at the first element. [None] (tag
@@ -71,7 +84,9 @@ val clone : Value.t -> Value.t
     fresh. *)
 
 val encoded_size : Value.t -> int
-(** Number of bytes {!encode} would produce. *)
+(** Number of bytes {!encode} (or {!encode_into}) produces, computed
+    by a walk over the value that writes nothing. {!encode} sizes its
+    buffer with it, so encoding allocates the result once. *)
 
 val frame : string -> string
 (** Wrap a payload into a checksummed length-prefixed frame, as used

@@ -1,23 +1,82 @@
 exception Truncated of string
 exception Malformed of string
 
+(* CRC-32 (IEEE, reflected polynomial 0xEDB88320), slicing-by-8:
+   table [k] (at [k * 256]) advances a byte that sits [k] positions
+   before the end of an 8-byte block, so one step folds 8 bytes with
+   8 lookups and no per-byte shift chain. Entries are native ints
+   holding the 32-bit pattern, so the loop never boxes an [int32]. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for i = 0 to 255 do
+    let c = ref i in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(i) <- !c
+  done;
+  for k = 1 to 7 do
+    for i = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + i) in
+      t.((k * 256) + i) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
+
+let crc32_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Wire.crc32_sub";
+  let t = crc_tables in
+  let tab k i = Array.unsafe_get t ((k * 256) + i) in
+  let c = ref 0xFFFFFFFF in
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF lxor !c in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      tab 7 (lo land 0xff)
+      lxor tab 6 ((lo lsr 8) land 0xff)
+      lxor tab 5 ((lo lsr 16) land 0xff)
+      lxor tab 4 (lo lsr 24)
+      lxor tab 3 (hi land 0xff)
+      lxor tab 2 ((hi lsr 8) land 0xff)
+      lxor tab 1 ((hi lsr 16) land 0xff)
+      lxor tab 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    let b = Char.code (String.unsafe_get s j) in
+    c := tab 0 ((!c lxor b) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
+
 module Writer = struct
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  (* [cap] is how much of [buf] this writer may still write into: the
+     buffer's length while the writer owns it, 0 once {!contents} has
+     handed it over as an immutable string. A handed-off buffer is
+     still read (to carry its bytes into a fresh one on the next
+     write) but never written again. *)
+  type t = { mutable buf : Bytes.t; mutable len : int; mutable cap : int }
 
   let create ?(capacity = 64) () =
-    { buf = Bytes.create (max 1 capacity); len = 0 }
+    let capacity = max 0 capacity in
+    { buf = Bytes.create capacity; len = 0; cap = capacity }
 
   let length w = w.len
 
+  let grow w needed =
+    let cap = max needed (2 * Bytes.length w.buf) in
+    let fresh = Bytes.create cap in
+    Bytes.blit w.buf 0 fresh 0 w.len;
+    w.buf <- fresh;
+    w.cap <- cap
+
   let ensure w n =
     let needed = w.len + n in
-    if needed > Bytes.length w.buf then begin
-      let cap = ref (Bytes.length w.buf * 2) in
-      while !cap < needed do cap := !cap * 2 done;
-      let fresh = Bytes.create !cap in
-      Bytes.blit w.buf 0 fresh 0 w.len;
-      w.buf <- fresh
-    end
+    if needed > w.cap then grow w needed
 
   let byte w b =
     ensure w 1;
@@ -85,7 +144,36 @@ module Writer = struct
     varint w len;
     raw_sub w s ~pos ~len
 
-  let contents w = Bytes.sub_string w.buf 0 w.len
+  let reserve w n =
+    if n < 0 then invalid_arg "Wire.Writer.reserve";
+    ensure w n;
+    w.len <- w.len + n
+
+  let set_int32_le w pos x =
+    if pos < 0 || pos + 4 > w.len then invalid_arg "Wire.Writer.set_int32_le";
+    if w.cap = 0 then grow w w.len;
+    Bytes.set_int32_le w.buf pos x
+
+  (* A buffer filled to the last byte changes hands instead of being
+     copied: with exact-size writers (see [Codec.encode]) that is the
+     common case. *)
+  let contents w =
+    if w.len = Bytes.length w.buf then begin
+      w.cap <- 0;
+      Bytes.unsafe_to_string w.buf
+    end
+    else Bytes.sub_string w.buf 0 w.len
+
+  let crc32_sub w ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > w.len then
+      invalid_arg "Wire.Writer.crc32_sub";
+    crc32_sub (Bytes.unsafe_to_string w.buf) ~pos ~len
+
+  let rec uvarint_size_from n k =
+    if n >= 0 && n < 0x80 then k else uvarint_size_from (n lsr 7) (k + 1)
+
+  let uvarint_size n = uvarint_size_from n 1
+  let zigzag_size n = uvarint_size ((n lsl 1) lxor (n asr 62))
 end
 
 module Reader = struct
@@ -183,34 +271,3 @@ module Reader = struct
     let n = varint r in
     skip r n
 end
-
-let crc_table =
-  lazy
-    (let table = Array.make 256 0l in
-     for i = 0 to 255 do
-       let c = ref (Int32.of_int i) in
-       for _ = 0 to 7 do
-         c :=
-           if Int32.logand !c 1l <> 0l then
-             Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else Int32.shift_right_logical !c 1
-       done;
-       table.(i) <- !c
-     done;
-     table)
-
-let crc32_sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Wire.crc32_sub";
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let ch = String.unsafe_get s i in
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)

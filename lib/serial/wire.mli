@@ -14,6 +14,18 @@ exception Malformed of string
 (** Raised by readers on structurally invalid input (e.g. an
     overlong varint or a bad tag). *)
 
+(** {1 Checksums} *)
+
+val crc32 : string -> int32
+(** CRC-32 (IEEE, polynomial [0xEDB88320]) checksum, guarding message
+    frames and store records. Slicing-by-8: eight bytes per table
+    step, then a bytewise tail. *)
+
+val crc32_sub : string -> pos:int -> len:int -> int32
+(** {!crc32} over [s.[pos .. pos+len-1]] without extracting the slice
+    — lets a stream decoder check a frame in place.
+    @raise Invalid_argument on an out-of-bounds slice. *)
+
 (** {1 Writers} *)
 
 module Writer : sig
@@ -60,8 +72,32 @@ module Writer : sig
       slice-sourced twin of {!string} — byte-identical output to
       [string w (String.sub s pos len)] without the copy. *)
 
+  val reserve : t -> int -> unit
+  (** [reserve w n] appends [n] bytes of unspecified content, to be
+      filled in later with {!set_int32_le} (a frame header written
+      after its payload). *)
+
+  val set_int32_le : t -> int -> int32 -> unit
+  (** [set_int32_le w pos x] overwrites the 4 already-written bytes at
+      [pos] with [x], little endian.
+      @raise Invalid_argument if [pos .. pos+3] is not written yet. *)
+
+  val crc32_sub : t -> pos:int -> len:int -> int32
+  (** {!Wire.crc32_sub} over already-written bytes, in place.
+      @raise Invalid_argument if the range is not written yet. *)
+
   val contents : t -> string
-  (** Snapshot of everything written so far. *)
+  (** Snapshot of everything written so far. A writer whose buffer is
+      exactly full hands the buffer itself over instead of copying
+      it; writing on afterwards moves to a fresh buffer, so the
+      returned string never changes. *)
+
+  val uvarint_size : int -> int
+  (** Bytes {!uvarint} (and so {!varint}, for a non-negative
+      argument) writes for this integer. *)
+
+  val zigzag_size : int -> int
+  (** Bytes {!zigzag} writes for this integer. *)
 end
 
 (** {1 Readers} *)
@@ -110,12 +146,3 @@ module Reader : sig
   val skip_string : t -> unit
   (** Advance past one length-prefixed byte string, allocation-free. *)
 end
-
-val crc32 : string -> int32
-(** CRC-32 (IEEE) checksum, used to guard message frames in the
-    simulated transport. *)
-
-val crc32_sub : string -> pos:int -> len:int -> int32
-(** {!crc32} over [s.[pos .. pos+len-1]] without extracting the slice
-    — lets a stream decoder check a frame in place.
-    @raise Invalid_argument on an out-of-bounds slice. *)

@@ -76,7 +76,7 @@ type t = {
   frontier : (string, int) Hashtbl.t;  (* origin → highest pseq seen *)
   mutable consumed : int;  (* deliveries since the last credit grant *)
   mutable registry : Registry.t option;
-  mutable inject : (cls:string -> string -> unit) option;
+  mutable inject : (cls:string -> string -> off:int -> len:int -> unit) option;
   (* auto-reconnect ([None] = caller-driven) *)
   rc_policy : Backoff.policy option;
   mutable rc_attempt : int;  (* dials since the connection dropped *)
@@ -166,8 +166,9 @@ let on_ack t pseq =
 (* [envelope] is a view into the frame decoder's buffer, valid for
    this call only — long enough: the dedup/frontier check runs over
    the view, so a duplicate from a pre-restart broker life is dropped
-   without copying a byte, and only a fresh delivery pays the one
-   materializing copy on its way into the application. *)
+   without copying a byte, and a fresh delivery hands the same view to
+   the domain, which opens the envelope and decodes the obvent in
+   place before returning (no [recv] can intervene). *)
 let on_deliver t ~origin ~pseq ~cls ~(envelope : Proto.slice) =
   let seen =
     match Hashtbl.find_opt t.frontier origin with
@@ -179,7 +180,9 @@ let on_deliver t ~origin ~pseq ~cls ~(envelope : Proto.slice) =
     Hashtbl.replace t.frontier origin pseq;
     Trace.Counter.incr t.c_delivered;
     (match t.inject with
-    | Some inject -> inject ~cls (Proto.slice_to_string envelope)
+    | Some inject ->
+        inject ~cls envelope.Proto.sl_buf ~off:envelope.Proto.sl_off
+          ~len:envelope.Proto.sl_len
     | None -> ());
     t.consumed <- t.consumed + 1;
     if t.consumed >= max 1 (t.window / 2) then begin

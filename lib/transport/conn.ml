@@ -10,10 +10,12 @@ module Trace = Tpbs_trace.Trace
    [transport.frames_sent] / [transport.write_syscalls].
 
    Pending bytes live in a chunk queue rather than one flat buffer:
-   small frames coalesce into a shared accumulator chunk as before,
-   but a large {!Frame.preframed} fan-out frame is enqueued by
-   reference — the same immutable string queued on every subscriber
-   session, written to each socket with zero copies in userland.
+   small frames coalesce into a shared accumulator chunk, but a large
+   frame is enqueued by reference — a {!Frame.preframed} fan-out
+   frame is the same immutable string queued on every subscriber
+   session, and a large message of our own is encoded once into its
+   frame; either way it reaches the socket with zero copies in
+   userland.
 
    The read side is symmetric: [recv] does one [read] into a scratch
    buffer and feeds the incremental {!Frame.Decoder}; [pop_view] then
@@ -126,8 +128,25 @@ let count_sent t =
   t.frames_sent <- t.frames_sent + 1;
   Trace.Counter.incr (counters ()).c_frames_sent
 
+(* Small frames are copied into the accumulator; a large one is held
+   by reference as its own chunk. [true] when the frame was copied. *)
+let enqueue t s =
+  if String.length s <= coalesce_limit then begin
+    Buffer.add_string t.wbuf s;
+    true
+  end
+  else begin
+    seal t;
+    Queue.push { data = s; off = 0 } t.chunks;
+    t.chunk_bytes <- t.chunk_bytes + String.length s;
+    false
+  end
+
+(* The message is encoded straight into its own exactly-sized frame
+   ({!Proto.frame}), so a large Pub leaves for the socket without a
+   single userland copy. *)
 let send t msg =
-  Buffer.add_string t.wbuf (Frame.frame (Proto.encode msg));
+  ignore (enqueue t (Frame.preframed_bytes (Proto.frame msg)));
   count_sent t
 
 (* Enqueue an already-framed string. The string itself is immutable
@@ -137,18 +156,10 @@ let send t msg =
    into the accumulator) so fan-out of tiny envelopes keeps the
    syscall batching; large frames ride by reference, copy-free. *)
 let send_preframed t pf =
-  let s = Frame.preframed_bytes pf in
   let c = counters () in
   Trace.Counter.incr c.c_fanout_shared;
-  if String.length s <= coalesce_limit then begin
-    Buffer.add_string t.wbuf s;
-    Trace.Counter.incr c.c_payload_copies
-  end
-  else begin
-    seal t;
-    Queue.push { data = s; off = 0 } t.chunks;
-    t.chunk_bytes <- t.chunk_bytes + String.length s
-  end;
+  if enqueue t (Frame.preframed_bytes pf) then
+    Trace.Counter.incr c.c_payload_copies;
   count_sent t
 
 let close t =

@@ -20,7 +20,11 @@ val create : ?max_frame:int -> Unix.file_descr -> t
 val fd : t -> Unix.file_descr
 
 val send : t -> Proto.msg -> unit
-(** Queue a message. No I/O happens until {!flush}. *)
+(** Queue a message. No I/O happens until {!flush}. The message is
+    encoded into its own frame buffer ({!Proto.frame}); like a shared
+    frame, a frame over the coalescing threshold is then held by
+    reference and written with no further copy, a smaller one is
+    coalesced into the accumulator. *)
 
 val send_preframed : t -> Frame.preframed -> unit
 (** Queue an already-framed string without re-encoding or re-CRCing.

@@ -21,22 +21,29 @@ module Wire = Tpbs_serial.Wire
 let header_bytes = 8
 let default_max_frame = 1 lsl 24 (* 16 MiB: far above any envelope *)
 
-let frame payload =
-  let n = String.length payload in
-  let b = Bytes.create (header_bytes + n) in
-  Bytes.set_int32_le b 0 (Int32.of_int n);
-  Bytes.set_int32_le b 4 (Wire.crc32 payload);
-  Bytes.blit_string payload 0 b header_bytes n;
-  Bytes.unsafe_to_string b
-
 (* A frame built once and shared by reference across any number of
    connections: header + CRC are computed at construction, so fanning
    an event out to N subscribers costs one encode and one CRC no
    matter what N is. The type is abstract so only bytes that really
-   went through [frame] can be enqueued as-is on a socket. *)
+   went through [build] can be enqueued as-is on a socket. *)
 type preframed = string
 
-let preframed payload = frame payload
+(* The header is reserved, [fill] encodes the payload straight after
+   it, and length and CRC are patched over the reservation: the frame
+   is never assembled from a separately encoded payload. With [len]
+   exact, the buffer is allocated once and handed over whole. *)
+let build ~len fill =
+  let w = Wire.Writer.create ~capacity:(header_bytes + len) () in
+  Wire.Writer.reserve w header_bytes;
+  fill w;
+  let n = Wire.Writer.length w - header_bytes in
+  Wire.Writer.set_int32_le w 0 (Int32.of_int n);
+  Wire.Writer.set_int32_le w 4 (Wire.Writer.crc32_sub w ~pos:header_bytes ~len:n);
+  Wire.Writer.contents w
+
+let frame payload =
+  build ~len:(String.length payload) (fun w -> Wire.Writer.raw w payload)
+
 let preframed_bytes (p : preframed) : string = p
 let preframed_length (p : preframed) = String.length p - header_bytes
 

@@ -11,18 +11,22 @@
 val header_bytes : int
 val default_max_frame : int
 
-val frame : string -> string
-(** Wrap a payload in a frame header. *)
-
 type preframed
 (** A frame built once and shared by reference across any number of
     connections: the fan-out currency of the encode-once delivery
     path. Abstract so only bytes that really carry a valid header +
     CRC can bypass per-connection encoding. *)
 
-val preframed : string -> preframed
-(** [preframed payload] = {!frame}[ payload], typed for sharing. One
-    encode + one CRC here covers every connection it is sent on. *)
+val build : len:int -> (Tpbs_serial.Wire.Writer.t -> unit) -> preframed
+(** [build ~len fill] is one frame built in one buffer: the header is
+    reserved, [fill] encodes the payload right after it, and the
+    length and CRC of what [fill] wrote are patched in place. When
+    [len] is exactly the payload size, the frame is allocated once and
+    never copied; a wrong [len] costs a regrowth, not correctness. *)
+
+val frame : string -> string
+(** Wrap a payload in a frame header:
+    [preframed_bytes (build ~len (fun w -> Writer.raw w payload))]. *)
 
 val preframed_bytes : preframed -> string
 (** The raw framed bytes (header included), ready for the socket. *)

@@ -109,9 +109,16 @@ let counters () =
 let count_deliver_encode () = Trace.Counter.incr (fst (counters ()))
 let count_payload_copy () = Trace.Counter.incr (snd (counters ()))
 
+let count_encode = function Deliver _ -> count_deliver_encode () | _ -> ()
+
 let encode m =
-  (match m with Deliver _ -> count_deliver_encode () | _ -> ());
+  count_encode m;
   Codec.encode (to_value m)
+
+let frame m =
+  count_encode m;
+  let v = to_value m in
+  Frame.build ~len:(Codec.encoded_size v) (fun w -> Codec.encode_into w v)
 
 let decode s =
   match Codec.decode s with
@@ -135,18 +142,22 @@ let slice_to_string sl =
    slice, producing bytes identical to
    [Frame.frame (encode (Deliver {origin; pseq; cls; envelope}))] —
    the Deliver wire shape carries no per-session field, so one
-   preframed string serves every subscriber. *)
+   preframed string serves every subscriber. The frame is sized
+   exactly, so the envelope is copied once, into its final place. *)
 let encode_deliver ~origin ~pseq ~cls (envelope : slice) =
   count_deliver_encode ();
-  let w = Wire.Writer.create ~capacity:(envelope.sl_len + 64) () in
-  Codec.encode_list_header w 5;
-  Codec.encode_into w (Value.Str "dlv");
-  Codec.encode_into w (Value.Str origin);
-  Codec.encode_into w (Value.Int pseq);
-  Codec.encode_into w (Value.Str cls);
-  Codec.encode_str_sub w envelope.sl_buf ~pos:envelope.sl_off
-    ~len:envelope.sl_len;
-  Frame.preframed (Wire.Writer.contents w)
+  let head = Value.[ Str "dlv"; Str origin; Int pseq; Str cls ] in
+  let len =
+    List.fold_left
+      (fun acc v -> acc + Codec.encoded_size v)
+      (Codec.list_header_size 5 + Codec.str_size envelope.sl_len)
+      head
+  in
+  Frame.build ~len (fun w ->
+      Codec.encode_list_header w 5;
+      List.iter (Codec.encode_into w) head;
+      Codec.encode_str_sub w envelope.sl_buf ~pos:envelope.sl_off
+        ~len:envelope.sl_len)
 
 type view =
   | V_pub of { pseq : int; cls : string; envelope : slice }

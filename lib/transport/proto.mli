@@ -35,6 +35,11 @@ val encode : msg -> string
     counter — {!encode_deliver} bumps it once for the whole fan-out,
     which is what makes "one encode per publish" checkable. *)
 
+val frame : msg -> Frame.preframed
+(** [Frame.frame (encode m)] built in one exactly-sized buffer: the
+    message is encoded straight behind the reserved header. Counts a
+    Deliver encode like {!encode}. *)
+
 val decode : string -> msg option
 (** [None] on undecodable bytes or an unknown message shape. *)
 

@@ -418,9 +418,46 @@ let test_sim_covering () =
     (List.sort Float.compare !got_narrow);
   Trace.set_ambient (Trace.create ())
 
+(* Regression, shrunk from an oracle counterexample: once its own
+   coverer leaves, subscription 1 (destination 0) is re-covered by the
+   NEWER subscription 3, and used to be routed at 3's position —
+   after destination 1 — breaking "ascending id of the first matching
+   subscription". *)
+let test_route_order_newer_coverer () =
+  let core = Broker_core.create ~covering:true ~equal:Int.equal reg in
+  let price_below k =
+    Rfilter.to_value
+      (Option.get
+         (Rfilter.of_expr ~env:[] ~param:"StockObvent"
+            Expr.(Binop (Lt, getter [ "getPrice" ], float k))))
+  in
+  Broker_core.subscribe core ~id:0 ~dest:0 ~param:"StockQuote" Value.Null;
+  Broker_core.subscribe core ~id:1 ~dest:0 ~param:"StockQuote" (price_below 50.);
+  Broker_core.subscribe core ~id:2 ~dest:1 ~param:"StockQuote" Value.Null;
+  Broker_core.subscribe core ~id:3 ~dest:0 ~param:"StockObvent"
+    (price_below 100.);
+  Broker_core.unsubscribe core 0;
+  Alcotest.(check int) "1 stays covered, now by 3" 1
+    (Broker_core.stats core).covered;
+  let route price =
+    let ev =
+      Obvent.make reg "StockQuote"
+        [ ("company", Value.Str "Acme"); ("price", Value.Float price);
+          ("amount", Value.Int 1) ]
+    in
+    let bytes = Obvent.serialize ev in
+    Broker_core.route core ~cls:"StockQuote" bytes ~off:0
+      ~len:(String.length bytes)
+  in
+  Alcotest.(check (list int)) "ordered by covered sub 1" [ 0; 1 ] (route 10.);
+  Alcotest.(check (list int)) "ordered by coverer 3" [ 1; 0 ] (route 70.);
+  Alcotest.(check (list int)) "only the unfiltered one" [ 1 ] (route 150.)
+
 let suite =
   ( "broker_core",
     Alcotest.test_case "sim host: covering suppresses, restores, delivers"
       `Quick test_sim_covering
     :: List.map QCheck_alcotest.to_alcotest
-         [ prop_route_oracle true; prop_route_oracle false; prop_shells_agree ] )
+         [ prop_route_oracle true; prop_route_oracle false; prop_shells_agree ]
+    @ [ Alcotest.test_case "route order: covered sub older than its coverer"
+          `Quick test_route_order_newer_coverer ] )

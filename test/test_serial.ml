@@ -96,6 +96,69 @@ let test_crc32_known () =
   Alcotest.(check int32) "crc32" 0xCBF43926l (Wire.crc32 "123456789");
   Alcotest.(check int32) "crc32 empty" 0l (Wire.crc32 "")
 
+(* The bytewise table CRC that slicing-by-8 replaced, kept as the
+   oracle: one [int32] table lookup per byte. *)
+let crc32_bytewise s ~pos ~len =
+  let table =
+    Array.init 256 (fun i ->
+        let c = ref (Int32.of_int i) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFFl in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand
+           (Int32.logxor !c (Int32.of_int (Char.code s.[i])))
+           0xffl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+(* Every length 0-300 and every start offset: covers each tail length
+   (0-7 bytes after the last 8-byte block) at every alignment. *)
+let prop_crc32_slicing =
+  let gen =
+    QCheck.Gen.(
+      string_size (int_range 0 300) >>= fun s ->
+      let n = String.length s in
+      int_range 0 n >>= fun pos ->
+      map (fun len -> (s, pos, len)) (int_range 0 (n - pos)))
+  in
+  QCheck.Test.make ~name:"crc32_sub = bytewise table CRC" ~count:1000
+    (QCheck.make
+       ~print:(fun (s, pos, len) ->
+         Printf.sprintf "%S pos=%d len=%d" s pos len)
+       gen)
+    (fun (s, pos, len) ->
+      Wire.crc32_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
+
+(* [contents] of a full writer hands its buffer over: what it returned
+   must never change when writing goes on, and a writer created (or
+   left) with no room must still grow. *)
+let test_writer_after_contents () =
+  let w = Wire.Writer.create ~capacity:3 () in
+  Wire.Writer.raw w "abc";
+  let first = Wire.Writer.contents w in
+  Wire.Writer.raw w "de";
+  Wire.Writer.set_int32_le w 0 0x34333231l;
+  Alcotest.(check string) "handed-off contents unchanged" "abc" first;
+  Alcotest.(check string) "writer carried on" "1234e" (Wire.Writer.contents w);
+  let empty = Wire.Writer.create ~capacity:0 () in
+  Alcotest.(check string) "empty" "" (Wire.Writer.contents empty);
+  Wire.Writer.varint empty 300;
+  Wire.Writer.raw empty (String.make 100 'x');
+  Alcotest.(check int) "grew from zero" 102 (Wire.Writer.length empty);
+  let exact = Codec.encode (Value.Str "exact") in
+  Alcotest.(check string) "encode" "\x05\x05exact" exact
+
 let test_roundtrip_examples () =
   let samples : Tpbs_serial.Value.t list =
     [ Null; Bool true; Bool false; Int 0; Int (-1); Int max_int;
@@ -315,9 +378,46 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"codec roundtrip" ~count:500 arb_value (fun v ->
       Value.equal v (Codec.decode (Codec.encode v)))
 
+(* [encoded_size] is computed, not measured, so feed it the seams of
+   every length field: ints at the ends of their range, strings and
+   arities around 7-bit group boundaries, and nesting far deeper than
+   [arb_value] reaches. *)
+let gen_sized_value =
+  let open QCheck.Gen in
+  let edge_int =
+    oneofl [ 0; -1; 63; 64; -65; min_int; max_int; min_int + 1; max_int - 1 ]
+  in
+  let edge_len = oneofl [ 0; 1; 127; 128; 16383; 16384 ] in
+  let leaf =
+    oneof
+      [ map (fun i -> Value.Int i) edge_int;
+        map (fun n -> Value.Str (String.make n 's')) edge_len;
+        map
+          (fun (a, b) -> Value.Remote { iface = "I"; node_id = a; object_id = b })
+          (pair (oneofl [ 0; 127; 128; max_int ]) (oneofl [ 1; max_int ]));
+        gen_value ]
+  in
+  let rec nest depth v =
+    if depth = 0 then return v
+    else
+      bool >>= fun as_obj ->
+      edge_int >>= fun i ->
+      nest (depth - 1)
+        (if as_obj then
+           Value.Obj { cls = "Deep"; fields = [ ("v", v); ("i", Value.Int i) ] }
+         else Value.List [ v; Value.Int i ])
+  in
+  oneof
+    [ gen_value;
+      (int_range 0 300 >>= fun depth -> leaf >>= nest depth);
+      map (fun vs -> Value.List vs) (list_size (oneofl [ 127; 128 ]) leaf) ]
+
 let prop_encoded_size =
-  QCheck.Test.make ~name:"encoded_size = length of encode" ~count:200 arb_value
-    (fun v -> Codec.encoded_size v = String.length (Codec.encode v))
+  QCheck.Test.make ~name:"encoded_size = length of encode" ~count:200
+    (QCheck.make ~print:Value.to_string gen_sized_value)
+    (fun v ->
+      let s = Codec.encode v in
+      Codec.encoded_size v = String.length s && Value.equal v (Codec.decode s))
 
 let prop_frame =
   QCheck.Test.make ~name:"frame roundtrip" ~count:200
@@ -408,6 +508,8 @@ let suite =
       Alcotest.test_case "mixed wire stream" `Quick test_mixed_stream;
       Alcotest.test_case "truncated read raises" `Quick test_truncated_read;
       Alcotest.test_case "crc32 known vector" `Quick test_crc32_known;
+      Alcotest.test_case "writer: writes after contents" `Quick
+        test_writer_after_contents;
       Alcotest.test_case "overlong varint rejected" `Quick
         test_varint_overlong_rejected;
       Alcotest.test_case "varint overflow rejected" `Quick
@@ -436,6 +538,7 @@ let suite =
         test_cursor_of_substring ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_cursor_agrees_with_decode; prop_roundtrip; prop_encoded_size;
+          prop_crc32_slicing;
           prop_frame;
           prop_varint_boundary_roundtrip; prop_zigzag_boundary_roundtrip;
           prop_varint_overflow_always_rejected;

@@ -563,6 +563,47 @@ let test_preframed_oracle =
       Frame.preframed_bytes pf = oracle
       && Frame.preframed_length pf = String.length oracle - Frame.header_bytes)
 
+(* The one-buffer frame builder against the two-step oracle: length
+   and CRC header in front of the separately encoded message, for
+   every message shape, Deliver included, with envelopes on both
+   sides of the coalescing threshold. *)
+let gen_msg =
+  let open QCheck.Gen in
+  let str = string_size ~gen:printable (int_range 0 12) in
+  let envelope =
+    oneof [ string_size (int_range 0 64); string_size (int_range 4000 9000) ]
+  in
+  oneof
+    [ map2 (fun client window -> Proto.Hello { client; window }) str nat;
+      map (fun window -> Proto.Welcome { window }) nat;
+      map2 (fun cls supers -> Proto.Advertise { cls; supers }) str
+        (list_size (int_range 0 3) str);
+      map3
+        (fun sid param filter -> Proto.Sub { sid; param; filter })
+        nat str Helpers.gen_value;
+      map (fun sid -> Proto.Unsub { sid }) nat;
+      map3 (fun pseq cls envelope -> Proto.Pub { pseq; cls; envelope })
+        int str envelope;
+      map (fun pseq -> Proto.Pub_ack { pseq }) int;
+      map2
+        (fun (origin, pseq) (cls, envelope) ->
+          Proto.Deliver { origin; pseq; cls; envelope })
+        (pair str int) (pair str envelope);
+      map (fun n -> Proto.Credit { n }) nat;
+      return Proto.Bye ]
+
+let test_frame_builder_oracle =
+  QCheck.Test.make ~name:"Proto.frame = header ^ crc ^ Proto.encode" ~count:300
+    (QCheck.make ~print:Proto.tag gen_msg)
+    (fun m ->
+      let payload = Proto.encode m in
+      let header = Bytes.create Frame.header_bytes in
+      Bytes.set_int32_le header 0 (Int32.of_int (String.length payload));
+      Bytes.set_int32_le header 4 (Tpbs_serial.Wire.crc32 payload);
+      let oracle = Bytes.to_string header ^ payload in
+      Frame.preframed_bytes (Proto.frame m) = oracle
+      && Frame.frame payload = oracle)
+
 (* pop_view and pop must agree frame for frame under arbitrary feed
    chunking — same payloads, same order, same Await points. *)
 let test_decoder_view_agrees_with_pop =
@@ -925,6 +966,7 @@ let suite =
       Alcotest.test_case "reconnect with backoff: recover, then give up"
         `Quick test_reconnect_with_backoff;
       QCheck_alcotest.to_alcotest test_preframed_oracle;
+      QCheck_alcotest.to_alcotest test_frame_builder_oracle;
       QCheck_alcotest.to_alcotest test_decoder_view_agrees_with_pop;
       Alcotest.test_case "decoder view corruption matches pop" `Quick
         test_decoder_view_corrupt_matches_pop;
