@@ -211,10 +211,27 @@ let install_barrier d =
 
 (* The envelope carries the event id (origin node, per-domain publish
    seq) so every hop of an event's life — publish, route, filter,
-   deliver, expire — can be correlated across nodes in the trace. *)
-let encode_envelope ~publish_time ~eid:(origin, eseq) obvent_bytes =
-  Codec.encode
-    (List [ Int publish_time; Int origin; Int eseq; Str obvent_bytes ])
+   deliver, expire — can be correlated across nodes in the trace.
+   The obvent is encoded straight into its string field: sized first,
+   so the envelope is one exact-size buffer and the obvent bytes are
+   never a string of their own. Byte-identical to
+   [Codec.encode (List [ ...; Str (Obvent.serialize obvent) ])]. *)
+let encode_envelope ~publish_time ~eid:(origin, eseq) obvent =
+  let ov = Obvent.to_value obvent in
+  let olen = Codec.encoded_size ov in
+  let head = [ Value.Int publish_time; Int origin; Int eseq ] in
+  let len =
+    List.fold_left
+      (fun acc v -> acc + Codec.encoded_size v)
+      (Codec.list_header_size 4 + Codec.str_size olen)
+      head
+  in
+  let w = Tpbs_serial.Wire.Writer.create ~capacity:len () in
+  Codec.encode_list_header w 4;
+  List.iter (Codec.encode_into w) head;
+  Codec.encode_str_header w olen;
+  Codec.encode_into w ov;
+  Tpbs_serial.Wire.Writer.contents w
 
 let decode_envelope bytes =
   match Codec.decode bytes with
@@ -1202,7 +1219,7 @@ module Process = struct
       Trace.emit d.obs.tr ~layer:"core" ~kind:"publish" ~node:p.node ~id:eid
         ~data:[ ("cls", Trace.S cls) ] ();
     let envelope =
-      encode_envelope ~publish_time:(now_of d) ~eid (Obvent.serialize obvent)
+      encode_envelope ~publish_time:(now_of d) ~eid obvent
     in
     if meta.profile.Qos.prioritary || meta.profile.Qos.timely then begin
       let ps = p.pshards.(six) in
@@ -1258,6 +1275,7 @@ let () =
 (* --- remote broker connection ---------------------------------------------------------- *)
 
 module Remote = struct
+  let encode_envelope = encode_envelope
   let decode_envelope = decode_envelope
   let decode_envelope_sub = decode_envelope_sub
 

@@ -281,6 +281,14 @@ end
     under broker restarts — rather than recomposed from stack layers,
     which assume the simulated net. *)
 module Remote : sig
+  val encode_envelope :
+    publish_time:int -> eid:int * int -> Tpbs_obvent.Obvent.t -> string
+  (** The event envelope the engine ships on every channel, with the
+      obvent encoded straight into it (one exact-size buffer):
+      byte-identical to the {!Tpbs_serial.Codec.encode} of
+      [List [Int publish_time; Int origin; Int eseq;
+      Str (Obvent.serialize obvent)]]. *)
+
   val decode_envelope : string -> (int * (int * int) * string) option
   (** [decode_envelope bytes] opens the event envelope the engine
       ships on every channel: [(publish_time, (origin_node, eseq),

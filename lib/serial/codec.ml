@@ -195,9 +195,13 @@ let encode_list_header w n =
   Wire.Writer.byte w tag_list;
   Wire.Writer.varint w n
 
-let encode_str_sub w s ~pos ~len =
+let encode_str_header w len =
   Wire.Writer.byte w tag_str;
-  Wire.Writer.string_sub w s ~pos ~len
+  Wire.Writer.varint w len
+
+let encode_str_sub w s ~pos ~len =
+  encode_str_header w len;
+  Wire.Writer.raw_sub w s ~pos ~len
 
 let list_header r =
   if Wire.Reader.byte r = tag_list then Some (Wire.Reader.varint r)

@@ -55,6 +55,12 @@ val encode_list_header : Wire.Writer.t -> int -> unit
 val encode_str_sub : Wire.Writer.t -> string -> pos:int -> len:int -> unit
 (** Encode [Str (String.sub s pos len)] without taking the sub. *)
 
+val encode_str_header : Wire.Writer.t -> int -> unit
+(** Write the tag and length of a [Str] of this many bytes, leaving
+    its content to the caller: either written next (encoding a value
+    straight into a string field) or kept in a buffer of its own
+    (a payload written to the socket by reference). *)
+
 val list_header_size : int -> int
 (** Bytes {!encode_list_header} writes for this arity. *)
 

@@ -1,57 +1,34 @@
 exception Truncated of string
 exception Malformed of string
 
-(* CRC-32 (IEEE, reflected polynomial 0xEDB88320), slicing-by-8:
-   table [k] (at [k * 256]) advances a byte that sits [k] positions
-   before the end of an 8-byte block, so one step folds 8 bytes with
-   8 lookups and no per-byte shift chain. Entries are native ints
-   holding the 32-bit pattern, so the loop never boxes an [int32]. *)
-let crc_tables =
-  let t = Array.make (8 * 256) 0 in
-  for i = 0 to 255 do
-    let c = ref i in
-    for _ = 0 to 7 do
-      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(i) <- !c
-  done;
-  for k = 1 to 7 do
-    for i = 0 to 255 do
-      let prev = t.(((k - 1) * 256) + i) in
-      t.((k * 256) + i) <- (prev lsr 8) lxor t.(prev land 0xff)
-    done
-  done;
-  t
+(* CRC-32 (IEEE, reflected polynomial 0xEDB88320) is slicing-by-8 in
+   C (crc32_stubs.c). [crc32_update crc s pos len] continues the
+   finished CRC [crc] (0 to start afresh) over [s.[pos .. pos+len-1]];
+   CRCs travel as native ints holding the 32-bit pattern, so the call
+   neither allocates nor boxes. Its tables are filled here, at module
+   initialization, never inside the hot call. *)
+external crc32_init : unit -> unit = "tpbs_crc32_init"
+
+external crc32_update :
+  (int[@untagged]) ->
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "tpbs_crc32_update_byte" "tpbs_crc32_update"
+[@@noalloc]
+
+let () = crc32_init ()
 
 let crc32_sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Wire.crc32_sub";
-  let t = crc_tables in
-  let tab k i = Array.unsafe_get t ((k * 256) + i) in
-  let c = ref 0xFFFFFFFF in
-  let i = ref pos in
-  let stop8 = pos + (len land lnot 7) in
-  while !i < stop8 do
-    let lo = Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF lxor !c in
-    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
-    c :=
-      tab 7 (lo land 0xff)
-      lxor tab 6 ((lo lsr 8) land 0xff)
-      lxor tab 5 ((lo lsr 16) land 0xff)
-      lxor tab 4 (lo lsr 24)
-      lxor tab 3 (hi land 0xff)
-      lxor tab 2 ((hi lsr 8) land 0xff)
-      lxor tab 1 ((hi lsr 16) land 0xff)
-      lxor tab 0 (hi lsr 24);
-    i := !i + 8
-  done;
-  for j = !i to pos + len - 1 do
-    let b = Char.code (String.unsafe_get s j) in
-    c := tab 0 ((!c lxor b) land 0xff) lxor (!c lsr 8)
-  done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  Int32.of_int (crc32_update 0 s pos len)
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
+
+let crc32_continue crc s =
+  Int32.of_int
+    (crc32_update (Int32.to_int crc land 0xFFFFFFFF) s 0 (String.length s))
 
 module Writer = struct
   (* [cap] is how much of [buf] this writer may still write into: the
@@ -139,10 +116,6 @@ module Writer = struct
   let string w s =
     varint w (String.length s);
     raw w s
-
-  let string_sub w s ~pos ~len =
-    varint w len;
-    raw_sub w s ~pos ~len
 
   let reserve w n =
     if n < 0 then invalid_arg "Wire.Writer.reserve";

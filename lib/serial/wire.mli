@@ -18,13 +18,19 @@ exception Malformed of string
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE, polynomial [0xEDB88320]) checksum, guarding message
-    frames and store records. Slicing-by-8: eight bytes per table
-    step, then a bytewise tail. *)
+    frames and store records. Slicing-by-8 in C: eight bytes per
+    table step, then a bytewise tail. *)
 
 val crc32_sub : string -> pos:int -> len:int -> int32
 (** {!crc32} over [s.[pos .. pos+len-1]] without extracting the slice
     — lets a stream decoder check a frame in place.
     @raise Invalid_argument on an out-of-bounds slice. *)
+
+val crc32_continue : int32 -> string -> int32
+(** [crc32_continue (crc32 a) b = crc32 (a ^ b)]: carries a checksum
+    over bytes that live in another buffer, so a frame whose payload
+    is a short prefix plus a large string held by reference is
+    checked without joining the two. *)
 
 (** {1 Writers} *)
 
@@ -66,11 +72,6 @@ module Writer : sig
   (** [raw_sub w s ~pos ~len] appends [s.[pos .. pos+len-1]] with no
       length prefix and no intermediate slice allocation.
       @raise Invalid_argument on an out-of-bounds slice. *)
-
-  val string_sub : t -> string -> pos:int -> len:int -> unit
-  (** Length-prefixed append of [s.[pos .. pos+len-1]], the
-      slice-sourced twin of {!string} — byte-identical output to
-      [string w (String.sub s pos len)] without the copy. *)
 
   val reserve : t -> int -> unit
   (** [reserve w n] appends [n] bytes of unspecified content, to be

@@ -2,48 +2,65 @@ module Trace = Tpbs_trace.Trace
 
 (* One framed, non-blocking connection.
 
-   The write side batches: [send] only appends the encoded frame to an
-   in-memory buffer, and [flush] pushes as much as the kernel will
-   take in one [write]. A pump that sends a burst of small envelopes
-   and then flushes once coalesces them all into a single syscall (and
-   a single TCP segment, usually) — the batching factor shows up as
-   [transport.frames_sent] / [transport.write_syscalls].
+   The write side batches: [send] only queues the encoded frame, and
+   [flush] hands everything queued to the kernel in one [writev]. A
+   pump that sends a burst of envelopes and then flushes once pays a
+   single syscall (and usually a single TCP segment) for the lot — the
+   batching factor shows up as [transport.frames_sent] /
+   [transport.write_syscalls].
 
    Pending bytes live in a chunk queue rather than one flat buffer:
    small frames coalesce into a shared accumulator chunk, but a large
-   frame is enqueued by reference — a {!Frame.preframed} fan-out
-   frame is the same immutable string queued on every subscriber
-   session, and a large message of our own is encoded once into its
-   frame; either way it reaches the socket with zero copies in
-   userland.
+   frame is queued by reference — a {!Frame.preframed} fan-out frame
+   is the same immutable string queued on every subscriber session,
+   and a large [Pub] is queued as a short head (frame header and
+   message prefix) followed by the caller's envelope string itself.
+   The [writev] stub (conn_stubs.c) reads those strings in place, so
+   from queue to kernel a large payload is never copied in userland.
 
-   The read side is symmetric: [recv] does one [read] into a scratch
-   buffer and feeds the incremental {!Frame.Decoder}; [pop_view] then
-   yields zero or more complete messages, decoded in place over the
-   decoder's buffer. Short and partial reads are the decoder's normal
-   diet. *)
+   The read side is symmetric: [recv] has the kernel [read] straight
+   into the free tail of the incremental {!Frame.Decoder}, and
+   [pop_view] then yields zero or more complete messages, CRC-checked
+   and decoded in place over the decoder's buffer. Short and partial
+   reads are the decoder's normal diet.
+
+   Both stubs keep the runtime lock during their syscall, which is
+   what pins the strings they touch; [create] makes the fd
+   non-blocking, so that syscall never waits. *)
 
 type verdict = [ `Ok | `Blocked | `Closed of string ]
 
-(* A queued run of bytes: [data.[off ..]] remains to be written. Small
-   frames share an accumulator chunk; each large frame is its own
-   chunk, holding the (possibly shared) string by reference. *)
-type chunk = { data : string; mutable off : int }
+external writev :
+  Unix.file_descr -> string array -> int array -> int -> int -> int
+  = "tpbs_conn_writev"
+
+external read_into : Unix.file_descr -> Bytes.t -> int -> int -> int
+  = "tpbs_conn_read"
 
 (* Frames at or below this size are coalesced (copied) into the
-   accumulator; larger ones are enqueued by reference. The threshold
-   trades one small memcpy for syscall batching: a burst of control
-   frames still leaves in one [write], while a big envelope — where
-   the copy would cost more than a syscall — goes out directly. *)
+   accumulator; larger ones are queued by reference. [writev] gathers
+   any number of chunks per syscall either way, so the threshold only
+   bounds the iovec count: a burst of control frames rides in one
+   chunk instead of one each, which is worth a small memcpy, while a
+   large payload would pay a copy per byte for nothing. *)
 let coalesce_limit = 4096
+
+(* Each read offers the kernel at least this much room at the
+   decoder's tail. *)
+let read_room = 65536
 
 type t = {
   fd : Unix.file_descr;
   dec : Frame.Decoder.t;
   wbuf : Buffer.t;  (* small frames accumulating for the next write *)
-  chunks : chunk Queue.t;  (* sealed runs, in send order *)
-  mutable chunk_bytes : int;  (* unwritten bytes across [chunks] *)
-  scratch : Bytes.t;
+  (* The sealed chunks, in send order, are [bufs.(i).[offs.(i) ..]]
+     for [head <= i < tail]: the queue is laid out as [writev]'s
+     iovec, so a flush builds nothing. *)
+  mutable bufs : string array;
+  mutable offs : int array;
+  mutable head : int;
+  mutable tail : int;
+  mutable chunk_bytes : int;  (* unwritten bytes across the chunks *)
   mutable closed : bool;
   mutable frames_sent : int;
   mutable frames_recv : int;
@@ -99,9 +116,11 @@ let create ?max_frame fd =
     fd;
     dec = Frame.Decoder.create ?max_frame ();
     wbuf = Buffer.create 4096;
-    chunks = Queue.create ();
+    bufs = Array.make 16 "";
+    offs = Array.make 16 0;
+    head = 0;
+    tail = 0;
     chunk_bytes = 0;
-    scratch = Bytes.create 65536;
     closed = false;
     frames_sent = 0;
     frames_recv = 0;
@@ -114,14 +133,53 @@ let create ?max_frame fd =
 let fd t = t.fd
 let pending_bytes t = t.chunk_bytes + Buffer.length t.wbuf
 
+(* Append a chunk. A full array is compacted when at most half of it
+   is live, doubled otherwise, so each push is amortized O(1). *)
+let push t s =
+  let cap = Array.length t.bufs in
+  if t.tail = cap then begin
+    let live = t.tail - t.head in
+    let bufs, offs =
+      if 2 * live > cap then (Array.make (2 * cap) "", Array.make (2 * cap) 0)
+      else (t.bufs, t.offs)
+    in
+    Array.blit t.bufs t.head bufs 0 live;
+    Array.blit t.offs t.head offs 0 live;
+    (* compacted in place: drop the moved-from references *)
+    if bufs == t.bufs then Array.fill bufs live (cap - live) "";
+    t.bufs <- bufs;
+    t.offs <- offs;
+    t.head <- 0;
+    t.tail <- live
+  end;
+  t.bufs.(t.tail) <- s;
+  t.offs.(t.tail) <- 0;
+  t.tail <- t.tail + 1;
+  t.chunk_bytes <- t.chunk_bytes + String.length s
+
 (* Move the accumulator's contents to the back of the chunk queue, so
    later chunks (and later accumulated frames) stay in send order. *)
 let seal t =
-  let n = Buffer.length t.wbuf in
-  if n > 0 then begin
-    Queue.push { data = Buffer.contents t.wbuf; off = 0 } t.chunks;
-    t.chunk_bytes <- t.chunk_bytes + n;
+  if Buffer.length t.wbuf > 0 then begin
+    push t (Buffer.contents t.wbuf);
     Buffer.clear t.wbuf
+  end
+
+(* [n] bytes left: retire the chunks they finished and move the first
+   unfinished one's offset. Finished slots let go of their strings. *)
+let rec advance t n =
+  if n > 0 then begin
+    let rest = String.length t.bufs.(t.head) - t.offs.(t.head) in
+    if n >= rest then begin
+      t.bufs.(t.head) <- "";
+      t.head <- t.head + 1;
+      advance t (n - rest)
+    end
+    else t.offs.(t.head) <- t.offs.(t.head) + n
+  end
+  else if t.head = t.tail then begin
+    t.head <- 0;
+    t.tail <- 0
   end
 
 let count_sent t =
@@ -137,16 +195,24 @@ let enqueue t s =
   end
   else begin
     seal t;
-    Queue.push { data = s; off = 0 } t.chunks;
-    t.chunk_bytes <- t.chunk_bytes + String.length s;
+    push t s;
     false
   end
 
-(* The message is encoded straight into its own exactly-sized frame
-   ({!Proto.frame}), so a large Pub leaves for the socket without a
-   single userland copy. *)
+(* A large Pub is never joined into one frame: its head
+   ({!Proto.pub_head}: header, CRC and message prefix) and the
+   envelope string itself go out back to back, so the envelope the
+   caller keeps for retransmission is also the one [writev] reads. Any
+   other message is encoded straight into its own exactly-sized frame
+   ({!Proto.frame}). *)
 let send t msg =
-  ignore (enqueue t (Frame.preframed_bytes (Proto.frame msg)));
+  (match msg with
+  | Proto.Pub { pseq; cls; envelope }
+    when String.length envelope > coalesce_limit ->
+      seal t;
+      push t (Proto.pub_head ~pseq ~cls envelope);
+      push t envelope
+  | _ -> ignore (enqueue t (Frame.preframed_bytes (Proto.frame msg))));
   count_sent t
 
 (* Enqueue an already-framed string. The string itself is immutable
@@ -168,47 +234,42 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-(* Push pending chunks at the kernel until it blocks or we drain. *)
+(* Hand every pending chunk to the kernel, one [writev] at a time,
+   until it blocks or we drain. A write that stops inside a chunk
+   means the socket buffer is full; one that stops on a chunk
+   boundary may only have hit the stub's IOV_MAX, so try again. *)
 let flush t : verdict =
   if t.closed then `Closed "closed"
   else begin
     seal t;
     let rec drain () =
-      match Queue.peek_opt t.chunks with
-      | None -> `Ok
-      | Some chunk -> (
-          let len = String.length chunk.data - chunk.off in
-          match Unix.write_substring t.fd chunk.data chunk.off len with
-          | 0 -> `Blocked
-          | n ->
-              t.write_syscalls <- t.write_syscalls + 1;
-              t.bytes_sent <- t.bytes_sent + n;
-              t.chunk_bytes <- t.chunk_bytes - n;
-              let c = counters () in
-              Trace.Counter.incr c.c_write_sys;
-              Trace.Counter.add c.c_bytes_sent n;
-              if n = len then begin
-                ignore (Queue.pop t.chunks);
-                drain ()
-              end
-              else begin
-                chunk.off <- chunk.off + n;
-                `Blocked
-              end
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
-            ->
-              `Blocked
-          | exception Unix.Unix_error (e, _, _) ->
-              `Closed (Unix.error_message e))
+      if t.head = t.tail then `Ok
+      else
+        match writev t.fd t.bufs t.offs t.head (t.tail - t.head) with
+        | -1 | 0 -> `Blocked
+        | n ->
+            t.write_syscalls <- t.write_syscalls + 1;
+            t.bytes_sent <- t.bytes_sent + n;
+            t.chunk_bytes <- t.chunk_bytes - n;
+            let c = counters () in
+            Trace.Counter.incr c.c_write_sys;
+            Trace.Counter.add c.c_bytes_sent n;
+            advance t n;
+            if t.head < t.tail && t.offs.(t.head) > 0 then `Blocked
+            else drain ()
+        | exception Unix.Unix_error (e, _, _) -> `Closed (Unix.error_message e)
     in
     drain ()
   end
 
-(* One read syscall; feed whatever arrived to the decoder. *)
+(* One read syscall, straight into the decoder's tail. *)
 let recv t : verdict =
   if t.closed then `Closed "closed"
   else
-    match Unix.read t.fd t.scratch 0 (Bytes.length t.scratch) with
+    let off = Frame.Decoder.reserve t.dec read_room in
+    let buf = Frame.Decoder.buffer t.dec in
+    match read_into t.fd buf off (Bytes.length buf - off) with
+    | -1 -> `Blocked
     | 0 -> `Closed "eof"
     | n ->
         t.read_syscalls <- t.read_syscalls + 1;
@@ -216,12 +277,9 @@ let recv t : verdict =
         let c = counters () in
         Trace.Counter.incr c.c_read_sys;
         Trace.Counter.add c.c_bytes_recv n;
-        Frame.Decoder.feed t.dec (Bytes.unsafe_to_string t.scratch) 0 n;
+        Frame.Decoder.commit t.dec n;
         `Ok
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-        `Blocked
-    | exception Unix.Unix_error (e, _, _) ->
-        `Closed (Unix.error_message e)
+    | exception Unix.Unix_error (e, _, _) -> `Closed (Unix.error_message e)
 
 type popped = Msg of Proto.msg | Nothing | Bad of string
 

@@ -1,30 +1,47 @@
 (** A non-blocking framed connection: {!Proto} messages over
     {!Frame}s over a TCP socket.
 
-    Writes batch: {!send} only buffers; {!flush} coalesces everything
-    queued since the last flush into as few [write] syscalls as the
-    kernel allows, so a pump that sends a burst of small envelopes
-    pays one syscall for the lot (watch [transport.frames_sent] /
-    [transport.write_syscalls]). Reads tolerate arbitrarily short and
-    partial delivery — the incremental {!Frame.Decoder} does the
-    reassembly. *)
+    Writes batch: {!send} only queues; {!flush} hands everything
+    queued since the last flush to the kernel in one [writev] (more
+    only when the kernel's buffer or [IOV_MAX] forces it), so a pump
+    that sends a burst of envelopes pays one syscall for the lot (watch
+    [transport.frames_sent] / [transport.write_syscalls]). Reads go
+    straight into the {!Frame.Decoder}'s buffer and tolerate
+    arbitrarily short and partial delivery — the decoder does the
+    reassembly.
+
+    Both directions use two C stubs ([writev] over the queued strings,
+    [read] into the decoder's bytes) that keep the OCaml runtime lock
+    during the syscall, so the GC cannot move or free those buffers
+    meanwhile. That is sound only because the fd is non-blocking
+    (see {!create}): the syscall never waits, so holding the lock
+    never stalls another domain. Do not make the fd blocking. *)
 
 type t
 
 type verdict = [ `Ok | `Blocked | `Closed of string ]
 
+val coalesce_limit : int
+(** Frames up to this many bytes are copied into a shared accumulator
+    chunk; larger ones — and the envelope of a larger [Pub] — are
+    queued by reference. *)
+
 val create : ?max_frame:int -> Unix.file_descr -> t
 (** Take ownership of [fd]: set non-blocking (and [TCP_NODELAY] when
-    applicable). *)
+    applicable). The fd must stay non-blocking for as long as the
+    connection lives: the I/O stubs hold the runtime lock during
+    their syscalls. *)
 
 val fd : t -> Unix.file_descr
 
 val send : t -> Proto.msg -> unit
-(** Queue a message. No I/O happens until {!flush}. The message is
-    encoded into its own frame buffer ({!Proto.frame}); like a shared
-    frame, a frame over the coalescing threshold is then held by
-    reference and written with no further copy, a smaller one is
-    coalesced into the accumulator. *)
+(** Queue a message. No I/O happens until {!flush}. A [Pub] whose
+    envelope is over {!coalesce_limit} is queued as its
+    {!Proto.pub_head} followed by the envelope string itself, by
+    reference: the frame costs no payload-sized allocation or copy.
+    Any other message is encoded into its own frame buffer
+    ({!Proto.frame}), held by reference if it is over the limit,
+    coalesced into the accumulator otherwise. *)
 
 val send_preframed : t -> Frame.preframed -> unit
 (** Queue an already-framed string without re-encoding or re-CRCing.
@@ -33,7 +50,7 @@ val send_preframed : t -> Frame.preframed -> unit
     (each enqueue bumps [transport.fanout_shared]). Frames larger than
     the coalescing threshold are held by reference and written to the
     socket with no userland copy; smaller ones are coalesced into the
-    accumulator (one counted copy) to preserve syscall batching. *)
+    accumulator (one counted copy) to keep the iovec short. *)
 
 val flush : t -> verdict
 (** Write queued bytes until drained ([`Ok]), the kernel blocks
@@ -43,9 +60,10 @@ val flush : t -> verdict
 val pending_bytes : t -> int
 
 val recv : t -> verdict
-(** One [read] syscall, feeding the frame decoder. [`Ok] means bytes
-    arrived — call {!pop} until [Nothing]. [`Closed "eof"] is orderly
-    shutdown. *)
+(** One [read] syscall, straight into the frame decoder's buffer
+    ({!Frame.Decoder.reserve}): no userland copy before the CRC check.
+    [`Ok] means bytes arrived — call {!pop} until [Nothing].
+    [`Closed "eof"] is orderly shutdown. *)
 
 type popped =
   | Msg of Proto.msg

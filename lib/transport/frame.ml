@@ -31,15 +31,24 @@ type preframed = string
 (* The header is reserved, [fill] encodes the payload straight after
    it, and length and CRC are patched over the reservation: the frame
    is never assembled from a separately encoded payload. With [len]
-   exact, the buffer is allocated once and handed over whole. *)
-let build ~len fill =
+   exact, the buffer is allocated once and handed over whole.
+
+   The payload may go on past what [fill] writes, with [tail]: only
+   the header and that prefix are built, and the CRC runs over the
+   prefix in the buffer and carries on over [tail] where it lies, so
+   the caller can write the two pieces out back to back without ever
+   joining them. *)
+let build_head ~len ~tail fill =
   let w = Wire.Writer.create ~capacity:(header_bytes + len) () in
   Wire.Writer.reserve w header_bytes;
   fill w;
   let n = Wire.Writer.length w - header_bytes in
-  Wire.Writer.set_int32_le w 0 (Int32.of_int n);
-  Wire.Writer.set_int32_le w 4 (Wire.Writer.crc32_sub w ~pos:header_bytes ~len:n);
+  Wire.Writer.set_int32_le w 0 (Int32.of_int (n + String.length tail));
+  Wire.Writer.set_int32_le w 4
+    (Wire.crc32_continue (Wire.Writer.crc32_sub w ~pos:header_bytes ~len:n) tail);
   Wire.Writer.contents w
+
+let build ~len fill = build_head ~len ~tail:"" fill
 
 let frame payload =
   build ~len:(String.length payload) (fun w -> Wire.Writer.raw w payload)
@@ -102,6 +111,21 @@ module Decoder = struct
     end
 
   let feed_string t s = feed t s 0 (String.length s)
+
+  (* The zero-copy twin of [feed]: the caller (a [read] syscall) writes
+     straight into the free tail of [buf], then commits what it wrote.
+     A dead decoder still lends its tail but commits nothing. *)
+  let reserve t n =
+    if n < 0 then invalid_arg "Frame.Decoder.reserve";
+    ensure t n;
+    t.start + t.len
+
+  let buffer t = t.buf
+
+  let commit t n =
+    if n < 0 || t.start + t.len + n > Bytes.length t.buf then
+      invalid_arg "Frame.Decoder.commit";
+    if t.dead = None then t.len <- t.len + n
 
   type view_result =
     | V_frame of string * int * int

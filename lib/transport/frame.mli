@@ -28,6 +28,16 @@ val frame : string -> string
 (** Wrap a payload in a frame header:
     [preframed_bytes (build ~len (fun w -> Writer.raw w payload))]. *)
 
+val build_head :
+  len:int -> tail:string -> (Tpbs_serial.Wire.Writer.t -> unit) -> string
+(** [build_head ~len ~tail fill] is the start of the frame whose
+    payload is what [fill] writes followed by [tail]: the header and
+    that prefix only. Length and CRC cover the whole payload, so
+    [build_head ~len ~tail fill ^ tail] is the frame
+    [build ~len:(len + String.length tail)] would make, but [tail] is
+    neither copied nor joined — it can follow the head onto the
+    socket by reference. [len] sizes the prefix, as for {!build}. *)
+
 val preframed_bytes : preframed -> string
 (** The raw framed bytes (header included), ready for the socket. *)
 
@@ -52,6 +62,28 @@ module Decoder : sig
       @raise Invalid_argument on an out-of-bounds slice. *)
 
   val feed_string : t -> string -> unit
+
+  (** {2 Filling in place}
+
+      [feed] copies its argument in. A reader that owns a syscall
+      can instead let the kernel write straight into the decoder:
+      [let off = reserve t n in] read up to
+      [Bytes.length (buffer t) - off] bytes into [buffer t] at [off],
+      then [commit t k] with the count [k] actually read. Like
+      {!feed}, {!reserve} invalidates earlier views. *)
+
+  val reserve : t -> int -> int
+  (** [reserve t n] makes room for at least [n] bytes after those
+      buffered and returns the offset in {!buffer} where they go; the
+      room runs to the end of {!buffer}. *)
+
+  val buffer : t -> Bytes.t
+  (** The decoder's buffer, as of the last {!reserve}. *)
+
+  val commit : t -> int -> unit
+  (** [commit t k]: [k] bytes were written at the reserved offset.
+      On a dead decoder they are discarded, as {!feed} would.
+      @raise Invalid_argument if [k] overruns {!buffer}. *)
 
   val pop : t -> result
   (** Extract the next complete frame: [Await] means feed more bytes,

@@ -159,6 +159,23 @@ let encode_deliver ~origin ~pseq ~cls (envelope : slice) =
       Codec.encode_str_sub w envelope.sl_buf ~pos:envelope.sl_off
         ~len:envelope.sl_len)
 
+(* The head of [frame (Pub {pseq; cls; envelope})]: header, CRC and
+   every payload byte before the envelope's content. Followed by the
+   envelope itself it is that frame, byte for byte. *)
+let pub_head ~pseq ~cls envelope =
+  let el = String.length envelope in
+  let head = Value.[ Str "pub"; Int pseq; Str cls ] in
+  let len =
+    List.fold_left
+      (fun acc v -> acc + Codec.encoded_size v)
+      (Codec.list_header_size 4 + Codec.str_size el - el)
+      head
+  in
+  Frame.build_head ~len ~tail:envelope (fun w ->
+      Codec.encode_list_header w 4;
+      List.iter (Codec.encode_into w) head;
+      Codec.encode_str_header w el)
+
 type view =
   | V_pub of { pseq : int; cls : string; envelope : slice }
   | V_deliver of { origin : string; pseq : int; cls : string; envelope : slice }

@@ -71,6 +71,13 @@ val encode_deliver :
     envelope. The Deliver wire shape carries no per-session field, so
     the result serves every subscriber of the publish. *)
 
+val pub_head : pseq:int -> cls:string -> string -> string
+(** [pub_head ~pseq ~cls envelope ^ envelope] is
+    [Frame.preframed_bytes (frame (Pub {pseq; cls; envelope}))], but
+    only the short head is built ({!Frame.build_head}): the envelope
+    is neither copied nor joined, and can follow the head onto the
+    socket by reference. *)
+
 type view =
   | V_pub of { pseq : int; cls : string; envelope : slice }
   | V_deliver of { origin : string; pseq : int; cls : string; envelope : slice }

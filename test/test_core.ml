@@ -1164,6 +1164,60 @@ let test_meta_disabled_by_default () =
   Engine.run engine;
   Alcotest.(check int) "silent when disabled" 0 !meta_count
 
+(* The envelope with the obvent encoded straight into it must be the
+   bytes the two-step encode gave: serialize, then wrap. Obvents carry
+   extreme ints, long strings (multi-byte length varints) and nested
+   lists and objects. *)
+let prop_fused_envelope =
+  let reg = Registry.create () in
+  Registry.declare_class reg ~name:"Leaf"
+    ~attrs:[ "v", Vtype.Tint; "tag", Vtype.Tstring ]
+    ();
+  Registry.declare_class reg ~name:"Deep" ~implements:[ "Obvent" ]
+    ~attrs:
+      [ "n", Vtype.Tint; "x", Vtype.Tfloat; "s", Vtype.Tstring;
+        "xs", Vtype.Tlist (Vtype.Tlist Vtype.Tint);
+        "kid", Vtype.Tobject "Leaf";
+        "kids", Vtype.Tlist (Vtype.Tobject "Leaf") ]
+    ();
+  let open QCheck.Gen in
+  let int = oneof [ return min_int; return max_int; return 0; int ] in
+  let str =
+    oneof [ string_size (int_range 0 300); string_size (int_range 4000 20000) ]
+  in
+  let leaf =
+    map2
+      (fun v tag ->
+        Value.Obj { cls = "Leaf"; fields = [ "v", Value.Int v; "tag", Value.Str tag ] })
+      int string_small
+  in
+  let ints = map (fun l -> Value.List (List.map (fun i -> Value.Int i) l)) (small_list int) in
+  let gen =
+    map
+      (fun ((n, x, s), (xs, kid, kids), (t, origin, eseq)) ->
+        ( Obvent.make reg "Deep"
+            [ "n", Value.Int n; "x", Value.Float x; "s", Value.Str s;
+              "xs", Value.List xs; "kid", kid; "kids", Value.List kids ],
+          (t, origin, eseq) ))
+      (triple (triple int float str)
+         (triple (list_size (int_range 0 4) ints) leaf (list_size (int_range 0 4) leaf))
+         (triple int int int))
+  in
+  QCheck.Test.make ~name:"fused envelope = encode_envelope of serialize"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (o, (t, origin, eseq)) ->
+         Printf.sprintf "%s t=%d eid=(%d,%d)"
+           (Value.to_string (Obvent.to_value o))
+           t origin eseq)
+       gen)
+    (fun (o, (publish_time, origin, eseq)) ->
+      Pubsub.Remote.encode_envelope ~publish_time ~eid:(origin, eseq) o
+      = Tpbs_serial.Codec.encode
+          (Value.List
+             [ Value.Int publish_time; Value.Int origin; Value.Int eseq;
+               Value.Str (Obvent.serialize o) ]))
+
 let suite =
   ( "core",
     [ Alcotest.test_case "type routing: supertype sees subtypes (Fig. 1)"
@@ -1242,4 +1296,4 @@ let suite =
         test_targeted_interest_window;
       Alcotest.test_case "engine fuzz: random ops + crashes" `Quick
         test_engine_fuzz ]
-    @ List.map QCheck_alcotest.to_alcotest [ prop_dispatch_invariants ] )
+    @ List.map QCheck_alcotest.to_alcotest [ prop_dispatch_invariants; prop_fused_envelope ] )

@@ -140,6 +140,16 @@ let prop_crc32_slicing =
     (fun (s, pos, len) ->
       Wire.crc32_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
 
+(* Continuing a CRC over a second buffer is the CRC of the
+   concatenation, either side possibly empty. *)
+let prop_crc32_continue =
+  let str = QCheck.Gen.(string_size (int_range 0 300)) in
+  QCheck.Test.make ~name:"crc32_continue (crc32 a) b = crc32 (a ^ b)"
+    ~count:1000
+    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%S %S" a b)
+       (QCheck.Gen.pair str str))
+    (fun (a, b) -> Wire.crc32_continue (Wire.crc32 a) b = Wire.crc32 (a ^ b))
+
 (* [contents] of a full writer hands its buffer over: what it returned
    must never change when writing goes on, and a writer created (or
    left) with no room must still grow. *)
@@ -538,7 +548,7 @@ let suite =
         test_cursor_of_substring ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_cursor_agrees_with_decode; prop_roundtrip; prop_encoded_size;
-          prop_crc32_slicing;
+          prop_crc32_slicing; prop_crc32_continue;
           prop_frame;
           prop_varint_boundary_roundtrip; prop_zigzag_boundary_roundtrip;
           prop_varint_overflow_always_rejected;

@@ -654,6 +654,88 @@ let test_decoder_view_agrees_with_pop =
       feed (String.length stream - !pos);
       List.rev !got_copy = payloads && !got_copy = !got_view)
 
+(* Filling the decoder in place (reserve, write at the offset, commit)
+   must be indistinguishable from [feed]: same frames, same Await
+   points, and on a damaged stream the same sticky verdict, at random
+   split points and with more room reserved than gets written. *)
+let test_decoder_reserve_agrees_with_feed =
+  let gen =
+    QCheck.Gen.(
+      small_list (string_size (int_range 0 300)) >>= fun payloads ->
+      let stream = String.concat "" (List.map Frame.frame payloads) in
+      let n = String.length stream in
+      opt (pair (int_bound (max 0 (n - 1))) (int_range 1 255)) >>= fun damage ->
+      list_size (int_range 1 16) (pair (int_bound 700) (int_bound 5000))
+      >|= fun cuts -> (payloads, damage, cuts))
+  in
+  QCheck.Test.make ~name:"decoder reserve/commit agrees with feed" ~count:300
+    (QCheck.make gen) (fun (payloads, damage, cuts) ->
+      let stream = Bytes.of_string (String.concat "" (List.map Frame.frame payloads)) in
+      (match damage with
+      | Some (i, x) when i < Bytes.length stream ->
+          Bytes.set stream i (Char.chr (Char.code (Bytes.get stream i) lxor x))
+      | _ -> ());
+      let stream = Bytes.to_string stream in
+      let d_feed = Frame.Decoder.create () in
+      let d_fill = Frame.Decoder.create () in
+      let drain d acc =
+        let rec go () =
+          match Frame.Decoder.pop d with
+          | Frame.Decoder.Frame s ->
+              acc := `F s :: !acc;
+              go ()
+          | Frame.Decoder.Await -> acc := `Await :: !acc
+          | Frame.Decoder.Corrupt m -> acc := `Corrupt m :: !acc
+        in
+        go ()
+      in
+      let got_feed = ref [] and got_fill = ref [] in
+      let pos = ref 0 in
+      let step (len, extra) =
+        let len = min len (String.length stream - !pos) in
+        Frame.Decoder.feed d_feed stream !pos len;
+        let off = Frame.Decoder.reserve d_fill (len + extra) in
+        let buf = Frame.Decoder.buffer d_fill in
+        if Bytes.length buf - off < len + extra then
+          QCheck.Test.fail_report "reserve gave less room than asked";
+        Bytes.blit_string stream !pos buf off len;
+        Frame.Decoder.commit d_fill len;
+        pos := !pos + len;
+        drain d_feed got_feed;
+        drain d_fill got_fill
+      in
+      List.iter step cuts;
+      step (String.length stream - !pos, 0);
+      !got_feed = !got_fill
+      && (damage <> None
+         || List.filter_map (function `F s -> Some s | _ -> None) (List.rev !got_fill)
+            = payloads))
+
+(* A gathered Pub — the head built alone, then the envelope by
+   reference — is byte for byte the frame Proto.frame builds, for
+   envelopes on both sides of the coalescing threshold and class
+   names long enough to need a two-byte length. *)
+let test_pub_head_oracle =
+  let lim = Conn.coalesce_limit in
+  let gen =
+    QCheck.Gen.(
+      triple int (string_size (int_range 0 300))
+        (oneof
+           [ int_range 0 (3 * lim);
+             oneofl [ 0; 127; 128; lim - 1; lim; lim + 1; 3 * lim ] ]
+        >>= fun n -> string_size (return n)))
+  in
+  QCheck.Test.make ~name:"pub_head ^ envelope = Proto.frame (Pub ...)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (pseq, cls, env) ->
+         Printf.sprintf "pseq=%d cls=%d bytes envelope=%d bytes" pseq
+           (String.length cls) (String.length env))
+       gen)
+    (fun (pseq, cls, envelope) ->
+      Proto.pub_head ~pseq ~cls envelope ^ envelope
+      = Frame.preframed_bytes (Proto.frame (Pub { pseq; cls; envelope })))
+
 let test_decoder_view_corrupt_matches_pop () =
   (* A flipped payload byte condemns both forms identically, and both
      stay condemned. *)
@@ -717,51 +799,79 @@ let test_decode_view_agrees_with_decode () =
       Codec.encode (Value.List [ Value.Str "pub"; Value.Str "wrong shape" ]) ]
 
 let test_chunk_queue_order_under_partial_writes () =
-  (* Interleave small coalesced messages with large by-reference shared
-     frames through a socketpair whose send buffer is clamped small, so
-     flush hits partial writes and blocked chunks — the peer must see
-     every frame, in enqueue order, bit-exact. *)
+  (* Interleave small coalesced messages, large by-reference shared
+     frames and Pubs on both sides of the coalescing threshold (the
+     large ones gathered as head + envelope) through a socketpair
+     whose send buffer is clamped small, so every writev hits partial
+     writes and blocked chunks. The peer reads with Conn.recv, straight
+     into its decoder, and must see every frame, in enqueue order,
+     bit-exact. *)
   Trace.set_ambient (Trace.create ());
   let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Unix.setsockopt_int a SO_SNDBUF 4096;
   let conn = Conn.create ~max_frame:(1 lsl 20) a in
-  let expected = ref [] in
-  for i = 0 to 23 do
-    if i mod 3 = 0 then begin
-      (* unique big envelope: takes the chunk-queue reference path *)
-      let env = String.init 6000 (fun j -> Char.chr ((i + j) land 0xff)) in
-      let pf =
-        Proto.encode_deliver ~origin:"pub" ~pseq:i ~cls:"TQuote"
-          (slice_of ~buf:env ~off:0 ~len:(String.length env))
-      in
-      Conn.send_preframed conn pf;
-      let s = Frame.preframed_bytes pf in
-      expected :=
-        String.sub s Frame.header_bytes (Frame.preframed_length pf)
-        :: !expected
-    end
-    else begin
-      let m = Proto.Credit { n = i } in
-      Conn.send conn m;
-      expected := Proto.encode m :: !expected
-    end
-  done;
-  let expected = List.rev !expected in
-  let dec = Frame.Decoder.create ~max_frame:(1 lsl 20) () in
+  let peer = Conn.create ~max_frame:(1 lsl 20) b in
+  let lim = Conn.coalesce_limit in
+  let pub_sizes = [| lim; lim + 1; 1; 3 * lim; lim - 1; 9000 |] in
+  let expected = ref [] and frame_bytes = ref 0 in
+  let expect payload =
+    expected := payload :: !expected;
+    frame_bytes := !frame_bytes + Frame.header_bytes + String.length payload
+  in
+  let send_one i =
+    match i mod 3 with
+    | 0 ->
+        (* unique big envelope: takes the chunk-queue reference path *)
+        let env = String.init 6000 (fun j -> Char.chr ((i + j) land 0xff)) in
+        let pf =
+          Proto.encode_deliver ~origin:"pub" ~pseq:i ~cls:"TQuote"
+            (slice_of ~buf:env ~off:0 ~len:(String.length env))
+        in
+        Conn.send_preframed conn pf;
+        let s = Frame.preframed_bytes pf in
+        expect (String.sub s Frame.header_bytes (Frame.preframed_length pf))
+    | 1 ->
+        let n = pub_sizes.(i / 3 mod Array.length pub_sizes) in
+        let envelope = String.init n (fun j -> Char.chr ((7 * i + j) land 0xff)) in
+        let m = Proto.Pub { pseq = i; cls = "TQuote"; envelope } in
+        Conn.send conn m;
+        expect (Proto.encode m)
+    | _ ->
+        let m = Proto.Credit { n = i } in
+        Conn.send conn m;
+        expect (Proto.encode m)
+  in
   let got = ref [] in
-  let rbuf = Bytes.create 777 in
   let read_some () =
-    match Unix.read b rbuf 0 (Bytes.length rbuf) with
-    | 0 -> false
-    | k ->
-        Frame.Decoder.feed_string dec (Bytes.sub_string rbuf 0 k);
+    match Conn.recv peer with
+    | `Closed _ -> false
+    | `Blocked -> true
+    | `Ok ->
         let rec drain () =
-          match Frame.Decoder.pop dec with
-          | Frame.Decoder.Frame s ->
-              got := s :: !got;
+          match Conn.pop_view peer with
+          | Conn.View v ->
+              let payload =
+                match v with
+                | Proto.V_pub { pseq; cls; envelope } ->
+                    Proto.encode
+                      (Pub
+                         { pseq; cls; envelope = Proto.slice_to_string envelope })
+                | Proto.V_deliver { origin; pseq; cls; envelope } ->
+                    Proto.encode
+                      (Deliver
+                         {
+                           origin;
+                           pseq;
+                           cls;
+                           envelope = Proto.slice_to_string envelope;
+                         })
+                | Proto.V_msg m -> Proto.encode m
+                | Proto.V_none -> Alcotest.fail "undecodable frame"
+              in
+              got := payload :: !got;
               drain ()
-          | Frame.Decoder.Await -> ()
-          | Frame.Decoder.Corrupt m -> Alcotest.failf "corrupt stream: %s" m
+          | Conn.View_nothing -> ()
+          | Conn.View_bad m -> Alcotest.failf "corrupt stream: %s" m
         in
         drain ();
         true
@@ -775,8 +885,20 @@ let test_chunk_queue_order_under_partial_writes () =
         pump (guard - 1)
     | `Closed m -> Alcotest.failf "writer closed: %s" m
   in
+  (* three batches, each flushed once before the next is queued, so
+     the queue is pushed onto while partly written *)
+  for i = 0 to 35 do
+    send_one i;
+    if i mod 12 = 11 then begin
+      ignore (Conn.flush conn);
+      ignore (read_some ())
+    end
+  done;
+  let expected = List.rev !expected in
   pump 10_000;
   Alcotest.(check int) "nothing left queued" 0 (Conn.pending_bytes conn);
+  Alcotest.(check int) "bytes_sent = sum of frame lengths" !frame_bytes
+    (Conn.stats conn).bytes_sent;
   Unix.shutdown a Unix.SHUTDOWN_SEND;
   while read_some () do
     ()
@@ -784,8 +906,8 @@ let test_chunk_queue_order_under_partial_writes () =
   Alcotest.(check int) "every frame arrived" (List.length expected)
     (List.length !got);
   Alcotest.(check bool) "in order, bit-exact" true (List.rev !got = expected);
-  Unix.close a;
-  Unix.close b
+  Conn.close conn;
+  Conn.close peer
 
 let test_syscall_stats_balance () =
   (* The ambient transport.read_syscalls / write_syscalls counters must
@@ -968,6 +1090,8 @@ let suite =
       QCheck_alcotest.to_alcotest test_preframed_oracle;
       QCheck_alcotest.to_alcotest test_frame_builder_oracle;
       QCheck_alcotest.to_alcotest test_decoder_view_agrees_with_pop;
+      QCheck_alcotest.to_alcotest test_decoder_reserve_agrees_with_feed;
+      QCheck_alcotest.to_alcotest test_pub_head_oracle;
       Alcotest.test_case "decoder view corruption matches pop" `Quick
         test_decoder_view_corrupt_matches_pop;
       Alcotest.test_case "decode_view agrees with decode" `Quick
