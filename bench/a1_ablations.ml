@@ -3,8 +3,9 @@
    A1: compound-filter indexing. Three arms on the same population:
        naive (each filter fully evaluated), memoized atoms (each
        unique condition evaluated once, counting over subscriptions —
-       factoring without the equality buckets / sorted thresholds),
-       and the full indexed compound filter.
+       factoring without the equality clusters / sorted thresholds),
+       and the full indexed compound filter. The three must return the
+       same match set for every event; a disagreement aborts the run.
    A2: why reliable broadcast floods: delivery ratio of one direct
        send per member vs flooding relays, across loss rates.
    A3: lpbcast's pull (id digests + retrieval) on vs off.
@@ -108,6 +109,18 @@ let a1 () =
       in
       let factored = Factored.create () in
       List.iteri (fun i rf -> Factored.add factored ~id:i rf) rfilters;
+      Array.iter
+        (fun ev ->
+          let naive =
+            List.concat
+              (List.mapi (fun i rf -> if Rfilter.eval rf ev then [ i ] else []) rfilters)
+          in
+          if Memoized.matches memo ev <> naive || Factored.matches factored ev <> naive
+          then begin
+            Fmt.epr "A1: the arms disagree at %d filters on %a@." n Value.pp ev;
+            exit 1
+          end)
+        events;
       let t_index =
         Workload.time_per_op ~runs:3 (fun () ->
             Array.iter (fun ev -> ignore (Factored.matches factored ev)) events)

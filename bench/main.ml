@@ -2,6 +2,9 @@
 
    dune exec bench/main.exe                    -- run everything
    dune exec bench/main.exe -- e3 e5           -- selected experiments
+   dune exec bench/main.exe -- a1              -- CI filter check: exits 1
+                                                  unless naive, memoized and
+                                                  indexed matching agree
    dune exec bench/main.exe -- --json a4 micro -- also dump BENCH_10.json
    dune exec bench/main.exe -- --guard-a4 3.0 a4
                                                -- CI perf smoke: fail if the
@@ -22,7 +25,7 @@ let experiments =
     "e4", E4_remote_filtering.run; "e5", E5_gossip.run; "e6", E6_rmi.run;
     "e7", E7_paradigms.run; "e8", E8_dgc.run; "e9", E9_threading.run;
     "e10", E10_psc.run; "e11", E11_store.run; "ablations", A1_ablations.run;
-    "a4", A1_ablations.a4; "micro", Micro.run; "obs", Obs.run;
+    "a1", A1_ablations.a1; "a4", A1_ablations.a4; "micro", Micro.run; "obs", Obs.run;
     "crash", Crash_smoke.run; "shard", Shard_smoke.run;
     "e13", E13_fanout.run ]
 

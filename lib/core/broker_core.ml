@@ -24,6 +24,16 @@ and 'd entry = {
   mutable covered_by : int option;  (* [None] = installed in the index *)
 }
 
+(* A class's routed entries split for [route]: the always-forward ones
+   in id order, the filtered ones by id. Valid while [routed] is
+   physically the list the routing index returns: the index never
+   mutates a list, it splices in new ones. *)
+type 'd split = {
+  routed : 'd entry list;
+  always_fwd : 'd entry list;
+  filtered : (int, 'd entry) Hashtbl.t;
+}
+
 type 'd t = {
   registry : Registry.t;
   covering : bool;
@@ -31,6 +41,7 @@ type 'd t = {
   subs : (int, 'd entry) Hashtbl.t;
   index : 'd entry Routing.t;
   factored : Factored.t;
+  splits : (string, 'd split) Hashtbl.t;
   mutable owners : 'd owner list;
   mutable epoch : int;
   mutable cover_checks : int;
@@ -48,6 +59,7 @@ let create ~covering ~equal registry =
     subs = Hashtbl.create 64;
     index = Routing.create registry;
     factored = Factored.create ();
+    splits = Hashtbl.create 8;
     owners = [];
     epoch = 0;
     cover_checks = 0;
@@ -216,35 +228,51 @@ let first_match t ~cls resolve (e : _ entry) =
         else first)
       e.id o.subs
 
+let split t cls routed =
+  match Hashtbl.find_opt t.splits cls with
+  | Some s when s.routed == routed -> s
+  | _ ->
+      let filtered = Hashtbl.create 16 in
+      List.iter (fun e -> if not e.always then Hashtbl.replace filtered e.id e) routed;
+      let s = { routed; always_fwd = List.filter (fun e -> e.always) routed; filtered } in
+      Hashtbl.replace t.splits cls s;
+      s
+
 let route t ~cls bytes ~off ~len =
   match Routing.find t.index cls ~build:(build t) with
   | [] -> []
   | routed ->
+      let s = split t cls routed in
       let cursor = Cursor.of_substring bytes ~off ~len in
       let resolve path =
         Option.bind (attrs_of_path path) (Cursor.project cursor)
       in
+      (* Matched ids ascend; those of other classes are skipped. *)
       let matched =
-        match Factored.matches_set_resolve t.factored resolve with
-        | ids -> ids
-        | exception Codec.Decode_error _ -> Hashtbl.create 1
+        match Factored.matches_resolve t.factored (Cursor.project cursor) with
+        | ids -> List.filter_map (Hashtbl.find_opt s.filtered) ids
+        | exception Codec.Decode_error _ -> []
       in
       t.epoch <- t.epoch + 1;
       let reordered = ref false in
-      let picked =
-        List.fold_left
-          (fun acc e ->
-            if (e.always || Hashtbl.mem matched e.id) && e.owner.mark <> t.epoch
-            then begin
-              e.owner.mark <- t.epoch;
-              let first = first_match t ~cls resolve e in
-              if first < e.id then reordered := true;
-              (first, e.owner.dest) :: acc
-            end
-            else acc)
-          [] routed
-        |> List.rev
+      let visit acc e =
+        if e.owner.mark <> t.epoch then begin
+          e.owner.mark <- t.epoch;
+          let first = first_match t ~cls resolve e in
+          if first < e.id then reordered := true;
+          (first, e.owner.dest) :: acc
+        end
+        else acc
       in
+      (* The always-forward entries and the matched ones, in id order. *)
+      let rec merge acc always matched =
+        match (always, matched) with
+        | [], [] -> acc
+        | a :: arest, m :: _ when a.id < m.id -> merge (visit acc a) arest matched
+        | _, m :: mrest -> merge (visit acc m) always mrest
+        | a :: arest, [] -> merge (visit acc a) arest []
+      in
+      let picked = List.rev (merge [] s.always_fwd matched) in
       let picked =
         if !reordered then
           List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) picked

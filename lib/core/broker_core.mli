@@ -64,7 +64,10 @@ val route : 'd t -> cls:string -> string -> off:int -> len:int -> 'd list
     must be forwarded to: each at most once, in ascending id order of
     its first matching subscription. A payload the cursor cannot
     navigate matches no filtered subscription. One routing lookup, and
-    one compound-filter pass only when the class routes somewhere. *)
+    one compound-filter pass only when the class routes somewhere;
+    after it, only the class's always-forward subscriptions and the
+    matched ones are visited, so the cost grows with the matches, not
+    with the number of filtered subscriptions. *)
 
 type stats = {
   installed : int;  (** subscriptions in the routing index *)

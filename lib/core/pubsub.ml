@@ -18,6 +18,7 @@ module Stack = Tpbs_group.Stack
 module Rfilter = Tpbs_filter.Rfilter
 module Fexpr = Tpbs_filter.Expr
 module Subsume = Tpbs_filter.Subsume
+module Factored = Tpbs_filter.Factored
 module Mobility = Tpbs_filter.Mobility
 module Typecheck = Tpbs_filter.Typecheck
 module Trace = Tpbs_trace.Trace
@@ -87,6 +88,9 @@ and pshard = {
   ps_channels : (string, Stack.t) Hashtbl.t;
   ps_route : subscription Routing.t;
       (* concrete class -> active subscriptions it routes to *)
+  ps_filter : Factored.t;
+      (* the lifted filters of the routed subscriptions, by sid: a
+         sound pre-filter in front of their local evaluation *)
   mutable ps_txq : tx_entry list;
   mutable ps_tx_armed : bool;
   mutable ps_tx_next_seq : int;
@@ -506,6 +510,32 @@ let learn_interest p cls bytes ~off ~len =
             else Hashtbl.remove p.interest (node, param)
         | _, _ -> ())
 
+(* The pre-filter of [on_event_sub]: the sids of the routed
+   subscriptions whose lifted filter accepts [gate], from one
+   compound-filter pass over the shard's index, descending like the
+   routed list. A lifted filter that rejects implies the local filter
+   rejects (the same soundness the filtering hosts rely on), so only
+   accepted subscriptions need [Fspec.matches]. No pass when no routed
+   subscription has a lifted filter. *)
+let has_lifted s = Option.is_some s.rfilter
+
+let lifted_matches p cls gate subs =
+  if List.exists has_lifted subs then
+    match Factored.matches (pshard p cls).ps_filter (Obvent.to_value gate) with
+    | ([] | [ _ ]) as ids -> ids
+    | ids -> List.rev ids
+  else []
+
+(* [lifted] is what is left of [lifted_matches] once the subscriptions
+   before [sid] in routed order have asked. *)
+let rec drop_above sid = function
+  | x :: rest when x > sid -> drop_above sid rest
+  | ids -> ids
+
+let lifted_accepts lifted sid =
+  lifted := drop_above sid !lifted;
+  match !lifted with x :: _ -> x = sid | [] -> false
+
 (* Delivery hot path: one routing-index lookup and at most ONE decode
    per event, however many subscribers match. Staleness (Timely) is
    settled by lazy projection before any decode; filters are evaluated
@@ -571,10 +601,14 @@ let on_event_sub p cls bytes ~off ~len =
                 | gate ->
                     Trace.Counter.incr d.obs.c_cloned;
                     let dropped = ref 0 in
+                    let lifted = ref (lifted_matches p cls gate subs) in
                     let matched =
                       List.filter
                         (fun s ->
-                          if Fspec.matches d.registry s.filter gate then true
+                          if
+                            (Option.is_none s.rfilter || lifted_accepts lifted s.sid)
+                            && Fspec.matches d.registry s.filter gate
+                          then true
                           else begin
                             st.Shard.filtered_out <- st.Shard.filtered_out + 1;
                             Trace.Counter.incr d.obs.c_filtered;
@@ -967,7 +1001,8 @@ module Subscription = struct
         (fun ps ->
           Routing.add ps.ps_route ~param:s.param
             ~compare:(fun a b -> Int.compare b.sid a.sid)
-            s)
+            s;
+          Option.iter (fun rf -> Factored.add ps.ps_filter ~id:s.sid rf) s.rfilter)
         s.sub_process.pshards
 
   let activate s =
@@ -1037,7 +1072,8 @@ module Subscription = struct
     s.active <- false;
     Array.iter
       (fun ps ->
-        Routing.remove ps.ps_route ~param:s.param (fun x -> x.sid = s.sid))
+        Routing.remove ps.ps_route ~param:s.param (fun x -> x.sid = s.sid);
+        Factored.remove ps.ps_filter ~id:s.sid)
       s.sub_process.pshards;
     send_ctl s `Unsub;
     emit_meta s.sub_process ~cls:"SubscriptionDeactivated" ~sid:s.sid
@@ -1094,6 +1130,7 @@ module Process = struct
               {
                 ps_channels = Hashtbl.create 8;
                 ps_route = Routing.create d.registry;
+                ps_filter = Factored.create ();
                 ps_txq = [];
                 ps_tx_armed = false;
                 ps_tx_next_seq = 0;

@@ -178,6 +178,15 @@ let num_binop op (a : Value.t) (b : Value.t) : Value.t =
       | _ -> fail "operator %s undefined on strings" (binop_name op))
   | _ -> fail "operator %s on %a and %a" (binop_name op) Value.pp a Value.pp b
 
+(* The field the getter [m] reads on an object of class [cls]. *)
+let rec read_getter cls m = function
+  | [] -> (
+      match Obvent.attr_of_getter m with
+      | Some _ -> fail "object %s has no attribute for %s" cls m
+      | None -> fail "method %s is not a getter" m)
+  | (attr, v) :: fields ->
+      if Obvent.getter_of_attr m attr then v else read_getter cls m fields
+
 let index_of haystack needle =
   let hn = String.length haystack and nn = String.length needle in
   if nn = 0 then 0
@@ -221,16 +230,15 @@ let rec eval reg ~env ?arg e : Value.t =
       | Some v -> v
       | None -> fail "unbound variable %s" x)
   | Invoke (recv, m) -> (
-      match eval reg ~env ?arg recv with
-      | Obj o -> (
-          match Obvent.attr_of_getter m with
-          | Some attr -> (
-              match List.assoc_opt attr o.fields with
-              | Some v -> v
-              | None -> fail "object %s has no attribute for %s" o.cls m)
-          | None -> fail "method %s is not a getter" m)
-      | Null -> fail "null dereference invoking %s" m
-      | v -> fail "cannot invoke %s on %a" m Value.pp v)
+      match (recv, arg) with
+      | Arg, Some obvent ->
+          (* The formal argument's getters read its fields in place. *)
+          read_getter (Obvent.cls obvent) m (Obvent.fields obvent)
+      | _ -> (
+          match eval reg ~env ?arg recv with
+          | Obj o -> read_getter o.cls m o.fields
+          | Null -> fail "null dereference invoking %s" m
+          | v -> fail "cannot invoke %s on %a" m Value.pp v))
   | Unop (Not, e) -> Bool (not (as_bool (eval reg ~env ?arg e)))
   | Unop (Neg, e) -> (
       match eval reg ~env ?arg e with

@@ -227,52 +227,57 @@ let eval_path (v : Value.t) path =
     (fun acc m -> match acc with None -> None | Some v -> step v m)
     (Some v) path
 
-let value_cmp_num (a : Value.t) (b : Value.t) : int option =
+(* Numeric (and string) order between a path value and a constant;
+   [incomparable] when the kinds do not order. An int, not an option:
+   the compound filter calls this on its hot path. *)
+let incomparable = min_int
+
+let value_cmp_num (a : Value.t) (b : Value.t) =
   match a, b with
-  | Int x, Int y -> Some (Int.compare x y)
-  | Float x, Float y -> Some (Float.compare x y)
-  | Int x, Float y -> Some (Float.compare (float_of_int x) y)
-  | Float x, Int y -> Some (Float.compare x (float_of_int y))
-  | Str x, Str y -> Some (String.compare x y)
-  | _ -> None
+  | Int x, Int y -> Int.compare x y
+  | Float x, Float y -> Float.compare x y
+  | Int x, Float y -> Float.compare (float_of_int x) y
+  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Str x, Str y -> String.compare x y
+  | _ -> incomparable
 
 let value_eq (a : Value.t) (b : Value.t) =
   match a, b with
   | Int x, Float y | Float y, Int x -> float_of_int x = y
   | _ -> Value.equal a b
 
+(* [needle.[k ..]] occurs in [s] at [i + k] (the caller checked the
+   bounds); no substring is allocated, nor any closure. *)
+let rec occurs_at s needle i k =
+  k = String.length needle
+  || String.unsafe_get s (i + k) = String.unsafe_get needle k
+     && occurs_at s needle i (k + 1)
+
+(* [needle] occurs in [s] at [i] or later. *)
+let rec contains_from s needle i =
+  i + String.length needle <= String.length s
+  && (occurs_at s needle i 0 || contains_from s needle (i + 1))
+
 let eval_atom_value (v : Value.t) a =
   match a.cmp with
   | Ceq -> value_eq v a.const
   | Cne -> not (value_eq v a.const)
   | Clt | Cle | Cgt | Cge -> (
-      match value_cmp_num v a.const with
-      | None -> false
-      | Some c -> (
-          match a.cmp with
-          | Clt -> c < 0
-          | Cle -> c <= 0
-          | Cgt -> c > 0
-          | Cge -> c >= 0
-          | Ceq | Cne | Ccontains | Cprefix -> assert false))
+      let c = value_cmp_num v a.const in
+      c <> incomparable
+      &&
+      match a.cmp with
+      | Clt -> c < 0
+      | Cle -> c <= 0
+      | Cgt -> c > 0
+      | Cge -> c >= 0
+      | Ceq | Cne | Ccontains | Cprefix -> assert false)
   | Ccontains | Cprefix -> (
       match v, a.const with
       | Str s, Str needle ->
-          let nn = String.length needle in
           if a.cmp = Cprefix then
-            String.length s >= nn && String.sub s 0 nn = needle
-          else begin
-            let found = ref false in
-            (try
-               for i = 0 to String.length s - nn do
-                 if String.sub s i nn = needle then begin
-                   found := true;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            nn = 0 || !found
-          end
+            String.length s >= String.length needle && occurs_at s needle 0 0
+          else contains_from s needle 0
       | _, _ -> false)
 
 let eval_atom_resolve resolve a =

@@ -55,7 +55,12 @@ val eval_path :
 
 val eval_atom_value : Tpbs_serial.Value.t -> atom -> bool
 (** Compare an already-extracted path value against the atom's
-    constant (numeric promotion included). Used by {!Factored}. *)
+    constant (numeric promotion included). Used by {!Factored};
+    allocates nothing. *)
+
+val value_eq : Tpbs_serial.Value.t -> Tpbs_serial.Value.t -> bool
+(** The equality of [Ceq]: {!Tpbs_serial.Value.equal}, except that an
+    [Int] and a [Float] are compared after promoting the int. *)
 
 val eval_atom : Tpbs_serial.Value.t -> atom -> bool
 (** Three-valued collapse: an atom over a missing/null/mistyped path

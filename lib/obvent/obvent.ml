@@ -105,6 +105,18 @@ let set reg o attr v =
   o.fields <-
     List.map (fun (n, old) -> n, if String.equal n attr then v else old) o.fields
 
+(* [m.[i + 3 ..] = attr.[i ..]] *)
+let rec same_suffix m attr i =
+  i = String.length attr || (m.[i + 3] = attr.[i] && same_suffix m attr (i + 1))
+
+let getter_of_attr m attr =
+  let n = String.length attr in
+  String.length m = n + 3
+  && n > 0
+  && m.[0] = 'g' && m.[1] = 'e' && m.[2] = 't'
+  && Char.lowercase_ascii m.[3] = attr.[0]
+  && same_suffix m attr 1
+
 let attr_of_getter m =
   let n = String.length m in
   if n > 3 && String.sub m 0 3 = "get" then

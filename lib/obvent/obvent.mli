@@ -84,6 +84,11 @@ val invoke : Tpbs_types.Registry.t -> t -> string -> Tpbs_serial.Value.t
     @raise Invalid_obvent if the method is not visible on the obvent's
     class. *)
 
+val getter_of_attr : string -> string -> bool
+(** [getter_of_attr m attr] is [attr_of_getter m = Some attr],
+    decided without allocating (filter evaluation asks it once per
+    field it walks past). *)
+
 val attr_of_getter : string -> string option
 (** [attr_of_getter "getPrice"] is [Some "price"]; [None] when the
     name does not follow the getter convention. *)

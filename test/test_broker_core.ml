@@ -39,7 +39,9 @@ let gen_event =
       (pair (int_range 0 400) (int_range 1 1000)))
 
 (* A filter in its wire form. Thresholds on one path make covering
-   frequent; [Str "junk"] does not parse and must forward everything. *)
+   frequent; [Str "junk"] does not parse and must forward everything;
+   an equality plus a price band is the shape the compound filter
+   clusters under its equality. *)
 let gen_filter param =
   let open QCheck.Gen in
   let price_below k =
@@ -50,10 +52,18 @@ let gen_filter param =
     | Some rf -> Rfilter.to_value rf
     | None -> Value.Null
   in
+  let company_band c lo width =
+    Expr.(
+      Binop (Eq, getter [ "getCompany" ], str c)
+      &&& Binop (Ge, getter [ "getPrice" ], float (float_of_int lo))
+      &&& Binop (Lt, getter [ "getPrice" ], float (float_of_int (lo + width))))
+  in
   frequency
     [ (3, return Value.Null);
       (1, return (Value.Str "junk"));
       (5, map (fun k -> lifted (price_below (k * 25))) (int_range 1 8));
+      (4, map3 (fun c lo w -> lifted (company_band c (lo * 20) w))
+            gen_company (int_range 0 9) (int_range 10 60));
       (5, map lifted gen_stock_expr) ]
 
 (* --- Broker_core against a linear oracle ------------------------------ *)
@@ -453,6 +463,47 @@ let test_route_order_newer_coverer () =
   Alcotest.(check (list int)) "ordered by coverer 3" [ 1; 0 ] (route 70.);
   Alcotest.(check (list int)) "only the unfiltered one" [ 1 ] (route 150.)
 
+(* A payload the cursor cannot navigate matches no filtered
+   subscription: exactly the always-forward destinations remain, in id
+   order, each once. *)
+let test_route_unnavigable () =
+  let lifted e =
+    Rfilter.to_value (Option.get (Rfilter.of_expr ~env:[] ~param:"StockQuote" e))
+  in
+  let cheap = lifted Expr.(Binop (Lt, getter [ "getPrice" ], float 1000.)) in
+  let acme =
+    lifted
+      Expr.(
+        Binop (Eq, getter [ "getCompany" ], str "Acme")
+        &&& Binop (Ge, getter [ "getPrice" ], float 0.))
+  in
+  let event =
+    Obvent.serialize
+      (Obvent.make reg "StockQuote"
+         [ ("company", Value.Str "Acme"); ("price", Value.Float 10.);
+           ("amount", Value.Int 1) ])
+  in
+  List.iter
+    (fun covering ->
+      let core = Broker_core.create ~covering ~equal:Int.equal reg in
+      List.iteri
+        (fun id (dest, param, filter) -> Broker_core.subscribe core ~id ~dest ~param filter)
+        [ (4, "StockQuote", cheap); (2, "StockObvent", acme);
+          (3, "StockQuote", Value.Null); (1, "StockQuote", acme);
+          (0, "StockObvent", Value.Null); (3, "StockObvent", Value.Null);
+          (5, "StockQuote", Value.Str "junk"); (6, "SpotPrice", Value.Null) ];
+      let route bytes =
+        Broker_core.route core ~cls:"StockQuote" bytes ~off:0 ~len:(String.length bytes)
+      in
+      Alcotest.(check (list int)) "navigable: every match" [ 4; 2; 3; 1; 0; 5 ]
+        (route event);
+      List.iter
+        (fun (what, bytes) ->
+          Alcotest.(check (list int)) what [ 3; 0; 5 ] (route bytes))
+        [ ("garbage", "\xff\xfe\x00garbage");
+          ("truncated", String.sub event 0 (String.length event / 2)) ])
+    [ false; true ]
+
 let suite =
   ( "broker_core",
     Alcotest.test_case "sim host: covering suppresses, restores, delivers"
@@ -460,4 +511,6 @@ let suite =
     :: List.map QCheck_alcotest.to_alcotest
          [ prop_route_oracle true; prop_route_oracle false; prop_shells_agree ]
     @ [ Alcotest.test_case "route order: covered sub older than its coverer"
-          `Quick test_route_order_newer_coverer ] )
+          `Quick test_route_order_newer_coverer;
+        Alcotest.test_case "route: unnavigable payload = always-forward only" `Quick
+          test_route_unnavigable ] )

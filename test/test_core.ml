@@ -1218,6 +1218,160 @@ let prop_fused_envelope =
              [ Value.Int publish_time; Value.Int origin; Value.Int eseq;
                Value.Str (Obvent.serialize o) ]))
 
+(* --- the subscriber's lifted pre-filter --------------------------------- *)
+
+(* Each process screens routed subscriptions through the compound index
+   of their lifted filters before evaluating them locally. Every [Tree]
+   subscription here has a twin whose [Closure] runs the same filter
+   through [Fspec.matches] — never indexed, so always evaluated: the
+   reference. [!(getLeg().getX() == 1)] raises locally on a null leg
+   while its lifted form accepts, the one direction the index may
+   disagree in. *)
+let test_lifted_prefilter () =
+  let module Trace = Tpbs_trace.Trace in
+  let module Jsonl = Tpbs_trace.Jsonl in
+  (* One index per engine shard: as many shards as CI's sharded matrix
+     asks for. No worker pool — this suite must stay fork-safe for the
+     transport tests. *)
+  let n_shards =
+    match Sys.getenv_opt "TPBS_DOMAINS" with
+    | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1)
+    | None -> 1
+  in
+  let reg = rich_registry () in
+  Registry.declare_class reg ~name:"Leg" ~attrs:[ ("x", Vtype.Tint) ] ();
+  Registry.declare_class reg ~name:"LegQuote" ~extends:"StockQuote"
+    ~attrs:[ ("leg", Vtype.Tobject "Leg") ] ();
+  let tr = Trace.create () in
+  let sink = Buffer.create 65536 in
+  Trace.set_sink tr (Some sink);
+  Trace.set_ambient tr;
+  let engine = Engine.create ~seed:5 () in
+  let net = Net.create engine in
+  let domain = Domain.create ~n_shards reg net in
+  let publisher = Process.create domain (Net.add_node net) in
+  let p = Process.create domain (Net.add_node net) in
+  let trees =
+    [ ("StockQuote", "q.getPrice() < 50");
+      ( "StockQuote",
+        "q.getCompany() == \"Acme\" && q.getPrice() >= 20 && q.getPrice() < 80" );
+      ("LegQuote", "!(q.getLeg().getX() == 1)");
+      ("StockQuote", "q.getAmount() > 5 || q.getCompany().indexOf(\"Tel\") != -1");
+      ("StockObvent", "q.getPrice() >= 30 && q.getPrice() < 90") ]
+  in
+  let null_leg =
+    Fspec.of_source ~param:"q" "!(q.getLeg().getX() == 1)"
+  in
+  (match null_leg with
+  | Fspec.Tree (e, _) ->
+      Alcotest.(check bool) "the raising filter is mobile" true
+        (Tpbs_filter.Mobility.classify reg ~param:"LegQuote" ~vars:[] e
+         = Tpbs_filter.Mobility.Mobile
+        && Tpbs_filter.Rfilter.of_expr ~env:[] ~param:"LegQuote" e <> None)
+  | _ -> ());
+  let sub param filter = Process.subscribe p ~param ~filter (fun _ -> ()) in
+  let pairs =
+    List.map
+      (fun (param, src) ->
+        let tree = Fspec.of_source ~param:"q" src in
+        let twin = Fspec.closure (fun o -> Fspec.matches reg tree o) in
+        (sub param tree, sub param twin))
+      trees
+  in
+  let all = sub "StockObvent" Fspec.accept_all in
+  let cheap =
+    sub "StockQuote" (Fspec.closure (fun o -> Obvent.get o "price" > Value.Float 60.))
+  in
+  let subs = all :: cheap :: List.concat_map (fun (a, b) -> [ a; b ]) pairs in
+  List.iter Subscription.activate subs;
+  Engine.run engine;
+  let rng = Random.State.make [| 19 |] in
+  let publish n =
+    for _ = 1 to n do
+      let company = [| "Acme"; "Telco Mobiles"; "Initech" |].(Random.State.int rng 3) in
+      let price = Value.Float (float_of_int (Random.State.int rng 100)) in
+      let amount = Value.Int (Random.State.int rng 10) in
+      let base = [ ("company", Value.Str company); ("price", price); ("amount", amount) ] in
+      let o =
+        match Random.State.int rng 3 with
+        | 0 -> Obvent.make reg "StockQuote" base
+        | 1 -> Obvent.make reg "SpotPrice" base
+        | _ ->
+            let leg =
+              if Random.State.bool rng then Value.Null
+              else Value.obj "Leg" [ ("x", Value.Int (Random.State.int rng 3)) ]
+            in
+            Obvent.make reg "LegQuote" (base @ [ ("leg", leg) ])
+      in
+      Process.publish publisher o
+    done;
+    Engine.run engine
+  in
+  publish 150;
+  let gone =
+    List.concat_map (fun (tree, twin) -> [ tree; twin ]) [ List.nth pairs 1; List.nth pairs 2 ]
+  in
+  List.iter Subscription.deactivate gone;
+  Engine.run engine;
+  publish 150;
+  List.iter Subscription.activate gone;
+  Engine.run engine;
+  publish 150;
+  Trace.set_ambient (Trace.create ());
+  (* Deliveries in the order they happened: (event id, sid). *)
+  let delivered =
+    String.split_on_char '\n' (Buffer.contents sink)
+    |> List.filter_map (fun line ->
+           match Jsonl.parse line with
+           | Ok j when Jsonl.member "kind" j = Some (Jsonl.Str "deliver") -> (
+               match
+                 ( Option.bind (Jsonl.member "id" j) Jsonl.to_string,
+                   Option.bind (Jsonl.member "sid" j) Jsonl.to_num )
+               with
+               | Some id, Some sid -> Some (id, int_of_float sid)
+               | _ -> None)
+           | _ -> None)
+  in
+  let seq_of s =
+    List.filter_map
+      (fun (id, sid) -> if sid = Subscription.id s then Some id else None)
+      delivered
+  in
+  List.iteri
+    (fun i (tree, twin) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "filter %d: indexed = evaluated" i)
+        (seq_of twin) (seq_of tree))
+    pairs;
+  Alcotest.(check bool) "the raising filter delivered something" true
+    (seq_of (fst (List.nth pairs 2)) <> []);
+  (* Within one event, subscriptions are served in routed order. *)
+  let rec ordered = function
+    | (id, a) :: ((id', b) :: _ as rest) ->
+        (id <> id' || a > b) && ordered rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "routed order within each event" true (ordered delivered);
+  (* Every routed subscription not served was filtered out (nothing
+     expires and nothing fails to decode here). *)
+  let routed =
+    String.split_on_char '\n' (Buffer.contents sink)
+    |> List.fold_left
+         (fun acc line ->
+           match Jsonl.parse line with
+           | Ok j when Jsonl.member "kind" j = Some (Jsonl.Str "route") -> (
+               match Option.bind (Jsonl.member "targets" j) Jsonl.to_num with
+               | Some n -> acc + int_of_float n
+               | None -> acc)
+           | _ -> acc)
+         0
+  in
+  let st = Domain.stats domain in
+  Alcotest.(check int) "deliveries" (List.length delivered) st.Domain.deliveries;
+  Alcotest.(check int) "every event reached [all]" 450 (List.length (seq_of all));
+  Alcotest.(check int) "filtered out = routed - delivered"
+    (routed - List.length delivered) st.Domain.filtered_out
+
 let suite =
   ( "core",
     [ Alcotest.test_case "type routing: supertype sees subtypes (Fig. 1)"
@@ -1295,5 +1449,7 @@ let suite =
       Alcotest.test_case "targeted: propagation window" `Quick
         test_targeted_interest_window;
       Alcotest.test_case "engine fuzz: random ops + crashes" `Quick
-        test_engine_fuzz ]
+        test_engine_fuzz;
+      Alcotest.test_case "lifted pre-filter = local evaluation" `Quick
+        test_lifted_prefilter ]
     @ List.map QCheck_alcotest.to_alcotest [ prop_dispatch_invariants; prop_fused_envelope ] )

@@ -242,6 +242,20 @@ let prop_conforms_iff_deserializable =
       in
       conforming = adopted)
 
+(* The allocation-free getter test filter evaluation uses agrees with
+   the getter-name convention. *)
+let test_getter_of_attr () =
+  List.iter
+    (fun (m, attr) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s reads %s" m attr)
+        (Obvent.attr_of_getter m = Some attr)
+        (Obvent.getter_of_attr m attr))
+    [ ("getPrice", "price"); ("getPrice", "Price"); ("getprice", "price");
+      ("getURL", "uRL"); ("getURL", "url"); ("get", ""); ("getX", "x");
+      ("getX", "xy"); ("setPrice", "price"); ("gotPrice", "price");
+      ("getPrices", "price"); ("price", "price"); ("", "") ]
+
 let suite =
   ( "obvent",
     [ Alcotest.test_case "make and getters" `Quick test_make_and_getters;
@@ -264,7 +278,9 @@ let suite =
       Alcotest.test_case "cow setter path + validation" `Quick
         test_cow_setter_path;
       Alcotest.test_case "cow stats accounting" `Quick
-        test_cow_stats_accounting ]
+        test_cow_stats_accounting;
+      Alcotest.test_case "getter_of_attr = attr_of_getter" `Quick
+        test_getter_of_attr ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_view_equiv_clone; prop_serialize_roundtrip;
           prop_conforms_iff_deserializable ] )
