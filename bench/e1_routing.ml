@@ -107,7 +107,7 @@ let rec run () =
               (fun event ->
                 let cls = Obvent.cls event in
                 type_matches :=
-                  !type_matches + List.length (Routing.find route cls ~build))
+                  !type_matches + List.length (Routing.find route cls ~build:(fun b cls -> b cls) build))
               events)
       in
       (* (a') reference: the pre-index linear scan, one subtype

@@ -5,6 +5,9 @@
    dune exec bench/main.exe -- a1              -- CI filter check: exits 1
                                                   unless naive, memoized and
                                                   indexed matching agree
+   dune exec bench/main.exe -- msgcost         -- per-message cost of the
+                                                  small_typed path, stage by
+                                                  stage, at read batch 1/64/256
    dune exec bench/main.exe -- --json a4 micro -- also dump BENCH_10.json
    dune exec bench/main.exe -- --guard-a4 3.0 a4
                                                -- CI perf smoke: fail if the
@@ -27,7 +30,7 @@ let experiments =
     "e10", E10_psc.run; "e11", E11_store.run; "ablations", A1_ablations.run;
     "a1", A1_ablations.a1; "a4", A1_ablations.a4; "micro", Micro.run; "obs", Obs.run;
     "crash", Crash_smoke.run; "shard", Shard_smoke.run;
-    "e13", E13_fanout.run ]
+    "e13", E13_fanout.run; "msgcost", Msgcost.run ]
 
 let json_path = "BENCH_10.json"
 

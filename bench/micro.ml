@@ -50,14 +50,14 @@ let tests () =
              "SpotPrice"; "MarketPrice" |])
   in
   let route = Routing.create reg in
-  let route_build cls =
+  let route_build () cls =
     let targets = ref [] in
     for i = Array.length sub_params - 1 downto 0 do
       if Registry.subtype reg cls sub_params.(i) then targets := i :: !targets
     done;
     !targets
   in
-  ignore (Routing.find route "SpotPrice" ~build:route_build);
+  ignore (Routing.find route "SpotPrice" ~build:route_build ());
   let route_cold = Routing.create reg in
   let cursor = Tpbs_serial.Cursor.of_string bytes in
   [ Test.make ~name:"codec: encode obvent"
@@ -94,11 +94,11 @@ let tests () =
            Vclock.merge c vc2));
     Test.make ~name:"routing: index lookup (1000 subs)"
       (Staged.stage (fun () ->
-           ignore (Routing.find route "SpotPrice" ~build:route_build)));
+           ignore (Routing.find route "SpotPrice" ~build:route_build ())));
     Test.make ~name:"routing: entry build (1000 subs)"
       (Staged.stage (fun () ->
            Routing.clear route_cold;
-           ignore (Routing.find route_cold "SpotPrice" ~build:route_build)));
+           ignore (Routing.find route_cold "SpotPrice" ~build:route_build ())));
     Test.make ~name:"routing: incremental add+remove (1000 subs)"
       (Staged.stage (fun () ->
            (* Paired so the warm entry's size is steady across runs. *)

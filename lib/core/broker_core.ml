@@ -239,7 +239,7 @@ let split t cls routed =
       s
 
 let route t ~cls bytes ~off ~len =
-  match Routing.find t.index cls ~build:(build t) with
+  match Routing.find t.index cls ~build t with
   | [] -> []
   | routed ->
       let s = split t cls routed in

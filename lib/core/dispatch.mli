@@ -10,7 +10,15 @@
     subscription for [service_time] virtual ticks; a dispatcher
     enforces the concurrency policy and records the observed overlap,
     which experiment E9 reports. Handler {e effects} run at start
-    time, in delivery order. *)
+    time, in delivery order.
+
+    Cost. Waiting obvents sit in a ring buffer, so under [Single] and
+    [Multi] a {!submit} and each handler start or finish is O(1)
+    amortized, allocation-free apart from the completion event it
+    schedules, whatever the backlog. Under [Class_serial] a drain scans
+    the backlog for the first obvent of an idle class: O(k) where k is
+    the number of waiting obvents ahead of it, all of busy classes;
+    only that policy keeps per-class counts (a hash table). *)
 
 type policy =
   | Single  (** never more than one obvent at a time *)

@@ -223,16 +223,15 @@ let install_barrier d =
 let encode_envelope ~publish_time ~eid:(origin, eseq) obvent =
   let ov = Obvent.to_value obvent in
   let olen = Codec.encoded_size ov in
-  let head = [ Value.Int publish_time; Int origin; Int eseq ] in
   let len =
-    List.fold_left
-      (fun acc v -> acc + Codec.encoded_size v)
-      (Codec.list_header_size 4 + Codec.str_size olen)
-      head
+    Codec.list_header_size 4 + Codec.int_size publish_time
+    + Codec.int_size origin + Codec.int_size eseq + Codec.str_size olen
   in
   let w = Tpbs_serial.Wire.Writer.create ~capacity:len () in
   Codec.encode_list_header w 4;
-  List.iter (Codec.encode_into w) head;
+  Codec.encode_int w publish_time;
+  Codec.encode_int w origin;
+  Codec.encode_int w eseq;
   Codec.encode_str_header w olen;
   Codec.encode_into w ov;
   Tpbs_serial.Wire.Writer.contents w
@@ -456,10 +455,12 @@ let adopt_proxies p obvent =
    payload: two cursor probes instead of a full decode, so an expired
    event costs zero materializations on this node. A payload the
    cursor cannot navigate is simply not stale here — the gating decode
-   downstream will account the malformation. *)
-let stale_lazy d meta cursor =
+   downstream will account the malformation. The cursor is only built
+   for channels with Timely semantics. *)
+let stale_lazy d meta bytes ~off ~len =
   meta.profile.Qos.timely
   &&
+  let cursor = Cursor.of_substring bytes ~off ~len in
   match
     match Cursor.class_id cursor with
     | Some cls when Registry.subtype d.registry cls "Timely" ->
@@ -487,12 +488,21 @@ let deliver_clone p ~publish_time ~eid sh s obvent =
   adopt_proxies p obvent;
   Dispatch.submit s.dispatch obvent
 
+let build_routed p cls =
+  let reg = p.dom.registry in
+  List.filter
+    (fun s -> s.active && (not s.pruned) && Registry.subtype reg cls s.param)
+    p.subs
+
+let rec deliver_all p ~publish_time ~eid sh subs copies =
+  match subs, copies with
+  | s :: subs, clone :: copies ->
+      deliver_clone p ~publish_time ~eid sh s clone;
+      deliver_all p ~publish_time ~eid sh subs copies
+  | _, _ -> ()
+
 let routed_subscriptions p cls =
-  Routing.find (pshard p cls).ps_route cls ~build:(fun cls ->
-      let reg = p.dom.registry in
-      List.filter
-        (fun s -> s.active && (not s.pruned) && Registry.subtype reg cls s.param)
-        p.subs)
+  Routing.find (pshard p cls).ps_route cls ~build:build_routed p
 
 (* Learn interest from control traffic: every process sees the meta
    channel (it is broadcast) and updates its local routing view. *)
@@ -526,15 +536,48 @@ let lifted_matches p cls gate subs =
     | ids -> List.rev ids
   else []
 
-(* [lifted] is what is left of [lifted_matches] once the subscriptions
-   before [sid] in routed order have asked. *)
 let rec drop_above sid = function
   | x :: rest when x > sid -> drop_above sid rest
   | ids -> ids
 
-let lifted_accepts lifted sid =
-  lifted := drop_above sid !lifted;
-  match !lifted with x :: _ -> x = sid | [] -> false
+(* The routed subscriptions [subs] whose filters accept [gate], in
+   routed order, counting every rejection. [lifted] is what is left of
+   [lifted_matches] once the subscriptions before the head of [subs]
+   have asked. *)
+let rec accepting d st gate lifted = function
+  | [] -> []
+  | s :: rest ->
+      let lifted =
+        match s.rfilter with None -> lifted | Some _ -> drop_above s.sid lifted
+      in
+      if
+        (match s.rfilter, lifted with
+        | None, _ -> true
+        | Some _, x :: _ -> x = s.sid
+        | Some _, [] -> false)
+        && Fspec.matches d.registry s.filter gate
+      then s :: accepting d st gate lifted rest
+      else begin
+        st.Shard.filtered_out <- st.Shard.filtered_out + 1;
+        Trace.Counter.incr d.obs.c_filtered;
+        accepting d st gate lifted rest
+      end
+
+(* One copy of the gate per subscription in [subs], the first being the
+   gate itself: views, or private decodes of the obvent at
+   [bytes.[off .. off+len-1]] for [eager] classes. *)
+let rec clones d ~eager bytes ~off ~len gate first = function
+  | [] -> []
+  | _ :: rest ->
+      let clone =
+        if first then gate
+        else begin
+          Trace.Counter.incr d.obs.c_cloned;
+          if eager then Obvent.deserialize_sub d.registry bytes ~off ~len
+          else Obvent.view gate
+        end
+      in
+      clone :: clones d ~eager bytes ~off ~len gate false rest
 
 (* Delivery hot path: one routing-index lookup and at most ONE decode
    per event, however many subscribers match. Staleness (Timely) is
@@ -585,8 +628,7 @@ let on_event_sub p cls bytes ~off ~len =
                     [ ("cls", Trace.S cls);
                       ("targets", Trace.I (List.length subs)) ]
                   ();
-              if stale_lazy d meta (Cursor.of_substring bytes ~off:ooff ~len:olen)
-              then begin
+              if stale_lazy d meta bytes ~off:ooff ~len:olen then begin
                 (* Once per event, not once per matching subscription —
                    and without ever materializing the obvent. *)
                 st.Shard.expired <- st.Shard.expired + 1;
@@ -600,27 +642,15 @@ let on_event_sub p cls bytes ~off ~len =
                 | exception Obvent.Invalid_obvent _ -> decode_error ()
                 | gate ->
                     Trace.Counter.incr d.obs.c_cloned;
-                    let dropped = ref 0 in
-                    let lifted = ref (lifted_matches p cls gate subs) in
+                    let filtered = st.Shard.filtered_out in
                     let matched =
-                      List.filter
-                        (fun s ->
-                          if
-                            (Option.is_none s.rfilter || lifted_accepts lifted s.sid)
-                            && Fspec.matches d.registry s.filter gate
-                          then true
-                          else begin
-                            st.Shard.filtered_out <- st.Shard.filtered_out + 1;
-                            Trace.Counter.incr d.obs.c_filtered;
-                            incr dropped;
-                            false
-                          end)
-                        subs
+                      accepting d st gate (lifted_matches p cls gate subs) subs
                     in
-                    if !dropped > 0 && Trace.emitting d.obs.tr then
+                    let dropped = st.Shard.filtered_out - filtered in
+                    if dropped > 0 && Trace.emitting d.obs.tr then
                       Trace.emit d.obs.tr ~layer:"core" ~kind:"filter_drop"
                         ~node:p.node ~id:eid
-                        ~data:[ ("dropped", Trace.I !dropped) ]
+                        ~data:[ ("dropped", Trace.I dropped) ]
                         ();
                     let eager =
                       Registry.subtype d.registry (Obvent.cls gate)
@@ -630,26 +660,10 @@ let on_event_sub p cls bytes ~off ~len =
                        dispatch may invoke a handler synchronously, and
                        a view must snapshot the gate's spine before any
                        subscriber gets a chance to write through it. *)
-                    let clones =
-                      List.mapi
-                        (fun i s ->
-                          let clone =
-                            if i = 0 then gate
-                            else begin
-                              Trace.Counter.incr d.obs.c_cloned;
-                              if eager then
-                                Obvent.deserialize_sub d.registry bytes
-                                  ~off:ooff ~len:olen
-                              else Obvent.view gate
-                            end
-                          in
-                          s, clone)
-                        matched
+                    let copies =
+                      clones d ~eager bytes ~off:ooff ~len:olen gate true matched
                     in
-                    List.iter
-                      (fun (s, clone) ->
-                        deliver_clone p ~publish_time ~eid sh s clone)
-                      clones)))
+                    deliver_all p ~publish_time ~eid sh matched copies)))
 
 let on_event p cls envelope =
   on_event_sub p cls envelope ~off:0 ~len:(String.length envelope)

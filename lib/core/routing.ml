@@ -35,16 +35,16 @@ let validate t =
     t.gen <- g
   end
 
-let find t cls ~build =
+let find t cls ~build x =
   validate t;
   t.lookups <- t.lookups + 1;
   Trace.Counter.incr t.c_lookups;
-  match Hashtbl.find_opt t.entries cls with
-  | Some targets -> targets
-  | None ->
+  match Hashtbl.find t.entries cls with
+  | targets -> targets
+  | exception Not_found ->
       t.builds <- t.builds + 1;
       Trace.Counter.incr t.c_builds;
-      let targets = build cls in
+      let targets = build x cls in
       Hashtbl.replace t.entries cls targets;
       targets
 

@@ -27,10 +27,12 @@ type 'a t
 
 val create : Tpbs_types.Registry.t -> 'a t
 
-val find : 'a t -> string -> build:(string -> 'a list) -> 'a list
-(** [find t cls ~build] — the cached targets for concrete class [cls],
-    calling [build cls] on first sight of the class (or after an
-    invalidation) and memoizing the result. *)
+val find : 'a t -> string -> build:('b -> string -> 'a list) -> 'b -> 'a list
+(** [find t cls ~build x] — the cached targets for concrete class
+    [cls], calling [build x cls] on first sight of the class (or after
+    an invalidation) and memoizing the result. With [x] passed apart, a
+    caller's [build] can be a top-level function: a cache hit allocates
+    nothing. *)
 
 val invalidate : 'a t -> param:string -> unit
 (** Drop every cached entry whose class is a subtype of [param]; those

@@ -1,5 +1,6 @@
 module Value = Tpbs_serial.Value
 module Codec = Tpbs_serial.Codec
+module Wire = Tpbs_serial.Wire
 module Registry = Tpbs_types.Registry
 module Qos = Tpbs_types.Qos
 
@@ -67,9 +68,25 @@ let validate reg cls fields =
      equality and serialization are canonical. *)
   List.map (fun (attr, _) -> attr, List.assoc attr fields) declared
 
+(* [fields] is exactly [layout] from [i] on: same names in the same
+   order, each value conforming to its declared type. *)
+let rec canonical reg layout i = function
+  | [] -> i = Array.length layout
+  | (attr, v) :: rest ->
+      i < Array.length layout
+      && (let name, ty = layout.(i) in
+          String.equal attr name && Registry.conforms_vtype reg v ty)
+      && canonical reg layout (i + 1) rest
+
+(* Fields given in declaration order, the usual case, are adopted as
+   they are: [validate] would accept them and rebuild an equal list. *)
 let make reg cls fields =
-  let fields = validate reg cls fields in
-  { uid = fresh_uid (); cls; fields; owned = true }
+  match Registry.descriptor reg cls with
+  | d when d.obvent && d.decl.kind = Class && canonical reg d.layout 0 fields ->
+      { uid = fresh_uid (); cls = d.decl.name; fields; owned = true }
+  | _ | (exception Registry.Type_error _) ->
+      let fields = validate reg cls fields in
+      { uid = fresh_uid (); cls; fields; owned = true }
 
 let get o attr =
   match List.assoc_opt attr o.fields with
@@ -160,10 +177,55 @@ let of_value reg (v : Value.t) =
 
 let serialize o = Codec.encode (to_value o)
 
+(* [String.sub s pos n = name], without the copy. *)
+let rec same_from s pos name i =
+  i = String.length name || (s.[pos + i] = name.[i] && same_from s pos name (i + 1))
+
+let same_name s pos n name = n = String.length name && same_from s pos name 0
+
+(* Schema-directed decode of a canonical encoding — an object of a
+   declared obvent class whose fields are exactly the class layout, in
+   order — straight into an obvent: class and field names are compared
+   in place against the descriptor and never copied, and the only
+   allocations are the values and the field list the obvent keeps.
+   Raises [Exit] (or a codec exception) on anything else. *)
+let rec layout_fields reg r s layout i =
+  if i = Array.length layout then []
+  else begin
+    let name, ty = layout.(i) in
+    let n = Wire.Reader.varint r in
+    let pos = Wire.Reader.pos r in
+    Wire.Reader.skip r n;
+    if not (same_name s pos n name) then raise Exit;
+    let v = Codec.decode_prefix r in
+    if not (Registry.conforms_vtype reg v ty) then raise Exit;
+    (name, v) :: layout_fields reg r s layout (i + 1)
+  end
+
+let decode_canonical reg s ~off ~len =
+  let r = Wire.Reader.of_substring s ~off ~len in
+  if not (Codec.obj_tag r) then raise Exit;
+  let n = Wire.Reader.varint r in
+  let pos = Wire.Reader.pos r in
+  Wire.Reader.skip r n;
+  let d = Registry.descriptor_sub reg s ~off:pos ~len:n in
+  if not (d.obvent && d.decl.kind = Class) then raise Exit;
+  if Wire.Reader.varint r <> Array.length d.layout then raise Exit;
+  let fields = layout_fields reg r s d.layout 0 in
+  if not (Wire.Reader.at_end r) then raise Exit;
+  { uid = fresh_uid (); cls = d.decl.name; fields; owned = true }
+
+(* Any deviation from the canonical shape takes the general route —
+   full decode, then [of_value] — which gives the same obvent, or the
+   same error, as it always did. *)
 let deserialize_sub reg s ~off ~len =
-  match Codec.decode_sub s ~off ~len with
-  | v -> of_value reg v
-  | exception Codec.Decode_error msg -> err "deserialize: %s" msg
+  match decode_canonical reg s ~off ~len with
+  | o -> o
+  | exception
+      (Exit | Not_found | Codec.Decode_error _ | Wire.Truncated _ | Wire.Malformed _) -> (
+      match Codec.decode_sub s ~off ~len with
+      | v -> of_value reg v
+      | exception Codec.Decode_error msg -> err "deserialize: %s" msg)
 
 let deserialize reg s = deserialize_sub reg s ~off:0 ~len:(String.length s)
 

@@ -174,6 +174,10 @@ let skip_prefix r =
   | Wire.Truncated what -> raise (Decode_error ("truncated: " ^ what))
   | Wire.Malformed what -> raise (Decode_error ("malformed: " ^ what))
 
+(* Consume one tag byte; is it an object's? The class name (a string)
+   and the field count follow. *)
+let obj_tag r = Wire.Reader.byte r = tag_obj
+
 (* If the value at the reader is an object, consume its tag, class id
    and field count, leaving the reader at the first field name. *)
 let obj_header r =
@@ -198,6 +202,12 @@ let encode_list_header w n =
 let encode_str_header w len =
   Wire.Writer.byte w tag_str;
   Wire.Writer.varint w len
+
+let encode_int w i =
+  Wire.Writer.byte w tag_int;
+  Wire.Writer.zigzag w i
+
+let int_size i = 1 + Wire.Writer.zigzag_size i
 
 let encode_str_sub w s ~pos ~len =
   encode_str_header w len;

@@ -33,6 +33,12 @@ val skip_prefix : Wire.Reader.t -> unit
     it. Allocation-free; the substrate of {!Cursor} projections.
     @raise Decode_error on malformed or truncated input. *)
 
+val obj_tag : Wire.Reader.t -> bool
+(** Consume one tag byte and say whether it starts an object, whose
+    class name (a string) and field count follow — the entry point of
+    a schema-directed decoder that reads the rest with {!Wire.Reader}
+    and {!decode_prefix}. *)
+
 val obj_header : Wire.Reader.t -> (string * int) option
 (** If the value at the reader's position is an object, consume its
     tag, class id and field count and return them, leaving the reader
@@ -60,6 +66,12 @@ val encode_str_header : Wire.Writer.t -> int -> unit
     its content to the caller: either written next (encoding a value
     straight into a string field) or kept in a buffer of its own
     (a payload written to the socket by reference). *)
+
+val encode_int : Wire.Writer.t -> int -> unit
+(** Encode [Int i] without boxing it first. *)
+
+val int_size : int -> int
+(** Bytes {!encode_int} writes for this int. *)
 
 val list_header_size : int -> int
 (** Bytes {!encode_list_header} writes for this arity. *)

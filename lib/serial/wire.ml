@@ -60,29 +60,20 @@ module Writer = struct
     Bytes.unsafe_set w.buf w.len (Char.chr (b land 0xff));
     w.len <- w.len + 1
 
-  let varint w n =
-    if n < 0 then invalid_arg "Wire.Writer.varint: negative";
-    let rec loop n =
-      if n < 0x80 then byte w n
-      else begin
-        byte w (n land 0x7f lor 0x80);
-        loop (n lsr 7)
-      end
-    in
-    loop n
-
   (* LEB128 of an int whose bit pattern is interpreted as unsigned:
      uses logical shifts so that "negative" patterns (top bit set)
-     terminate. *)
-  let uvarint w n =
-    let rec loop n =
-      if n >= 0 && n < 0x80 then byte w n
-      else begin
-        byte w (n land 0x7f lor 0x80);
-        loop (n lsr 7)
-      end
-    in
-    loop n
+     terminate. The loops are top-level functions rather than local
+     closures over [w], so a call allocates nothing. *)
+  let rec uvarint w n =
+    if n >= 0 && n < 0x80 then byte w n
+    else begin
+      byte w (n land 0x7f lor 0x80);
+      uvarint w (n lsr 7)
+    end
+
+  let varint w n =
+    if n < 0 then invalid_arg "Wire.Writer.varint: negative";
+    uvarint w n
 
   let zigzag w n =
     (* Map signed to unsigned: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ... *)
@@ -181,28 +172,22 @@ module Reader = struct
      absorbed by [(b land 0x7f) lsl shift] dropping the overflowing
      bits, which silently mis-decodes hostile input. Raise instead:
      socket bytes are untrusted. *)
-  let varint r =
-    let rec loop acc shift =
-      let b = byte r in
-      if shift = 56 && b land 0xc0 <> 0 then
-        raise (Malformed "varint overflow");
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else loop acc (shift + 7)
-    in
-    loop 0 0
+  (* [overflow] is the mask of 9th-byte bits that make the value
+     overflow: 0xc0 for {!varint}, 0x80 for {!uvarint}. A top-level
+     loop, so a call allocates nothing. *)
+  let rec varint_from r ~overflow acc shift =
+    let b = byte r in
+    if shift = 56 && b land overflow <> 0 then
+      raise (Malformed "varint overflow");
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from r ~overflow acc (shift + 7)
+
+  let varint r = varint_from r ~overflow:0xc0 0 0
 
   (* Unsigned companion of {!Writer.uvarint}: the full 63-bit pattern
      is legal (bit 62 set decodes to a "negative" int, which is what
      zigzag wants back), but a 10th byte never is. *)
-  let uvarint r =
-    let rec loop acc shift =
-      let b = byte r in
-      if shift = 56 && b land 0x80 <> 0 then
-        raise (Malformed "varint overflow");
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else loop acc (shift + 7)
-    in
-    loop 0 0
+  let uvarint r = varint_from r ~overflow:0x80 0 0
 
   let zigzag r =
     let u = uvarint r in

@@ -53,30 +53,28 @@ let push t e =
     else continue := false
   done
 
+(* Remove and return the earliest entry of a non-empty heap. *)
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    t.heap.(0) <- t.heap.(t.size);
-    t.heap.(t.size) <- dummy;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-      if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = t.heap.(!smallest) in
-        t.heap.(!smallest) <- t.heap.(!i);
-        t.heap.(!i) <- tmp;
-        i := !smallest
-      end
-      else continue := false
-    done;
-    Some top
-  end
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  t.heap.(0) <- t.heap.(t.size);
+  t.heap.(t.size) <- dummy;
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let smallest = ref !i in
+    if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
+    if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
+    if !smallest <> !i then begin
+      let tmp = t.heap.(!smallest) in
+      t.heap.(!smallest) <- t.heap.(!i);
+      t.heap.(!i) <- tmp;
+      i := !smallest
+    end
+    else continue := false
+  done;
+  top
 
 let schedule_at t at action =
   let at = max at t.clock in
@@ -97,12 +95,12 @@ let every t ~period ?(jitter = 0) body =
   schedule t ~delay:period tick
 
 let step t =
-  match pop t with
-  | None -> false
-  | Some e ->
-      t.clock <- e.at;
-      e.action ();
-      true
+  t.size > 0
+  &&
+  let e = pop t in
+  t.clock <- e.at;
+  e.action ();
+  true
 
 let run ?until t =
   let continue = ref true in

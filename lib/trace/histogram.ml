@@ -1,13 +1,18 @@
+(* [moments] holds the running mean and the sum of squared deviations
+   from it, in a float array so that updating them stores unboxed
+   floats instead of allocating one per field per sample. *)
 type t = {
   mutable samples : float array;
   mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;  (* sum of squared deviations from the running mean *)
+  moments : float array;
   mutable sorted : bool;
 }
 
+let mean_ix = 0
+let m2_ix = 1
+
 let create () =
-  { samples = Array.make 64 0.; n = 0; mean = 0.; m2 = 0.; sorted = true }
+  { samples = Array.make 64 0.; n = 0; moments = [| 0.; 0. |]; sorted = true }
 
 let record t x =
   if t.n = Array.length t.samples then begin
@@ -20,13 +25,14 @@ let record t x =
   (* Welford: numerically stable even when all samples sit on a large
      common offset, where the sum-of-squares formula cancels
      catastrophically. *)
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+  let mo = t.moments in
+  let delta = x -. mo.(mean_ix) in
+  mo.(mean_ix) <- mo.(mean_ix) +. (delta /. float_of_int t.n);
+  mo.(m2_ix) <- mo.(m2_ix) +. (delta *. (x -. mo.(mean_ix)));
   t.sorted <- false
 
 let count t = t.n
-let mean t = if t.n = 0 then 0. else t.mean
+let mean t = if t.n = 0 then 0. else t.moments.(mean_ix)
 
 let ensure_sorted t =
   if not t.sorted then begin
@@ -59,12 +65,12 @@ let percentile t p =
   end
 
 let stddev t =
-  if t.n < 2 then 0. else sqrt (Stdlib.max 0. (t.m2 /. float_of_int t.n))
+  if t.n < 2 then 0. else sqrt (Stdlib.max 0. (t.moments.(m2_ix) /. float_of_int t.n))
 
 let clear t =
   t.n <- 0;
-  t.mean <- 0.;
-  t.m2 <- 0.;
+  t.moments.(mean_ix) <- 0.;
+  t.moments.(m2_ix) <- 0.;
   t.sorted <- true
 
 let pp ppf t =

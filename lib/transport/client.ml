@@ -60,6 +60,12 @@ end
 
 type sub = { sb_sid : int; sb_param : string; sb_filter : Value.t }
 
+(* One publishing peer's dedup frontier. Peers are few and their names
+   arrive interned ({!Proto.decode_view}), so a list searched with
+   [String.equal] — physical equality first — beats hashing the name on
+   every delivery. *)
+type origin = { o_name : string; mutable o_seen : int  (* highest pseq *) }
+
 type t = {
   host : string;
   tcp_port : int;
@@ -73,7 +79,7 @@ type t = {
   unacked : (int * string * string) Queue.t;
   mutable subs : sub list;  (* replayed on reconnect, newest first *)
   advertised : (string, unit) Hashtbl.t;  (* this connection only *)
-  frontier : (string, int) Hashtbl.t;  (* origin → highest pseq seen *)
+  mutable frontier : origin list;
   mutable consumed : int;  (* deliveries since the last credit grant *)
   mutable registry : Registry.t option;
   mutable inject : (cls:string -> string -> off:int -> len:int -> unit) option;
@@ -143,11 +149,11 @@ let pump_send t =
   | None -> ()
   | Some conn ->
       while t.pub_credit > 0 && not (Queue.is_empty t.sendq) do
-        let pseq, cls, envelope = Queue.pop t.sendq in
+        let ((pseq, cls, envelope) as entry) = Queue.pop t.sendq in
         ensure_advertised t conn cls;
         Conn.send conn (Proto.Pub { pseq; cls; envelope });
         Trace.Counter.incr t.c_pubs;
-        Queue.push (pseq, cls, envelope) t.unacked;
+        Queue.push entry t.unacked;
         t.pub_credit <- t.pub_credit - 1
       done;
       gauges t
@@ -163,6 +169,18 @@ let on_ack t pseq =
     else continue := false
   done
 
+let rec find_origin name = function
+  | [] -> raise Not_found
+  | o :: rest -> if String.equal o.o_name name then o else find_origin name rest
+
+let frontier t name =
+  match find_origin name t.frontier with
+  | o -> o
+  | exception Not_found ->
+      let o = { o_name = name; o_seen = min_int } in
+      t.frontier <- o :: t.frontier;
+      o
+
 (* [envelope] is a view into the frame decoder's buffer, valid for
    this call only — long enough: the dedup/frontier check runs over
    the view, so a duplicate from a pre-restart broker life is dropped
@@ -170,14 +188,10 @@ let on_ack t pseq =
    the domain, which opens the envelope and decodes the obvent in
    place before returning (no [recv] can intervene). *)
 let on_deliver t ~origin ~pseq ~cls ~(envelope : Proto.slice) =
-  let seen =
-    match Hashtbl.find_opt t.frontier origin with
-    | Some f -> pseq <= f
-    | None -> false
-  in
-  if seen then Trace.Counter.incr t.c_dup_drops
+  let f = frontier t origin in
+  if pseq <= f.o_seen then Trace.Counter.incr t.c_dup_drops
   else begin
-    Hashtbl.replace t.frontier origin pseq;
+    f.o_seen <- pseq;
     Trace.Counter.incr t.c_delivered;
     (match t.inject with
     | Some inject ->
@@ -426,7 +440,7 @@ let connect ?(window = 64) ?(max_frame = Frame.default_max_frame)
       unacked = Queue.create ();
       subs = [];
       advertised = Hashtbl.create 16;
-      frontier = Hashtbl.create 16;
+      frontier = [];
       consumed = 0;
       registry = None;
       inject = None;

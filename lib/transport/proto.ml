@@ -115,10 +115,34 @@ let encode m =
   count_encode m;
   Codec.encode (to_value m)
 
+(* Everything of [Pub {pseq; cls; envelope}]'s encoding but the
+   envelope's [el] content bytes, written without building the message
+   as a [Value] first. *)
+let pub_tag = Value.Str "pub"
+
+let pub_head_size ~pseq ~cls el =
+  Codec.list_header_size 4 + Codec.encoded_size pub_tag + Codec.int_size pseq
+  + Codec.str_size (String.length cls)
+  + Codec.str_size el - el
+
+let encode_pub_head w ~pseq ~cls el =
+  Codec.encode_list_header w 4;
+  Codec.encode_into w pub_tag;
+  Codec.encode_int w pseq;
+  Codec.encode_str_sub w cls ~pos:0 ~len:(String.length cls);
+  Codec.encode_str_header w el
+
 let frame m =
   count_encode m;
-  let v = to_value m in
-  Frame.build ~len:(Codec.encoded_size v) (fun w -> Codec.encode_into w v)
+  match m with
+  | Pub { pseq; cls; envelope } ->
+      let el = String.length envelope in
+      Frame.build ~len:(pub_head_size ~pseq ~cls el + el) (fun w ->
+          encode_pub_head w ~pseq ~cls el;
+          Wire.Writer.raw w envelope)
+  | _ ->
+      let v = to_value m in
+      Frame.build ~len:(Codec.encoded_size v) (fun w -> Codec.encode_into w v)
 
 let decode s =
   match Codec.decode s with
@@ -164,23 +188,69 @@ let encode_deliver ~origin ~pseq ~cls (envelope : slice) =
    envelope itself it is that frame, byte for byte. *)
 let pub_head ~pseq ~cls envelope =
   let el = String.length envelope in
-  let head = Value.[ Str "pub"; Int pseq; Str cls ] in
-  let len =
-    List.fold_left
-      (fun acc v -> acc + Codec.encoded_size v)
-      (Codec.list_header_size 4 + Codec.str_size el - el)
-      head
-  in
-  Frame.build_head ~len ~tail:envelope (fun w ->
-      Codec.encode_list_header w 4;
-      List.iter (Codec.encode_into w) head;
-      Codec.encode_str_header w el)
+  Frame.build_head ~len:(pub_head_size ~pseq ~cls el) ~tail:envelope (fun w ->
+      encode_pub_head w ~pseq ~cls el)
 
 type view =
   | V_pub of { pseq : int; cls : string; envelope : slice }
   | V_deliver of { origin : string; pseq : int; cls : string; envelope : slice }
   | V_msg of msg
   | V_none
+
+(* Peer and class names arrive again and again, on every Deliver and
+   Pub. They are read through a small direct-mapped cache of short
+   strings, checked byte for byte, so a repeated name is one shared
+   string and costs no allocation. Entries are immutable strings: a
+   racing reader on another domain sees an old or a new entry and
+   checks it either way. *)
+let intern_slots = Array.make 64 ""
+let intern_max = 64
+
+let rec fnv s pos len i h =
+  if i = len then h
+  else
+    fnv s pos len (i + 1)
+      ((h lxor Char.code (String.unsafe_get s (pos + i))) * 0x01000193 land 0x3FFFFFFF)
+
+let rec same_from s pos c i =
+  i = String.length c || (s.[pos + i] = c.[i] && same_from s pos c (i + 1))
+
+let intern buf pos len =
+  if len > intern_max then String.sub buf pos len
+  else
+    let k = fnv buf pos len 0 0x811c9dc5 land (Array.length intern_slots - 1) in
+    let c = intern_slots.(k) in
+    if String.length c = len && same_from buf pos c 0 then c
+    else begin
+      let fresh = String.sub buf pos len in
+      intern_slots.(k) <- fresh;
+      fresh
+    end
+
+(* A string at the reader, interned; [Exit] if the value is not one. *)
+let str_field buf r =
+  match Codec.str_pos r with
+  | Some (pos, len) -> intern buf pos len
+  | None -> raise Exit
+
+let int_field r = match Codec.int_prefix r with Some i -> i | None -> raise Exit
+
+(* The message tag, compared in place: 1 = "pub" with 4 fields,
+   2 = "dlv" with 5, 0 = anything else. *)
+let hot_tag buf r =
+  match Codec.list_header r with
+  | Some arity when arity >= 1 -> (
+      match Codec.str_pos r with
+      | Some (pos, 3) when arity = 4 && same_from buf pos "pub" 0 -> 1
+      | Some (pos, 3) when arity = 5 && same_from buf pos "dlv" 0 -> 2
+      | Some _ | None -> 0)
+  | Some _ | None -> 0
+
+let envelope_field buf r =
+  match Codec.str_pos r with
+  | Some (ep, el) when Wire.Reader.at_end r ->
+      { sl_buf = buf; sl_off = ep; sl_len = el }
+  | Some _ | None -> raise Exit
 
 (* Parse one payload slice in place. The hot shapes — Pub and Deliver,
    the only messages that carry an envelope — are taken apart
@@ -198,77 +268,28 @@ let decode_view buf ~off ~len =
     | exception Codec.Decode_error _ -> V_none
   in
   let r = Wire.Reader.of_substring buf ~off ~len in
-  let str_field r =
-    match Codec.str_pos r with
-    | Some (pos, len) -> Some (String.sub buf pos len)
-    | None -> None
-  in
-  match
-    (try
-       match Codec.list_header r with
-       | Some arity when arity >= 1 -> (
-           match str_field r with
-           | Some tag -> Some (tag, arity)
-           | None -> None)
-       | _ -> None
-     with
-    | Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _ -> None)
-  with
-  | Some ("pub", 4) -> (
+  match hot_tag buf r with
+  | 1 -> (
       match
-        (try
-           match Codec.int_prefix r with
-           | None -> None
-           | Some pseq -> (
-               match str_field r with
-               | None -> None
-               | Some cls -> (
-                   match Codec.str_pos r with
-                   | Some (ep, el) when Wire.Reader.at_end r ->
-                       Some
-                         (V_pub
-                            {
-                              pseq;
-                              cls;
-                              envelope =
-                                { sl_buf = buf; sl_off = ep; sl_len = el };
-                            })
-                   | _ -> None))
-         with
-        | Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _ -> None)
+        let pseq = int_field r in
+        let cls = str_field buf r in
+        V_pub { pseq; cls; envelope = envelope_field buf r }
       with
-      | Some v -> v
-      | None -> fallback ())
-  | Some ("dlv", 5) -> (
+      | v -> v
+      | exception (Exit | Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _) ->
+          fallback ())
+  | 2 -> (
       match
-        (try
-           match str_field r with
-           | None -> None
-           | Some origin -> (
-               match Codec.int_prefix r with
-               | None -> None
-               | Some pseq -> (
-                   match str_field r with
-                   | None -> None
-                   | Some cls -> (
-                       match Codec.str_pos r with
-                       | Some (ep, el) when Wire.Reader.at_end r ->
-                           Some
-                             (V_deliver
-                                {
-                                  origin;
-                                  pseq;
-                                  cls;
-                                  envelope =
-                                    { sl_buf = buf; sl_off = ep; sl_len = el };
-                                })
-                       | _ -> None)))
-         with
-        | Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _ -> None)
+        let origin = str_field buf r in
+        let pseq = int_field r in
+        let cls = str_field buf r in
+        V_deliver { origin; pseq; cls; envelope = envelope_field buf r }
       with
-      | Some v -> v
-      | None -> fallback ())
+      | v -> v
+      | exception (Exit | Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _) ->
+          fallback ())
   | _ -> fallback ()
+  | exception (Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _) -> fallback ()
 
 let tag = function
   | Hello _ -> "hello"

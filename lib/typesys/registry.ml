@@ -13,123 +13,103 @@ exception Type_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Type_error s)) fmt
 
-module Smap = Map.Make (String)
-module Sset = Set.Make (String)
-
-type t = {
-  mutable decls : decl Smap.t;
-  mutable ancestors : Sset.t Smap.t;  (* cache: name -> all supertypes incl self *)
-  mutable dirty : bool;
-  mutable generation : int;  (* bumped on every declaration *)
+(* Everything the engine asks about a type, computed once when the type
+   is declared. Declarations are append-only and a type's supertypes
+   must already exist, so a descriptor never needs revisiting: later
+   declarations can add subtypes, never ancestors, attributes or
+   methods. *)
+type desc = {
+  decl : decl;
+  ancestors : string array;  (* every supertype incl. self, sorted *)
+  fields : (string * Vtype.t) list;  (* classes: all attributes, inherited first *)
+  layout : (string * Vtype.t) array;  (* [fields], indexable *)
+  visible : meth list;  (* every method, inherited included *)
+  obvent : bool;  (* widens to Obvent *)
 }
+
+(* Descriptors sorted by name. A declaration installs a fresh array, so
+   a reader holding the old one still sees a consistent registry. *)
+type t = { mutable table : desc array; mutable generation : int }
 
 let getter_name attr =
   if attr = "" then invalid_arg "Registry.getter_name: empty attribute";
   "get" ^ String.capitalize_ascii attr
 
-let find reg name =
-  match Smap.find_opt name reg.decls with
-  | Some d -> d
-  | None -> err "unknown type %s" name
+(* Index of [name] in the sorted array [names] (by [key]), or -1. *)
+let rec search key names name lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare name (key names.(mid)) in
+    if c = 0 then mid
+    else if c < 0 then search key names name lo mid
+    else search key names name (mid + 1) hi
 
-let exists reg name = Smap.mem name reg.decls
+let desc_name d = d.decl.name
+let index reg name = search desc_name reg.table name 0 (Array.length reg.table)
 
-let is_class reg name =
-  match Smap.find_opt name reg.decls with
-  | Some d -> d.kind = Class
-  | None -> false
+let descriptor reg name =
+  match index reg name with
+  | -1 -> err "unknown type %s" name
+  | i -> reg.table.(i)
 
-let is_interface reg name =
-  match Smap.find_opt name reg.decls with
-  | Some d -> d.kind = Interface
-  | None -> false
+(* [String.compare (String.sub s off len) name], without the copy. *)
+let rec compare_sub s off len name i =
+  if i = len || i = String.length name then Int.compare len (String.length name)
+  else
+    let c = Char.compare (String.unsafe_get s (off + i)) (String.unsafe_get name i) in
+    if c <> 0 then c else compare_sub s off len name (i + 1)
 
-(* Rebuild the transitive-closure cache bottom-up. Declarations are
-   acyclic by construction (supers must already exist). *)
-let rebuild reg =
-  let rec ancestors_of name acc_map =
-    match Smap.find_opt name acc_map with
-    | Some set -> set, acc_map
-    | None ->
-        let d = find reg name in
-        let set, acc_map =
-          List.fold_left
-            (fun (set, acc_map) super ->
-              let sup_set, acc_map = ancestors_of super acc_map in
-              Sset.union set sup_set, acc_map)
-            (Sset.singleton name, acc_map)
-            d.supers
-        in
-        set, Smap.add name set acc_map
-  in
-  let cache =
-    Smap.fold
-      (fun name _ acc_map -> snd (ancestors_of name acc_map))
-      reg.decls Smap.empty
-  in
-  reg.ancestors <- cache;
-  reg.dirty <- false
+let rec search_sub table s off len lo hi =
+  if lo >= hi then raise Not_found
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = compare_sub s off len table.(mid).decl.name 0 in
+    if c = 0 then table.(mid)
+    else if c < 0 then search_sub table s off len lo mid
+    else search_sub table s off len (mid + 1) hi
 
-let ancestors reg name =
-  if reg.dirty then rebuild reg;
-  match Smap.find_opt name reg.ancestors with
-  | Some set -> set
-  | None -> err "unknown type %s" name
+let descriptor_sub reg s ~off ~len =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Registry.descriptor_sub";
+  search_sub reg.table s off len 0 (Array.length reg.table)
 
-let subtype reg a b = Sset.mem b (ancestors reg a)
-let supertypes reg name = Sset.elements (ancestors reg name)
-let iter_supertypes reg name f = Sset.iter f (ancestors reg name)
+let find reg name = (descriptor reg name).decl
+let exists reg name = index reg name >= 0
+
+let kind_is kind reg name =
+  match index reg name with -1 -> false | i -> reg.table.(i).decl.kind = kind
+
+let is_class = kind_is Class
+let is_interface = kind_is Interface
+let desc_subtype d b = search Fun.id d.ancestors b 0 (Array.length d.ancestors) >= 0
+let subtype reg a b = desc_subtype (descriptor reg a) b
+let supertypes reg name = Array.to_list (descriptor reg name).ancestors
+let iter_supertypes reg name f = Array.iter f (descriptor reg name).ancestors
 let generation reg = reg.generation
 
 let subtypes reg name =
-  let _ = ancestors reg name in
-  Smap.fold
-    (fun candidate _ acc ->
-      if Sset.mem name (ancestors reg candidate) then candidate :: acc else acc)
-    reg.decls []
+  ignore (descriptor reg name);
+  Array.fold_left
+    (fun acc d -> if desc_subtype d name then d.decl.name :: acc else acc)
+    [] reg.table
 
 let builtin_obvent = "Obvent"
-let is_obvent_type reg name = exists reg name && subtype reg name builtin_obvent
 
-let methods_of reg name =
-  let seen = Hashtbl.create 16 in
-  List.concat_map
-    (fun super ->
-      let d = find reg super in
-      List.filter
-        (fun m ->
-          if Hashtbl.mem seen m.mname then false
-          else begin
-            Hashtbl.add seen m.mname ();
-            true
-          end)
-        d.methods)
-    (supertypes reg name)
+let is_obvent_type reg name =
+  match index reg name with -1 -> false | i -> reg.table.(i).obvent
+
+let methods_of reg name = (descriptor reg name).visible
 
 let method_ret reg name m =
-  let rec search = function
-    | [] -> None
-    | super :: rest ->
-        let d = find reg super in
-        (match List.find_opt (fun meth -> meth.mname = m) d.methods with
-        | Some meth -> Some meth.ret
-        | None -> search rest)
-  in
-  search (supertypes reg name)
+  List.find_map
+    (fun meth -> if meth.mname = m then Some meth.ret else None)
+    (methods_of reg name)
 
 let attrs_of reg name =
-  (* Inherited first: walk the single-inheritance class chain upwards. *)
-  let rec chain acc name =
-    let d = find reg name in
-    if d.kind <> Class then acc
-    else
-      let parent =
-        List.find_opt (fun s -> (find reg s).kind = Class) d.supers
-      in
-      let acc = d.attrs :: acc in
-      match parent with None -> acc | Some p -> chain acc p
-  in
-  if not (is_class reg name) then [] else List.concat (chain [] name)
+  match index reg name with
+  | -1 -> []
+  | i -> reg.table.(i).fields
 
 let check_method_conflicts reg ~name ~supers own_methods =
   (* Within the new type, every visible method name must resolve to a
@@ -149,8 +129,49 @@ let check_method_conflicts reg ~name ~supers own_methods =
     supers
 
 let insert reg d =
-  reg.decls <- Smap.add d.name d reg.decls;
-  reg.dirty <- true;
+  let ancestors =
+    List.fold_left
+      (fun acc super -> Array.to_list (descriptor reg super).ancestors @ acc)
+      [ d.name ] d.supers
+    |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let fields =
+    match d.kind with
+    | Interface -> []
+    | Class -> (
+        match List.find_opt (is_class reg) d.supers with
+        | Some parent -> (descriptor reg parent).fields @ d.attrs
+        | None -> d.attrs)
+  in
+  (* The methods of every supertype in [ancestors] order, first
+     declaration of a name wins. *)
+  let seen = Hashtbl.create 16 in
+  let visible =
+    List.concat_map
+      (fun super ->
+        let own = if super = d.name then d.methods else (find reg super).methods in
+        List.filter
+          (fun m ->
+            if Hashtbl.mem seen m.mname then false
+            else begin
+              Hashtbl.add seen m.mname ();
+              true
+            end)
+          own)
+      (Array.to_list ancestors)
+  in
+  let desc =
+    { decl = d; ancestors; fields; layout = Array.of_list fields; visible;
+      obvent = search Fun.id ancestors builtin_obvent 0 (Array.length ancestors) >= 0 }
+  in
+  let n = Array.length reg.table in
+  let at =
+    let rec first i = if i < n && String.compare reg.table.(i).decl.name d.name < 0 then first (i + 1) else i in
+    first 0
+  in
+  reg.table <-
+    Array.init (n + 1) (fun i ->
+        if i < at then reg.table.(i) else if i = at then desc else reg.table.(i - 1));
   reg.generation <- reg.generation + 1
 
 let check_fresh reg name =
@@ -228,15 +249,18 @@ let instantiable reg name = is_class reg name
 let rec conforms reg (v : Tpbs_serial.Value.t) tname =
   match v with
   | Null -> is_class reg tname || is_interface reg tname
-  | Obj o ->
-      exists reg o.cls && is_class reg o.cls
-      && subtype reg o.cls tname
-      && List.for_all
-           (fun (attr, ty) ->
-             match List.assoc_opt attr o.fields with
-             | None -> false
-             | Some fv -> conforms_vtype reg fv ty)
-           (attrs_of reg o.cls)
+  | Obj o -> (
+      match index reg o.cls with
+      | -1 -> false
+      | i ->
+          let d = reg.table.(i) in
+          d.decl.kind = Class && desc_subtype d tname
+          && List.for_all
+               (fun (attr, ty) ->
+                 match List.assoc_opt attr o.fields with
+                 | None -> false
+                 | Some fv -> conforms_vtype reg fv ty)
+               d.fields)
   | Bool _ | Int _ | Float _ | Str _ | List _ | Remote _ -> false
 
 and conforms_vtype reg (v : Tpbs_serial.Value.t) (ty : Vtype.t) =
@@ -248,7 +272,7 @@ and conforms_vtype reg (v : Tpbs_serial.Value.t) (ty : Vtype.t) =
   | (Tbool | Tint | Tfloat | Tstring), _ -> Vtype.accepts ty v
   | (Tobject _ | Tremote _ | Tlist _), _ -> false
 
-let all_types reg = List.sort String.compare (List.map fst (Smap.bindings reg.decls))
+let all_types reg = Array.to_list (Array.map desc_name reg.table)
 
 let obvent_classes reg =
   List.filter
@@ -256,10 +280,7 @@ let obvent_classes reg =
     (all_types reg)
 
 let create () =
-  let reg =
-    { decls = Smap.empty; ancestors = Smap.empty; dirty = true;
-      generation = 0 }
-  in
+  let reg = { table = [||]; generation = 0 } in
   (* The java.pubsub lattice (Fig. 3). *)
   declare_interface reg ~name:"Obvent" ();
   declare_interface reg ~name:"Reliable" ~extends:[ "Obvent" ] ();

@@ -32,7 +32,28 @@ type decl = {
 }
 
 type t
-(** A mutable registry. *)
+(** A registry. Declarations only ever add types. *)
+
+type desc = private {
+  decl : decl;
+  ancestors : string array;
+      (** every supertype including the type itself, sorted *)
+  fields : (string * Vtype.t) list;
+      (** = {!attrs_of}: all attributes of a class, inherited first;
+          [[]] for interfaces *)
+  layout : (string * Vtype.t) array;
+      (** [fields] as an array: the canonical order in which an
+          obvent's fields are stored and serialized *)
+  visible : meth list;  (** = {!methods_of} *)
+  obvent : bool;  (** = {!is_obvent_type} *)
+}
+(** A type's descriptor, computed once when the type is declared and
+    immutable after that: since supertypes must exist before their
+    subtypes and nothing is ever redeclared, a later declaration can
+    add subtypes but never change what a descriptor says. Descriptors
+    (and every query below, which reads only descriptors) are therefore
+    safe to read from the engine's pool workers while no declaration is
+    in progress. *)
 
 exception Type_error of string
 
@@ -78,6 +99,16 @@ val is_interface : t -> string -> bool
 
 val find : t -> string -> decl
 (** @raise Type_error if unknown. *)
+
+val descriptor : t -> string -> desc
+(** @raise Type_error if unknown. O(log n) in the number of types. *)
+
+val descriptor_sub : t -> string -> off:int -> len:int -> desc
+(** The descriptor of the type named [s.[off .. off+len-1]], found
+    without copying the name (a decoder reading a class name off the
+    wire).
+    @raise Not_found if no such type is declared.
+    @raise Invalid_argument on an out-of-bounds slice. *)
 
 val subtype : t -> string -> string -> bool
 (** [subtype reg a b] — reflexive transitive conformance [a <: b]. *)

@@ -1372,6 +1372,91 @@ let test_lifted_prefilter () =
   Alcotest.(check int) "filtered out = routed - delivered"
     (routed - List.length delivered) st.Domain.filtered_out
 
+(* --- per-message allocation, independent of the read batch ---------- *)
+
+(* A replay of perfbench's small_typed subscriber: three classes in a
+   3-level lattice, eight subscriptions (four single-threaded, four
+   filtered), envelopes injected through [Remote.connect] in batches of
+   [batch], the engine drained after each batch. Returns minor words per
+   event, measured after a warm-up pass. *)
+let small_typed_words ~batch =
+  let reg = Registry.create () in
+  Registry.declare_class reg ~name:"Tick" ~implements:[ "Obvent" ]
+    ~attrs:
+      [ ("seq", Vtype.Tint); ("sym", Vtype.Tstring); ("price", Vtype.Tint);
+        ("side", Vtype.Tstring) ]
+    ();
+  Registry.declare_class reg ~name:"Quote" ~extends:"Tick" ~attrs:[ ("vol", Vtype.Tint) ] ();
+  Registry.declare_class reg ~name:"Book" ~extends:"Quote" ~attrs:[ ("venue", Vtype.Tstring) ] ();
+  let events = 2048 in
+  let envs =
+    Array.init events (fun seq ->
+        let cls = [| "Tick"; "Quote"; "Book" |].(seq mod 3) in
+        let base =
+          [ ("seq", Value.Int seq); ("sym", Value.Str (Printf.sprintf "SYM%03d" (seq mod 32)));
+            ("price", Value.Int (seq * 7 mod 1000));
+            ("side", Value.Str (if seq land 4 = 0 then "buy" else "sell")) ]
+        in
+        let fields =
+          match cls with
+          | "Tick" -> base
+          | "Quote" -> base @ [ ("vol", Value.Int (seq mod 100)) ]
+          | _ -> base @ [ ("vol", Value.Int (seq mod 100)); ("venue", Value.Str "XNAS") ]
+        in
+        ( cls,
+          Pubsub.Remote.encode_envelope ~publish_time:0 ~eid:(1, seq)
+            (Obvent.make reg cls fields) ))
+  in
+  let engine = Engine.create () in
+  let net = Net.create engine in
+  let d = Domain.create reg net in
+  let p = Process.create d (Net.add_node net) in
+  let inject =
+    Pubsub.Remote.connect d p
+      { Pubsub.Remote.r_publish = (fun ~cls:_ _ -> ());
+        r_subscribe = (fun ~sid:_ ~param:_ ~filter:_ -> ());
+        r_unsubscribe = (fun ~sid:_ -> ()) }
+  in
+  let delivered = ref 0 in
+  let attr a = Expr.getter [ "get" ^ String.capitalize_ascii a ] in
+  List.iter
+    (fun (param, expr, single) ->
+      let filter = Option.map (fun e -> Fspec.tree e) expr in
+      let s = Process.subscribe p ~param ?filter (fun _ -> incr delivered) in
+      if single then Subscription.set_single_threading s;
+      Subscription.activate s)
+    Expr.
+      [ ("Tick", None, true); ("Tick", Some (attr "price" <. int 500), false);
+        ("Quote", None, true); ("Quote", Some (attr "side" =. str "buy"), false);
+        ("Book", None, true); ("Book", Some (attr "vol" >=. int 50), false);
+        ("Quote", Some (attr "price" >=. int 250 &&& (attr "price" <. int 750)), true);
+        ("Book", None, false) ];
+  Engine.run engine;
+  let run () =
+    let i = ref 0 in
+    while !i < events do
+      for k = !i to min events (!i + batch) - 1 do
+        let cls, env = envs.(k) in
+        inject ~cls env ~off:0 ~len:(String.length env)
+      done;
+      Engine.run engine;
+      i := !i + batch
+    done
+  in
+  run ();
+  let before = !delivered in
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "events delivered" true (!delivered - before > 3 * events);
+  words /. float_of_int events
+
+let test_words_per_event_flat () =
+  let w8 = small_typed_words ~batch:8 and w256 = small_typed_words ~batch:256 in
+  let msg = Printf.sprintf "%.1f words/event at batch 8, %.1f at batch 256" w8 w256 in
+  Alcotest.(check bool) ("within 2%: " ^ msg) true (Float.abs (w256 -. w8) <= 0.02 *. w8);
+  Alcotest.(check bool) ("at most 400: " ^ msg) true (w8 <= 400. && w256 <= 400.)
+
 let suite =
   ( "core",
     [ Alcotest.test_case "type routing: supertype sees subtypes (Fig. 1)"
@@ -1452,4 +1537,6 @@ let suite =
         test_engine_fuzz;
       Alcotest.test_case "lifted pre-filter = local evaluation" `Quick
         test_lifted_prefilter ]
-    @ List.map QCheck_alcotest.to_alcotest [ prop_dispatch_invariants; prop_fused_envelope ] )
+    @ List.map QCheck_alcotest.to_alcotest [ prop_dispatch_invariants; prop_fused_envelope ]
+    @ [ Alcotest.test_case "words per delivered event do not grow with the read batch"
+          `Quick test_words_per_event_flat ] )

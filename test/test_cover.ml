@@ -168,12 +168,16 @@ let test_broker_covering_counters () =
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port b));
-  let pump () =
-    for _ = 1 to 5 do
+  (* Poll the broker until [name] reaches [expected], or for at most
+     2 s, then let the caller assert the exact value: how many polls
+     the frames need to cross the loopback socket depends on the
+     host's load. *)
+  let pump_until name expected =
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    while counter tr name < expected && Unix.gettimeofday () < deadline do
       ignore (Broker.poll b ~timeout_ms:5 ())
     done
   in
-  pump ();
   send fd (Proto.Hello { client = "raw"; window = 64 });
   send fd (Proto.Advertise { cls = "TQuote"; supers = [] });
   (* sid 0: subscribe-to-all; sids 1 and 2 are narrower — the broker
@@ -185,7 +189,7 @@ let test_broker_covering_counters () =
   in
   send fd (Proto.Sub { sid = 1; param = "TQuote"; filter = seq_ge 0 });
   send fd (Proto.Sub { sid = 2; param = "TQuote"; filter = seq_ge 10 });
-  pump ();
+  pump_until "broker.subs_covered" 2;
   Alcotest.(check int) "both narrower subs suppressed" 2
     (counter tr "broker.subs_covered");
   Alcotest.(check int) "none restored yet" 0
@@ -193,12 +197,12 @@ let test_broker_covering_counters () =
   (* dropping the coverer promotes the survivors: sid 1 (seq≥0) is
      installed, and re-covers sid 2 (seq≥10) in the same sweep *)
   send fd (Proto.Unsub { sid = 0 });
-  pump ();
+  pump_until "broker.subs_restored" 1;
   Alcotest.(check int) "one promoted into the index" 1
     (counter tr "broker.subs_restored");
   (* dropping the promoted coverer promotes the last one *)
   send fd (Proto.Unsub { sid = 1 });
-  pump ();
+  pump_until "broker.subs_restored" 2;
   Alcotest.(check int) "last one promoted too" 2
     (counter tr "broker.subs_restored")
 

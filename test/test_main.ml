@@ -6,4 +6,5 @@ let () =
       Test_core.suite; Test_routing.suite; Test_baselines.suite;
       Test_psc.suite; Test_analysis.suite; Test_store.suite;
       Test_transport.suite; Test_shard.suite; Test_alternatives.suite;
-      Test_cover.suite; Test_broker_core.suite; Test_factored.suite ]
+      Test_cover.suite; Test_broker_core.suite; Test_factored.suite;
+      Test_dispatch.suite ]

@@ -1,4 +1,5 @@
 open Helpers
+module Codec = Tpbs_serial.Codec
 
 let check_raises_invalid name f =
   match f () with
@@ -242,6 +243,130 @@ let prop_conforms_iff_deserializable =
       in
       conforming = adopted)
 
+(* --- schema-directed decode vs. the general route ------------------- *)
+
+let nest_registry () =
+  let reg = stock_registry () in
+  Registry.declare_class reg ~name:"Nest" ~implements:[ "Obvent" ]
+    ~attrs:
+      [ ("quote", Vtype.Tobject "StockQuote"); ("tags", Vtype.Tlist Vtype.Tstring);
+        ("ok", Vtype.Tbool); ("weight", Vtype.Tfloat); ("note", Vtype.Tstring) ]
+    ();
+  Registry.declare_class reg ~name:"Plain" ~attrs:[ ("x", Vtype.Tint) ] ();
+  reg
+
+(* Canonical fields of [cls], drawn from [st]. *)
+let canonical_fields reg st cls =
+  let rec value (ty : Vtype.t) : Value.t =
+    match ty with
+    | Tint -> Int (Random.State.int st 1000 - 500)
+    | Tfloat -> Float (float_of_int (Random.State.int st 100) /. 4.)
+    | Tbool -> Bool (Random.State.bool st)
+    | Tstring -> if Random.State.int st 5 = 0 then Null else Str (String.make (Random.State.int st 6) 'x')
+    | Tlist t -> List (List.init (Random.State.int st 3) (fun _ -> value t))
+    | Tobject c ->
+        if Random.State.bool st then Null
+        else Obj { cls = c; fields = List.map (fun (a, t) -> (a, value t)) (Registry.attrs_of reg c) }
+    | Tremote _ -> Null
+  in
+  List.map (fun (a, t) -> (a, value t)) (Registry.attrs_of reg cls)
+
+(* A perturbed obvent value: [kind] picks the deviation (0 = none). *)
+let perturbed reg st kind =
+  let cls = [| "StockQuote"; "SpotPrice"; "Nest" |].(Random.State.int st 3) in
+  let fields = canonical_fields reg st cls in
+  let n = List.length fields in
+  let fields, cls =
+    match kind with
+    | 1 -> (List.rev fields, cls)
+    | 2 -> (List.filteri (fun i _ -> i <> Random.State.int st n) fields, cls)
+    | 3 -> (fields @ [ ("extra", Value.Int 1) ], cls)
+    | 4 -> (fields @ [ List.hd fields ], cls)
+    | 5 ->
+        let k = Random.State.int st n in
+        (List.mapi (fun i (a, v) -> (a, if i = k then Value.List [ Value.Int 0 ] else v)) fields, cls)
+    | 6 -> (fields, [| "Reliable"; "Plain"; "Nope"; "Obvent" |].(Random.State.int st 4))
+    | 7 -> (List.map (fun (a, v) -> (a, if a = "quote" then Value.Obj { cls = "StockQuote"; fields = [] } else v)) fields, cls)
+    | _ -> (fields, cls)
+  in
+  Value.Obj { cls; fields }
+
+let outcome f =
+  match f () with
+  | o -> Ok (Obvent.cls o, Obvent.fields o)
+  | exception e -> Error (Printexc.to_string e)
+
+let prop_deserialize_sub_oracle =
+  QCheck.Test.make ~name:"deserialize_sub = Codec.decode_sub + of_value" ~count:1000
+    QCheck.(triple (int_range 0 8) (int_range 0 4) int)
+    (fun (kind, damage, seed) ->
+      let reg = nest_registry () in
+      let st = Random.State.make [| seed |] in
+      let s = Codec.encode (perturbed reg st kind) in
+      let s =
+        match damage with
+        | 1 -> String.sub s 0 (Random.State.int st (String.length s))
+        | 2 -> s ^ "\000"
+        | 3 ->
+            let b = Bytes.of_string s in
+            let k = Random.State.int st (Bytes.length b) in
+            Bytes.set b k (Char.chr (Random.State.int st 256));
+            Bytes.to_string b
+        | _ -> s
+      in
+      let pre = String.make (Random.State.int st 4) '\007' in
+      let buf = pre ^ s ^ "\255\255" in
+      let off = String.length pre and len = String.length s in
+      let general () =
+        match Codec.decode_sub buf ~off ~len with
+        | v -> Obvent.of_value reg v
+        | exception Codec.Decode_error m -> raise (Obvent.Invalid_obvent ("deserialize: " ^ m))
+      in
+      let fast = outcome (fun () -> Obvent.deserialize_sub reg buf ~off ~len) in
+      let slow = outcome general in
+      if compare fast slow <> 0 then
+        QCheck.Test.fail_reportf "kind %d damage %d: %s" kind damage
+          (match fast, slow with
+          | Error a, Error b -> a ^ " vs " ^ b
+          | Ok _, Error b -> "fast succeeded, general: " ^ b
+          | Error a, Ok _ -> "general succeeded, fast: " ^ a
+          | Ok _, Ok _ -> "different content");
+      true)
+
+(* [make] adopts fields given in declaration order as they are and
+   normalizes any other accepted order: either way the obvent holds the
+   declaration order (the first of duplicated fields wins), and it
+   rejects exactly what validation rejects. *)
+let prop_make_oracle =
+  QCheck.Test.make ~name:"make = validate-then-normalize" ~count:500
+    QCheck.(pair (int_range 0 8) int)
+    (fun (kind, seed) ->
+      let reg = nest_registry () in
+      let st = Random.State.make [| seed |] in
+      match perturbed reg st kind with
+      | Value.Obj { cls; fields } ->
+          let declared = Registry.attrs_of reg cls in
+          let expected =
+            if
+              Registry.is_class reg cls && Registry.is_obvent_type reg cls
+              && List.for_all (fun (a, _) -> List.mem_assoc a declared) fields
+              && List.for_all
+                   (fun (a, ty) ->
+                     match List.assoc_opt a fields with
+                     | Some v -> Registry.conforms_vtype reg v ty
+                     | None -> false)
+                   declared
+            then Ok (cls, List.map (fun (a, _) -> (a, List.assoc a fields)) declared)
+            else Error ()
+          in
+          let got =
+            match Obvent.make reg cls fields with
+            | o -> Ok (Obvent.cls o, Obvent.fields o)
+            | exception Obvent.Invalid_obvent _ -> Error ()
+          in
+          compare got expected = 0
+      | _ -> false)
+
 (* The allocation-free getter test filter evaluation uses agrees with
    the getter-name convention. *)
 let test_getter_of_attr () =
@@ -283,4 +408,5 @@ let suite =
         test_getter_of_attr ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_view_equiv_clone; prop_serialize_roundtrip;
-          prop_conforms_iff_deserializable ] )
+          prop_conforms_iff_deserializable; prop_deserialize_sub_oracle;
+          prop_make_oracle ] )

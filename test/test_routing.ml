@@ -103,7 +103,7 @@ let index_matches_oracle =
           | 0 ->
               (* find: compare against the oracle *)
               let cls = Printf.sprintf "C%d" (j mod !n_classes) in
-              Routing.find idx cls ~build = build cls
+              Routing.find idx cls ~build:(fun b cls -> b cls) build = build cls
           | 1 ->
               (* activate: incremental splice, matching the oracle's
                  ascending-index order; re-activating an already-active

@@ -509,9 +509,44 @@ let prop_varint_overflow_always_rejected =
           | exception Wire.Malformed _ -> true)
         [ nine; ten ])
 
+(* Reading or writing a varint allocates nothing. *)
+let test_varint_no_alloc () =
+  let values = [| 0; 1; 127; 128; 300; 16384; 1 lsl 30; max_int; -1; min_int |] in
+  let n = 1000 in
+  let w = Wire.Writer.create ~capacity:(n * 40) () in
+  let words f =
+    let a = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. a
+  in
+  let probe = words ignore in
+  let wrote =
+    words (fun () ->
+        for i = 0 to n - 1 do
+          let v = values.(i mod Array.length values) in
+          if v >= 0 then Wire.Writer.varint w v;
+          Wire.Writer.uvarint w v
+        done)
+  in
+  let r = Wire.Reader.of_string (Wire.Writer.contents w) in
+  let sum = ref 0 in
+  let read =
+    words (fun () ->
+        for i = 0 to n - 1 do
+          let v = values.(i mod Array.length values) in
+          if v >= 0 then sum := !sum + Wire.Reader.varint r;
+          sum := !sum + Wire.Reader.uvarint r
+        done)
+  in
+  Alcotest.(check bool) "read back to the end" true (Wire.Reader.at_end r);
+  Alcotest.(check (float 0.)) "writers allocate nothing" 0. (wrote -. probe);
+  Alcotest.(check (float 0.)) "readers allocate nothing" 0. (read -. probe)
+
 let suite =
   ( "serial",
     [ Alcotest.test_case "varint examples" `Quick test_varint_examples;
+      Alcotest.test_case "varint reads and writes allocate nothing" `Quick
+        test_varint_no_alloc;
       Alcotest.test_case "varint rejects negatives" `Quick
         test_varint_negative_rejected;
       Alcotest.test_case "zigzag examples" `Quick test_zigzag_examples;

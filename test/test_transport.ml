@@ -762,6 +762,27 @@ let test_decoder_view_corrupt_matches_pop () =
   | Frame.Decoder.V_corrupt _ -> ()
   | _ -> Alcotest.fail "condemnation must be sticky through pop_view")
 
+(* Peer and class names come back right however many distinct names of
+   one length pass through the view parser (it shares repeated names). *)
+let prop_decode_view_names =
+  let name = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'd' ]) (int_range 0 4)) in
+  QCheck.Test.make ~name:"decode_view returns the names it was sent" ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) (pair name name)))
+    (fun names ->
+      List.for_all
+        (fun (origin, cls) ->
+          let view m =
+            let s = Proto.encode m in
+            Proto.decode_view s ~off:0 ~len:(String.length s)
+          in
+          (match view (Proto.Deliver { origin; pseq = 1; cls; envelope = "e" }) with
+          | Proto.V_deliver { origin = o; cls = c; _ } -> o = origin && c = cls
+          | _ -> false)
+          && match view (Proto.Pub { pseq = 2; cls; envelope = "e" }) with
+             | Proto.V_pub { cls = c; _ } -> c = cls
+             | _ -> false)
+        names)
+
 let test_decode_view_agrees_with_decode () =
   (* Over every protocol message and every garbage sample, the in-place
      view parse and the full decode tell the same story — also when the
@@ -1092,6 +1113,7 @@ let suite =
       QCheck_alcotest.to_alcotest test_decoder_view_agrees_with_pop;
       QCheck_alcotest.to_alcotest test_decoder_reserve_agrees_with_feed;
       QCheck_alcotest.to_alcotest test_pub_head_oracle;
+      QCheck_alcotest.to_alcotest prop_decode_view_names;
       Alcotest.test_case "decoder view corruption matches pop" `Quick
         test_decoder_view_corrupt_matches_pop;
       Alcotest.test_case "decode_view agrees with decode" `Quick

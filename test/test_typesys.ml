@@ -306,6 +306,180 @@ let prop_random_hierarchy_laws =
       done;
       !ok)
 
+(* --- registry vs. a from-scratch model ------------------------------- *)
+
+(* The registry answers from descriptors built once per declaration; the
+   model recomputes every answer from the raw declarations each time it
+   is asked. *)
+module Model = struct
+  type t = (string, Registry.decl) Hashtbl.t
+
+  let of_registry reg : t =
+    let m = Hashtbl.create 32 in
+    List.iter (fun n -> Hashtbl.replace m n (Registry.find reg n)) (Registry.all_types reg);
+    m
+
+  let find (m : t) n =
+    match Hashtbl.find_opt m n with
+    | Some d -> d
+    | None -> raise (Registry.Type_error ("unknown type " ^ n))
+
+  let rec ancestors m n =
+    let d = find m n in
+    List.sort_uniq String.compare (n :: List.concat_map (ancestors m) d.Registry.supers)
+
+  let subtype m a b = List.mem b (ancestors m a)
+  let is_class m n = match Hashtbl.find_opt m n with Some d -> d.Registry.kind = Registry.Class | None -> false
+  let is_interface m n = match Hashtbl.find_opt m n with Some d -> d.Registry.kind = Registry.Interface | None -> false
+  let is_obvent_type m n = Hashtbl.mem m n && subtype m n "Obvent"
+
+  let rec attrs_of m n =
+    if not (is_class m n) then []
+    else
+      let d = find m n in
+      match List.find_opt (is_class m) d.Registry.supers with
+      | Some parent -> attrs_of m parent @ d.Registry.attrs
+      | None -> d.Registry.attrs
+
+  let methods_of m n =
+    let seen = Hashtbl.create 8 in
+    List.concat_map
+      (fun s ->
+        List.filter
+          (fun (me : Registry.meth) ->
+            (not (Hashtbl.mem seen me.mname)) && (Hashtbl.add seen me.mname (); true))
+          (find m s).Registry.methods)
+      (ancestors m n)
+
+  let rec conforms m (v : Value.t) t =
+    match v with
+    | Null -> is_class m t || is_interface m t
+    | Obj o ->
+        is_class m o.cls && subtype m o.cls t
+        && List.for_all
+             (fun (a, ty) ->
+               match List.assoc_opt a o.fields with
+               | None -> false
+               | Some fv -> conforms_vtype m fv ty)
+             (attrs_of m o.cls)
+    | _ -> false
+
+  and conforms_vtype m (v : Value.t) (ty : Vtype.t) =
+    match ty, v with
+    | Tobject c, (Obj _ | Null) -> conforms m v c
+    | Tremote _, (Remote _ | Null) -> true
+    | Tlist e, List vs -> List.for_all (fun x -> conforms_vtype m x e) vs
+    | Tlist _, Null -> true
+    | (Tbool | Tint | Tfloat | Tstring), _ -> Vtype.accepts ty v
+    | _ -> false
+end
+
+type reg_op =
+  | Decl_iface of int list
+  | Decl_class of int option * int list * (int * int) list
+  | Query of int * int * int
+
+let gen_reg_op =
+  QCheck.Gen.(
+    frequency
+      [ (2, map (fun l -> Decl_iface l) (list_size (int_range 0 2) nat));
+        ( 3,
+          map3
+            (fun e i a -> Decl_class (e, i, a))
+            (opt nat) (list_size (int_range 0 2) nat)
+            (list_size (int_range 0 3) (pair (int_range 0 4) (int_range 0 6))) );
+        (4, map3 (fun a b c -> Query (a, b, c)) nat nat nat) ])
+
+let attr_pool = [| "a"; "b"; "c"; "d"; "timeToLive" |]
+
+(* Either an answer or the exception it raised, compared as strings. *)
+let outcome f = match f () with v -> Ok v | exception Registry.Type_error e -> Error e
+
+let prop_registry_model =
+  QCheck.Test.make ~name:"registry queries = from-scratch recomputation" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_reg_op))
+    (fun ops ->
+      let reg = Registry.create () in
+      let model = Model.of_registry reg in
+      let names = ref (Registry.all_types reg) and fresh = ref 0 in
+      let pick k l = List.nth l (k mod List.length l) in
+      let picks ks l = if l = [] then [] else List.sort_uniq compare (List.map (fun k -> pick k l) ks) in
+      let ifaces () = List.filter (Model.is_interface model) !names in
+      let classes () = List.filter (Model.is_class model) !names in
+      let declare name f =
+        match f () with
+        | () ->
+            Hashtbl.replace model name (Registry.find reg name);
+            names := !names @ [ name ]
+        | exception Registry.Type_error _ -> ()
+      in
+      let ty_of k =
+        match k with
+        | 0 -> Vtype.Tint | 1 -> Vtype.Tstring | 2 -> Vtype.Tbool | 3 -> Vtype.Tfloat
+        | 4 -> Vtype.Tlist Vtype.Tint
+        | _ -> (match classes () with [] -> Vtype.Tint | cs -> Vtype.Tobject (pick k cs))
+      in
+      (* A value for class [c] built from the model's layout, then
+         perturbed by [seed]. *)
+      let rec value_of c seed depth =
+        let field (a, ty) =
+          let v : Value.t =
+            match (ty : Vtype.t) with
+            | Tint -> Int seed | Tstring -> if seed land 1 = 0 then Str "s" else Null
+            | Tbool -> Bool true | Tfloat -> Float 1.5
+            | Tlist _ -> List [ Int 1; Int 2 ]
+            | Tobject c' -> if depth > 1 || seed land 2 = 0 then Null else value_of c' (seed / 3) (depth + 1)
+            | Tremote _ -> Null
+          in
+          (a, v)
+        in
+        let fields = List.map field (Model.attrs_of model c) in
+        let fields =
+          match seed mod 7 with
+          | 0 -> (match fields with _ :: rest -> rest | [] -> fields)
+          | 1 -> List.map (fun (a, _) -> (a, Value.Bool false)) fields
+          | 2 -> fields @ [ ("zzz", Value.Int 0) ]
+          | _ -> List.rev fields
+        in
+        Value.Obj { cls = (if seed mod 11 = 0 then "Nope" else c); fields }
+      in
+      List.for_all
+        (function
+          | Decl_iface supers ->
+              incr fresh;
+              let name = Printf.sprintf "I%d" !fresh in
+              declare name (fun () ->
+                  Registry.declare_interface reg ~name ~extends:(picks supers (ifaces ())) ());
+              true
+          | Decl_class (extends, impls, attrs) ->
+              incr fresh;
+              let name = Printf.sprintf "C%d" !fresh in
+              let extends = Option.bind extends (fun k -> match classes () with [] -> None | cs -> Some (pick k cs)) in
+              let attrs =
+                List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+                  (List.map (fun (a, t) -> (attr_pool.(a), ty_of t)) attrs)
+              in
+              declare name (fun () ->
+                  Registry.declare_class reg ~name ?extends
+                    ~implements:(picks impls (ifaces ())) ~attrs ());
+              true
+          | Query (i, j, seed) ->
+              let all = "Nope" :: !names in
+              let a = pick i all and b = pick j all in
+              outcome (fun () -> Registry.subtype reg a b) = outcome (fun () -> Model.subtype model a b)
+              && Registry.attrs_of reg a = Model.attrs_of model a
+              && Registry.is_obvent_type reg a = Model.is_obvent_type model a
+              && outcome (fun () -> Registry.methods_of reg a) = outcome (fun () -> Model.methods_of model a)
+              && outcome (fun () -> Registry.supertypes reg a) = outcome (fun () -> Model.ancestors model a)
+              && (a = "Nope" || not (Model.is_class model a)
+                 ||
+                 let v = value_of a seed 0 in
+                 Registry.conforms reg v b = Model.conforms model v b
+                 && Registry.conforms reg v a = Model.conforms model v a))
+        ops)
+
 let prop_qos_resolution_invariants =
   QCheck.Test.make ~name:"qos profiles are always contradiction-free"
     ~count:40
@@ -383,5 +557,5 @@ let suite =
         test_qos_unreliable_timely_kept ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_subtype_reflexive_transitive; prop_random_hierarchy_laws;
-          prop_qos_resolution_invariants ]
+          prop_qos_resolution_invariants; prop_registry_model ]
   )
