@@ -3,20 +3,24 @@ module Obvent = Tpbs_obvent.Obvent
 
 type policy = Single | Multi of int | Class_serial
 
-(* A growable ring buffer (capacity a power of two). It is created
-   empty and sized by its first push, so no dummy value of the element
-   type is needed; free slots keep whatever they last held. *)
+(* A growable ring buffer (capacity a power of two). Free slots hold
+   [fill], so an element taken out is no longer reachable from here. *)
 module Ring = struct
-  type 'a t = { mutable slots : 'a array; mutable head : int; mutable len : int }
+  type 'a t = {
+    fill : 'a;
+    mutable slots : 'a array;
+    mutable head : int;
+    mutable len : int;
+  }
 
-  let create () = { slots = [||]; head = 0; len = 0 }
+  let create fill = { fill; slots = [||]; head = 0; len = 0 }
   let length q = q.len
   let nth q i = q.slots.((q.head + i) land (Array.length q.slots - 1))
 
   let push q x =
     let cap = Array.length q.slots in
     if q.len = cap then begin
-      let fresh = Array.make (max 8 (2 * cap)) x in
+      let fresh = Array.make (max 8 (2 * cap)) q.fill in
       for i = 0 to q.len - 1 do
         fresh.(i) <- nth q i
       done;
@@ -34,6 +38,7 @@ module Ring = struct
     for k = i downto 1 do
       q.slots.((q.head + k) land mask) <- q.slots.((q.head + k - 1) land mask)
     done;
+    q.slots.(q.head) <- q.fill;
     q.head <- (q.head + 1) land mask;
     q.len <- q.len - 1;
     x
@@ -63,8 +68,8 @@ type t = {
 }
 
 let create engine ?(service_time = 0) policy handler =
-  { engine; service_time; policy; handler; queue = Ring.create ();
-    running = Ring.create (); active_classes = Hashtbl.create 4;
+  { engine; service_time; policy; handler; queue = Ring.create Obvent.placeholder;
+    running = Ring.create ""; active_classes = Hashtbl.create 4;
     executed = 0; max_overlap = 0; peak_queue = 0; executor = None }
 
 let class_active t cls =

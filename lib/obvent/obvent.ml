@@ -68,21 +68,23 @@ let validate reg cls fields =
      equality and serialization are canonical. *)
   List.map (fun (attr, _) -> attr, List.assoc attr fields) declared
 
-(* [fields] is exactly [layout] from [i] on: same names in the same
-   order, each value conforming to its declared type. *)
-let rec canonical reg layout i = function
-  | [] -> i = Array.length layout
-  | (attr, v) :: rest ->
-      i < Array.length layout
-      && (let name, ty = layout.(i) in
-          String.equal attr name && Registry.conforms_vtype reg v ty)
-      && canonical reg layout (i + 1) rest
+(* [fields] has exactly the names of [layout], in the same order, each
+   value conforming to its declared type. *)
+let rec canonical reg layout fields =
+  match (layout, fields) with
+  | [], [] -> true
+  | (name, ty) :: layout, (attr, v) :: fields ->
+      String.equal attr name && Registry.conforms_vtype reg v ty
+      && canonical reg layout fields
+  | _ :: _, [] | [], _ :: _ -> false
 
 (* Fields given in declaration order, the usual case, are adopted as
-   they are: [validate] would accept them and rebuild an equal list. *)
+   they are: [validate] would accept them and rebuild an equal list.
+   Not so where the layout names an attribute twice: [validate] gives
+   both entries the first value. *)
 let make reg cls fields =
   match Registry.descriptor reg cls with
-  | d when d.obvent && d.decl.kind = Class && canonical reg d.layout 0 fields ->
+  | d when d.obvent && d.decl.kind = Class && (not d.shadows) && canonical reg d.fields fields ->
       { uid = fresh_uid (); cls = d.decl.name; fields; owned = true }
   | _ | (exception Registry.Type_error _) ->
       let fields = validate reg cls fields in
@@ -96,6 +98,8 @@ let get o attr =
 (* A lightweight clone: fresh identity, field spine shared with the
    source. O(1) — no bytes are copied, no validation re-runs (the
    source was validated when it was made or adopted). *)
+let placeholder = { uid = 0; cls = ""; fields = []; owned = true }
+
 let view o =
   incr views_created;
   { uid = fresh_uid (); cls = o.cls; fields = o.fields; owned = false }
@@ -189,18 +193,16 @@ let same_name s pos n name = n = String.length name && same_from s pos name 0
    in place against the descriptor and never copied, and the only
    allocations are the values and the field list the obvent keeps.
    Raises [Exit] (or a codec exception) on anything else. *)
-let rec layout_fields reg r s layout i =
-  if i = Array.length layout then []
-  else begin
-    let name, ty = layout.(i) in
-    let n = Wire.Reader.varint r in
-    let pos = Wire.Reader.pos r in
-    Wire.Reader.skip r n;
-    if not (same_name s pos n name) then raise Exit;
-    let v = Codec.decode_prefix r in
-    if not (Registry.conforms_vtype reg v ty) then raise Exit;
-    (name, v) :: layout_fields reg r s layout (i + 1)
-  end
+let rec layout_fields reg r s = function
+  | [] -> []
+  | (name, ty) :: layout ->
+      let n = Wire.Reader.varint r in
+      let pos = Wire.Reader.pos r in
+      Wire.Reader.skip r n;
+      if not (same_name s pos n name) then raise Exit;
+      let v = Codec.decode_prefix r in
+      if not (Registry.conforms_vtype reg v ty) then raise Exit;
+      (name, v) :: layout_fields reg r s layout
 
 let decode_canonical reg s ~off ~len =
   let r = Wire.Reader.of_substring s ~off ~len in
@@ -210,8 +212,8 @@ let decode_canonical reg s ~off ~len =
   Wire.Reader.skip r n;
   let d = Registry.descriptor_sub reg s ~off:pos ~len:n in
   if not (d.obvent && d.decl.kind = Class) then raise Exit;
-  if Wire.Reader.varint r <> Array.length d.layout then raise Exit;
-  let fields = layout_fields reg r s d.layout 0 in
+  if List.compare_length_with d.fields (Wire.Reader.varint r) <> 0 then raise Exit;
+  let fields = layout_fields reg r s d.fields in
   if not (Wire.Reader.at_end r) then raise Exit;
   { uid = fresh_uid (); cls = d.decl.name; fields; owned = true }
 

@@ -40,6 +40,11 @@ val get : t -> string -> Tpbs_serial.Value.t
 (** Attribute access by name.
     @raise Invalid_obvent if absent. *)
 
+val placeholder : t
+(** An obvent of no class with no fields, never made, decoded or
+    delivered: a filler for the free slots of a container of obvents,
+    so that they keep nothing the application made reachable. *)
+
 val view : t -> t
 (** A copy-on-write clone: fresh identity (§2.1.2), field structure
     physically shared with the source. O(1). The share is unobservable

@@ -60,11 +60,9 @@ end
 
 type sub = { sb_sid : int; sb_param : string; sb_filter : Value.t }
 
-(* One publishing peer's dedup frontier. Peers are few and their names
-   arrive interned ({!Proto.decode_view}), so a list searched with
-   [String.equal] — physical equality first — beats hashing the name on
-   every delivery. *)
-type origin = { o_name : string; mutable o_seen : int  (* highest pseq *) }
+(* One publishing peer's dedup frontier, updated in place so that a
+   delivery from a known peer allocates nothing. *)
+type origin = { mutable o_seen : int  (* highest pseq *) }
 
 type t = {
   host : string;
@@ -79,7 +77,7 @@ type t = {
   unacked : (int * string * string) Queue.t;
   mutable subs : sub list;  (* replayed on reconnect, newest first *)
   advertised : (string, unit) Hashtbl.t;  (* this connection only *)
-  mutable frontier : origin list;
+  frontier : (string, origin) Hashtbl.t;  (* keyed by peer name *)
   mutable consumed : int;  (* deliveries since the last credit grant *)
   mutable registry : Registry.t option;
   mutable inject : (cls:string -> string -> off:int -> len:int -> unit) option;
@@ -169,16 +167,12 @@ let on_ack t pseq =
     else continue := false
   done
 
-let rec find_origin name = function
-  | [] -> raise Not_found
-  | o :: rest -> if String.equal o.o_name name then o else find_origin name rest
-
 let frontier t name =
-  match find_origin name t.frontier with
+  match Hashtbl.find t.frontier name with
   | o -> o
   | exception Not_found ->
-      let o = { o_name = name; o_seen = min_int } in
-      t.frontier <- o :: t.frontier;
+      let o = { o_seen = min_int } in
+      Hashtbl.add t.frontier name o;
       o
 
 (* [envelope] is a view into the frame decoder's buffer, valid for
@@ -440,7 +434,7 @@ let connect ?(window = 64) ?(max_frame = Frame.default_max_frame)
       unacked = Queue.create ();
       subs = [];
       advertised = Hashtbl.create 16;
-      frontier = [];
+      frontier = Hashtbl.create 16;
       consumed = 0;
       registry = None;
       inject = None;

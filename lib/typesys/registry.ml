@@ -22,7 +22,7 @@ type desc = {
   decl : decl;
   ancestors : string array;  (* every supertype incl. self, sorted *)
   fields : (string * Vtype.t) list;  (* classes: all attributes, inherited first *)
-  layout : (string * Vtype.t) array;  (* [fields], indexable *)
+  shadows : bool;  (* [fields] names an attribute twice (re-declared) *)
   visible : meth list;  (* every method, inherited included *)
   obvent : bool;  (* widens to Obvent *)
 }
@@ -160,8 +160,10 @@ let insert reg d =
           own)
       (Array.to_list ancestors)
   in
+  let names = List.map fst fields in
+  let shadows = List.compare_lengths (List.sort_uniq String.compare names) names <> 0 in
   let desc =
-    { decl = d; ancestors; fields; layout = Array.of_list fields; visible;
+    { decl = d; ancestors; fields; shadows; visible;
       obvent = search Fun.id ancestors builtin_obvent 0 (Array.length ancestors) >= 0 }
   in
   let n = Array.length reg.table in

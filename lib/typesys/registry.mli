@@ -40,10 +40,11 @@ type desc = private {
       (** every supertype including the type itself, sorted *)
   fields : (string * Vtype.t) list;
       (** = {!attrs_of}: all attributes of a class, inherited first;
-          [[]] for interfaces *)
-  layout : (string * Vtype.t) array;
-      (** [fields] as an array: the canonical order in which an
-          obvent's fields are stored and serialized *)
+          [[]] for interfaces. This is the canonical order in which an
+          obvent's fields are stored and serialized. *)
+  shadows : bool;
+      (** [fields] names some attribute twice: the class, or one of
+          its superclasses, re-declares an inherited attribute *)
   visible : meth list;  (** = {!methods_of} *)
   obvent : bool;  (** = {!is_obvent_type} *)
 }

@@ -210,5 +210,42 @@ let prop_dispatch_model =
       && st.Dispatch.peak_queue = m.Model.peak_queue
       && Dispatch.in_flight d = m.Model.active)
 
+(* Submit a backlog of [n] obvents, cycling through [classes], each
+   registered in [weak] only. *)
+let[@inline never] submit_backlog reg d weak n =
+  for i = 0 to n - 1 do
+    let o =
+      Obvent.make reg classes.(i mod Array.length classes)
+        [ "company", Value.Str (String.make 64 'x'); "price", Value.Float 1.;
+          "amount", Value.Int i ]
+    in
+    Weak.set weak i (Some o);
+    Dispatch.submit d o
+  done
+
+(* Once every handler has run, the dispatcher holds none of the obvents
+   it queued, whether they left the queue at its head (Single) or
+   overtook a blocked one (Class_serial). *)
+let test_no_retention () =
+  let reg = stock_registry () in
+  List.iter
+    (fun policy ->
+      let engine = Engine.create ~seed:1 () in
+      let d = Dispatch.create engine ~service_time:5 policy ignore in
+      let n = 20 in
+      let weak = Weak.create n in
+      submit_backlog reg d weak n;
+      Engine.run engine;
+      Gc.full_major ();
+      let held = ref 0 in
+      for i = 0 to n - 1 do
+        if Weak.check weak i then incr held
+      done;
+      Alcotest.(check int) (pp_policy policy ^ ": obvents still reachable") 0 !held;
+      Alcotest.(check int) "all ran" n (Dispatch.stats d).Dispatch.executed)
+    [ Dispatch.Single; Dispatch.Class_serial ]
+
 let suite =
-  ("dispatch", List.map QCheck_alcotest.to_alcotest [ prop_dispatch_model ])
+  ( "dispatch",
+    List.map QCheck_alcotest.to_alcotest [ prop_dispatch_model ]
+    @ [ Alcotest.test_case "queued obvents are not retained" `Quick test_no_retention ] )

@@ -253,6 +253,10 @@ let nest_registry () =
         ("ok", Vtype.Tbool); ("weight", Vtype.Tfloat); ("note", Vtype.Tstring) ]
     ();
   Registry.declare_class reg ~name:"Plain" ~attrs:[ ("x", Vtype.Tint) ] ();
+  (* re-declares an inherited attribute: its layout repeats "price" *)
+  Registry.declare_class reg ~name:"Reprice" ~extends:"StockQuote"
+    ~attrs:[ ("price", Vtype.Tfloat); ("venue", Vtype.Tstring) ]
+    ();
   reg
 
 (* Canonical fields of [cls], drawn from [st]. *)
@@ -273,7 +277,7 @@ let canonical_fields reg st cls =
 
 (* A perturbed obvent value: [kind] picks the deviation (0 = none). *)
 let perturbed reg st kind =
-  let cls = [| "StockQuote"; "SpotPrice"; "Nest" |].(Random.State.int st 3) in
+  let cls = [| "StockQuote"; "SpotPrice"; "Nest"; "Reprice" |].(Random.State.int st 4) in
   let fields = canonical_fields reg st cls in
   let n = List.length fields in
   let fields, cls =
