@@ -14,6 +14,29 @@ module Vclock = Tpbs_group.Vclock
 module Rng = Tpbs_sim.Rng
 module Routing = Tpbs_core.Routing
 module Topics = Tpbs_baselines.Topics
+module Wire = Tpbs_serial.Wire
+
+(* The slicing-by-8 table kernel whatever the CPU, to set beside the
+   kernel [Wire.crc32_sub] picked at start-up. *)
+external crc32_tables :
+  (int[@untagged]) ->
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "tpbs_crc32_update_tables_byte" "tpbs_crc32_update_tables"
+[@@noalloc]
+
+(* CRC rows at the two frame sizes the workloads send: a ~120 B typed
+   obvent and an 8 KiB blob in its envelope (8,232 bytes). *)
+let crc_tests () =
+  List.concat_map
+    (fun (label, n) ->
+      let s = String.init n (fun i -> Char.chr ((i * 131) land 0xff)) in
+      [ Test.make ~name:("crc32: active kernel " ^ label)
+          (Staged.stage (fun () -> ignore (Wire.crc32_sub s ~pos:0 ~len:n)));
+        Test.make ~name:("crc32: table kernel " ^ label)
+          (Staged.stage (fun () -> ignore (crc32_tables 0 s 0 n))) ])
+    [ ("120 B", 120); ("8232 B", 8232) ]
 
 let tests () =
   let reg = Workload.registry () in
@@ -107,6 +130,7 @@ let tests () =
     Test.make ~name:"topics: match (1000 subs)"
       (Staged.stage (fun () -> ignore (Topics.publish topics ~topic:"stocks/s7")))
   ]
+  @ crc_tests ()
 
 let run () =
   Fmt.pr "@.== micro-benchmarks (Bechamel, ns/op) ==@.";

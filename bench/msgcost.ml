@@ -24,6 +24,13 @@
    frame the client writes, plus [Process.publish] into a remote
    endpoint that drops the envelope.
 
+   A last table takes perfbench's large_payload shape, one class with
+   an 8 KiB string: the publisher's envelope encode and Pub frame (head
+   plus envelope by reference, as [Conn.send] builds a large Pub), and
+   the subscriber's frame verify, [Proto.decode_view], envelope open
+   and obvent decode, each with the CRC bytes per event that
+   [transport.crc_bytes] counts.
+
    Word counts are exact and host-independent (the test suite gates the
    path row); nanoseconds are the median of [reps] timed repetitions
    and depend on the host. *)
@@ -40,6 +47,8 @@ module Fspec = Tpbs_core.Fspec
 module Dispatch = Tpbs_core.Dispatch
 module Routing = Tpbs_core.Routing
 module Proto = Tpbs_transport.Proto
+module Frame = Tpbs_transport.Frame
+module Trace = Tpbs_trace.Trace
 
 let batches = [ 1; 64; 256 ]
 let events = 256 * 24
@@ -335,6 +344,94 @@ let publisher_costs reg =
     ("pub frame", measure ~n:events frame);
     ("publish", measure ~n:events publish) ]
 
+(* --- large_payload: an 8 KiB Blob --------------------------------------- *)
+
+let blob_events = 2048
+let blob_batch = 16
+
+(* (ns, words, CRC bytes) per event, publisher then subscriber. *)
+let blob_costs () =
+  let reg = Registry.create () in
+  Registry.declare_class reg ~name:"Blob" ~implements:[ "Obvent" ]
+    ~attrs:[ ("seq", Vtype.Tint); ("data", Vtype.Tstring) ]
+    ();
+  let data = String.init 8192 (fun i -> Char.chr (33 + (i * 7 mod 94))) in
+  let obvents =
+    Array.init blob_events (fun seq ->
+        Obvent.make reg "Blob" [ ("seq", Value.Int seq); ("data", Value.Str data) ])
+  in
+  let envelope seq = Pubsub.Remote.encode_envelope ~publish_time:0 ~eid:(1, seq) obvents.(seq) in
+  let crc = Trace.counter (Trace.ambient ()) "transport.crc_bytes" in
+  let with_crc f =
+    let c0 = Trace.Counter.value crc in
+    let ns, words = f () in
+    let passes = Trace.Counter.value crc - c0 in
+    (ns, words, float_of_int passes /. float_of_int (reps * blob_events))
+  in
+  let publish () =
+    for seq = 0 to blob_events - 1 do
+      let env = envelope seq in
+      ignore (Sys.opaque_identity (Proto.pub_head ~pseq:seq ~cls:"Blob" env))
+    done
+  in
+  publish ();
+  let pub = with_crc (fun () -> measure ~n:blob_events publish) in
+  let frames =
+    Array.init blob_events (fun seq ->
+        Frame.preframed_bytes
+          (Proto.encode_deliver ~origin:"pub" ~pseq:seq ~cls:"Blob"
+             (Proto.slice_of_string (envelope seq))))
+  in
+  (* A read batch of frames is fed to the decoder untimed (the
+     kernel's copy into its buffer); popping, verifying, opening and
+     decoding them is timed. *)
+  let dec = Frame.Decoder.create () in
+  let ns = ref 0. and words = ref 0. in
+  let receive () =
+    let k = ref 0 in
+    while !k < blob_events do
+      let stop = min blob_events (!k + blob_batch) in
+      for i = !k to stop - 1 do
+        Frame.Decoder.feed_string dec frames.(i)
+      done;
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      for _ = !k to stop - 1 do
+        match Frame.Decoder.pop_view dec with
+        | Frame.Decoder.V_frame (buf, off, len) -> (
+            match Proto.decode_view buf ~off ~len with
+            | Proto.V_deliver { envelope = e; _ } -> (
+                match
+                  Pubsub.Remote.decode_envelope_sub e.Proto.sl_buf ~off:e.Proto.sl_off
+                    ~len:e.Proto.sl_len
+                with
+                | Some (_, _, (off, len)) ->
+                    ignore (Sys.opaque_identity (Obvent.deserialize_sub reg buf ~off ~len))
+                | None -> failwith "msgcost: undecodable envelope")
+            | _ -> failwith "msgcost: not a Deliver")
+        | _ -> failwith "msgcost: frame did not verify"
+      done;
+      let t1 = Unix.gettimeofday () in
+      words := !words +. (Gc.minor_words () -. w0 -. probe_words);
+      ns := !ns +. ((t1 -. t0) *. 1e9);
+      k := stop
+    done
+  in
+  receive ();
+  let sub =
+    with_crc (fun () ->
+        let runs =
+          Array.init reps (fun _ ->
+              ns := 0.;
+              words := 0.;
+              receive ();
+              (!ns /. float_of_int blob_events, !words /. float_of_int blob_events))
+        in
+        Array.sort compare runs;
+        runs.(reps / 2))
+  in
+  [ ("publisher: envelope + frame", pub); ("subscriber: verify + open + decode", sub) ]
+
 (* --- report ------------------------------------------------------------ *)
 
 let run () =
@@ -373,4 +470,16 @@ let run () =
     (fun (stage, (ns, w)) ->
       Fmt.pr "%-10s  %6.0f  %7.1f@." stage ns w;
       Workload.json_row ~key:"msgcost_pub" Workload.[ J_str stage; J_float ns; J_float w ])
-    (publisher_costs reg)
+    (publisher_costs reg);
+  Workload.table_header
+    (Printf.sprintf "MSGCOST  large_payload (8 KiB Blob), per event, %d events"
+       blob_events)
+    [ "stage                             "; "    ns"; "  words"; " crc bytes" ];
+  Workload.json_table ~key:"msgcost_blob"
+    ~cols:[ "stage"; "ns_per_event"; "words_per_event"; "crc_bytes_per_event" ];
+  List.iter
+    (fun (stage, (ns, w, c)) ->
+      Fmt.pr "%-34s  %6.0f  %7.1f  %10.0f@." stage ns w c;
+      Workload.json_row ~key:"msgcost_blob"
+        Workload.[ J_str stage; J_float ns; J_float w; J_float c ])
+    (blob_costs ())

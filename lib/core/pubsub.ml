@@ -249,29 +249,25 @@ let decode_envelope bytes =
    knowledge stays here; the broker only sees offsets. *)
 let decode_envelope_sub bytes ~off ~len =
   let module Wire = Tpbs_serial.Wire in
-  let r = Wire.Reader.of_substring bytes ~off ~len in
+  if off < 0 || len < 0 || off + len > String.length bytes then
+    invalid_arg "Pubsub.decode_envelope_sub";
+  let limit = off + len in
+  (* The offset lives in locals, so only the result is allocated. *)
   match
-    (let open Codec in
-     match list_header r with
-     | Some 4 -> (
-         match int_prefix r with
-         | None -> None
-         | Some publish_time -> (
-             match int_prefix r with
-             | None -> None
-             | Some origin -> (
-                 match int_prefix r with
-                 | None -> None
-                 | Some eseq -> (
-                     match str_pos r with
-                     | Some (opos, olen) when Wire.Reader.at_end r ->
-                         Some (publish_time, (origin, eseq), (opos, olen))
-                     | _ -> None))))
-     | _ -> None)
+    if Codec.list_arity_at bytes off ~limit <> 4 then raise Exit;
+    let p = Codec.next_at bytes off ~limit in
+    let publish_time = Codec.int_at bytes p ~limit in
+    let p = Codec.next_at bytes p ~limit in
+    let origin = Codec.int_at bytes p ~limit in
+    let p = Codec.next_at bytes p ~limit in
+    let eseq = Codec.int_at bytes p ~limit in
+    let p = Codec.next_at bytes p ~limit in
+    let olen = Codec.str_len_at bytes p ~limit in
+    if Codec.next_at bytes p ~limit <> limit then raise Exit;
+    Some (publish_time, (origin, eseq), (limit - olen, olen))
   with
   | v -> v
-  | exception (Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _) ->
-      None
+  | exception (Exit | Wire.Truncated _ | Wire.Malformed _) -> None
 
 let encode_routed ~cls envelope = Codec.encode (List [ Str cls; Str envelope ])
 

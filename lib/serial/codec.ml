@@ -213,22 +213,34 @@ let encode_str_sub w s ~pos ~len =
   encode_str_header w len;
   Wire.Writer.raw_sub w s ~pos ~len
 
-let list_header r =
-  if Wire.Reader.byte r = tag_list then Some (Wire.Reader.varint r)
-  else None
+(* Each checks the tag at [pos] before reading the varint after it. *)
+let tagged s pos ~limit tag =
+  if pos >= limit then raise (Wire.Truncated "byte");
+  if Char.code (String.unsafe_get s pos) <> tag then raise Exit
 
-let str_pos r =
-  if Wire.Reader.byte r = tag_str then begin
-    let n = Wire.Reader.varint r in
-    let pos = Wire.Reader.pos r in
-    Wire.Reader.skip r n;
-    Some (pos, n)
+let list_arity_at s pos ~limit =
+  tagged s pos ~limit tag_list;
+  Wire.varint_at s (pos + 1) ~limit
+
+let int_at s pos ~limit =
+  tagged s pos ~limit tag_int;
+  Wire.zigzag_at s (pos + 1) ~limit
+
+let str_len_at s pos ~limit =
+  tagged s pos ~limit tag_str;
+  Wire.varint_at s (pos + 1) ~limit
+
+let next_at s pos ~limit =
+  if pos >= limit then raise (Wire.Truncated "byte");
+  let tag = Char.code (String.unsafe_get s pos) in
+  let after = Wire.varint_end s (pos + 1) ~limit in
+  if tag = tag_int || tag = tag_list then after
+  else if tag = tag_str then begin
+    let stop = after + Wire.varint_at s (pos + 1) ~limit in
+    if stop > limit then raise (Wire.Truncated "skip");
+    stop
   end
-  else None
-
-let int_prefix r =
-  if Wire.Reader.byte r = tag_int then Some (Wire.Reader.zigzag r)
-  else None
+  else raise Exit
 
 let clone v = decode (encode v)
 

@@ -79,23 +79,28 @@ val list_header_size : int -> int
 val str_size : int -> int
 (** Bytes {!encode_str_sub} writes for a slice of this length. *)
 
-val list_header : Wire.Reader.t -> int option
-(** If the value at the reader is a list, consume its tag and return
-    the arity, leaving the reader at the first element. [None] (tag
-    consumed) otherwise.
-    @raise Wire.Truncated on short input. *)
+(** {2 Piecewise reads in place}
 
-val str_pos : Wire.Reader.t -> (int * int) option
-(** If the value at the reader is a string, consume it and return its
-    [(pos, len)] within the reader's underlying buffer (positions are
-    absolute — see {!Wire.Reader.of_substring}). [None] (tag
-    consumed) otherwise.
-    @raise Wire.Truncated on short input. *)
+    For callers that take a known shape apart where it lies (a frame
+    still in its decoder): each reads at an absolute offset [pos] of
+    [s], with [limit] the exclusive end of the slice (at most
+    [String.length s]), and allocates nothing. A value of another kind
+    than the one asked for raises [Exit]; input that runs into [limit]
+    raises {!Wire.Truncated}, an overflowing varint {!Wire.Malformed}. *)
 
-val int_prefix : Wire.Reader.t -> int option
-(** If the value at the reader is an integer, consume and return it.
-    [None] (tag consumed) otherwise.
-    @raise Wire.Truncated on short input. *)
+val list_arity_at : string -> int -> limit:int -> int
+(** The arity of the list whose header starts at [pos]. *)
+
+val int_at : string -> int -> limit:int -> int
+(** The integer at [pos]. *)
+
+val str_len_at : string -> int -> limit:int -> int
+(** The length of the string at [pos]. Its bytes end at
+    {!next_at}[ s pos], so they start that many bytes earlier. *)
+
+val next_at : string -> int -> limit:int -> int
+(** The offset just past the integer or string at [pos], or past the
+    header of the list at [pos] (where its first element starts). *)
 
 val clone : Value.t -> Value.t
 (** Deep copy through the codec: structurally equal, physically

@@ -1,12 +1,12 @@
 exception Truncated of string
 exception Malformed of string
 
-(* CRC-32 (IEEE, reflected polynomial 0xEDB88320) is slicing-by-8 in
-   C (crc32_stubs.c). [crc32_update crc s pos len] continues the
+(* CRC-32 (IEEE, reflected polynomial 0xEDB88320) is computed in C
+   (crc32_stubs.c). [crc32_update crc s pos len] continues the
    finished CRC [crc] (0 to start afresh) over [s.[pos .. pos+len-1]];
    CRCs travel as native ints holding the 32-bit pattern, so the call
-   neither allocates nor boxes. Its tables are filled here, at module
-   initialization, never inside the hot call. *)
+   neither allocates nor boxes. Its tables are filled and its kernel
+   picked here, at module initialization, never inside the hot call. *)
 external crc32_init : unit -> unit = "tpbs_crc32_init"
 
 external crc32_update :
@@ -229,3 +229,27 @@ module Reader = struct
     let n = varint r in
     skip r n
 end
+
+(* Positional twins of the reader's varints, for parsers that keep
+   their offset in a local variable instead of a [Reader.t] and so take
+   a known shape apart without allocating anything. [limit] is the
+   exclusive end of the readable slice; the caller has checked it
+   against the string. *)
+let rec varint_at_from s i limit ~overflow acc shift =
+  if i >= limit then raise (Truncated "byte");
+  let b = Char.code (String.unsafe_get s i) in
+  if shift = 56 && b land overflow <> 0 then raise (Malformed "varint overflow");
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc
+  else varint_at_from s (i + 1) limit ~overflow acc (shift + 7)
+
+let varint_at s pos ~limit = varint_at_from s pos limit ~overflow:0xc0 0 0
+
+let zigzag_at s pos ~limit =
+  let u = varint_at_from s pos limit ~overflow:0x80 0 0 in
+  (u lsr 1) lxor (- (u land 1))
+
+let rec varint_end s i ~limit =
+  if i >= limit then raise (Truncated "byte")
+  else if Char.code (String.unsafe_get s i) land 0x80 = 0 then i + 1
+  else varint_end s (i + 1) ~limit

@@ -18,8 +18,10 @@ exception Malformed of string
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE, polynomial [0xEDB88320]) checksum, guarding message
-    frames and store records. Slicing-by-8 in C: eight bytes per
-    table step, then a bytewise tail. *)
+    frames and store records. In C: carry-less-multiply folding on
+    x86-64 CPUs with PCLMULQDQ and SSE4.1, slicing-by-8 tables
+    elsewhere and for buffers under 64 bytes; the kernel is picked
+    once, when this module is initialized. *)
 
 val crc32_sub : string -> pos:int -> len:int -> int32
 (** {!crc32} over [s.[pos .. pos+len-1]] without extracting the slice
@@ -147,3 +149,20 @@ module Reader : sig
   val skip_string : t -> unit
   (** Advance past one length-prefixed byte string, allocation-free. *)
 end
+
+(** {1 Positional reads}
+
+    The reader's varints at an absolute offset [pos] of [s], for
+    parsers that keep their offset in a local variable instead of a
+    {!Reader.t}: nothing is allocated. [limit] is the exclusive end of
+    the readable slice and must not exceed [String.length s]. Each
+    raises {!Truncated} when the varint runs into [limit]. *)
+
+val varint_at : string -> int -> limit:int -> int
+(** {!Reader.varint} at [pos]. @raise Malformed as it does. *)
+
+val zigzag_at : string -> int -> limit:int -> int
+(** {!Reader.zigzag} at [pos]. @raise Malformed as it does. *)
+
+val varint_end : string -> int -> limit:int -> int
+(** The offset just past the varint that starts at [pos]. *)

@@ -426,30 +426,37 @@ let read_session t s =
     | `Closed reason -> drop_session t s reason
   end
 
+(* poll(2) (poll_stubs.c) in place of select, which cannot watch a
+   descriptor past FD_SETSIZE (1024). [events.(i)] asks for readable
+   (1) and/or writable (2) on [fds.(i)] and comes back holding what it
+   is ready for. *)
+external poll_fds : Unix.file_descr array -> int array -> int -> int
+  = "tpbs_poll"
+
+let readable = 1
+let writable = 2
+
 (* One engine turn: accept, read, route, pump, sweep. [timeout_ms < 0]
    blocks until any fd is ready. *)
 let poll t ?(extra_fds = []) ~timeout_ms () =
   if t.stopped then false
   else begin
-    let rds =
-      t.listen_fd
-      :: List.map (fun s -> Conn.fd s.s_conn) t.sessions
-      @ extra_fds
-    in
-    let wrs =
-      List.filter_map
-        (fun s ->
-          if Conn.pending_bytes s.s_conn > 0 then Some (Conn.fd s.s_conn)
-          else None)
-        t.sessions
-    in
-    let timeout = float_of_int timeout_ms /. 1000. in
-    let rd, _, _ =
-      match Unix.select rds wrs [] timeout with
-      | r -> r
-      | exception Unix.Unix_error (EINTR, _, _) -> ([], [], [])
-    in
-    if List.mem t.listen_fd rd then accept_all t;
+    (* slot 0 is the listener, then the sessions in [t.sessions] order,
+       then [extra_fds] *)
+    let sessions = t.sessions in
+    let n_sessions = List.length sessions in
+    let n = 1 + n_sessions + List.length extra_fds in
+    let fds = Array.make n t.listen_fd and events = Array.make n readable in
+    List.iteri
+      (fun i s ->
+        fds.(1 + i) <- Conn.fd s.s_conn;
+        if Conn.pending_bytes s.s_conn > 0 then
+          events.(1 + i) <- readable lor writable)
+      sessions;
+    List.iteri (fun i fd -> fds.(1 + n_sessions + i) <- fd) extra_fds;
+    ignore (poll_fds fds events timeout_ms);
+    let ready i = events.(i) land readable <> 0 in
+    if ready 0 then accept_all t;
     (* release withheld publish windows once the warmup has elapsed *)
     if warmed_up t then
       List.iter
@@ -459,15 +466,14 @@ let poll t ?(extra_fds = []) ~timeout_ms () =
             Conn.send s.s_conn (Proto.Credit { n = t.cfg.pub_window })
           end)
         t.sessions;
-    List.iter
-      (fun s -> if List.mem (Conn.fd s.s_conn) rd then read_session t s)
-      t.sessions;
+    List.iteri (fun i s -> if ready (1 + i) then read_session t s) sessions;
     List.iter (fun s -> pump_session t s) t.sessions;
     List.iter
       (fun s -> if s.s_closing then drop_session t s "sweep")
       (List.filter (fun s -> s.s_closing) t.sessions);
     ignore (qdepth_gauges t);
-    List.exists (fun fd -> List.mem fd rd) extra_fds
+    let rec extra_ready i = i < n && (ready i || extra_ready (i + 1)) in
+    extra_ready (1 + n_sessions)
   end
 
 let stop ?(keep_listener = false) t =

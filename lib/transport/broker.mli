@@ -86,7 +86,8 @@ val create :
 val port : t -> int
 
 val poll : t -> ?extra_fds:Unix.file_descr list -> timeout_ms:int -> unit -> bool
-(** One engine turn: wait up to [timeout_ms] for readiness, accept new
+(** One engine turn: wait up to [timeout_ms] for readiness (in
+    poll(2), so descriptors past select's 1024 are served), accept new
     clients, read and process frames, route publishes, pump delivery
     queues and acknowledgements. [extra_fds] are watched for
     readability alongside the sockets (e.g. a control pipe); the

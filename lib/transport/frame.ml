@@ -1,4 +1,5 @@
 module Wire = Tpbs_serial.Wire
+module Trace = Tpbs_trace.Trace
 
 (* Stream framing for the real transport:
 
@@ -20,6 +21,23 @@ module Wire = Tpbs_serial.Wire
 
 let header_bytes = 8
 let default_max_frame = 1 lsl 24 (* 16 MiB: far above any envelope *)
+
+(* [transport.crc_bytes]: the payload bytes of every frame checksummed
+   here, built or verified, added once per frame. Resolved again when
+   the ambient trace registry is swapped. *)
+let crc_cached = ref None
+
+let count_crc n =
+  let tr = Trace.ambient () in
+  let c =
+    match !crc_cached with
+    | Some (tr', c) when tr' == tr -> c
+    | Some _ | None ->
+        let c = Trace.counter tr "transport.crc_bytes" in
+        crc_cached := Some (tr, c);
+        c
+  in
+  Trace.Counter.add c n
 
 (* A frame built once and shared by reference across any number of
    connections: header + CRC are computed at construction, so fanning
@@ -43,6 +61,7 @@ let build_head ~len ~tail fill =
   Wire.Writer.reserve w header_bytes;
   fill w;
   let n = Wire.Writer.length w - header_bytes in
+  count_crc (n + String.length tail);
   Wire.Writer.set_int32_le w 0 (Int32.of_int (n + String.length tail));
   Wire.Writer.set_int32_le w 4
     (Wire.crc32_continue (Wire.Writer.crc32_sub w ~pos:header_bytes ~len:n) tail);
@@ -160,6 +179,7 @@ module Decoder = struct
             let crc = Bytes.get_int32_le t.buf (t.start + 4) in
             let src = Bytes.unsafe_to_string t.buf in
             let off = t.start + header_bytes in
+            count_crc n;
             if Wire.crc32_sub src ~pos:off ~len:n <> crc then begin
               condemn t "frame crc mismatch";
               V_corrupt "frame crc mismatch"

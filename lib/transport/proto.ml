@@ -227,37 +227,13 @@ let intern buf pos len =
       fresh
     end
 
-(* A string at the reader, interned; [Exit] if the value is not one. *)
-let str_field buf r =
-  match Codec.str_pos r with
-  | Some (pos, len) -> intern buf pos len
-  | None -> raise Exit
-
-let int_field r = match Codec.int_prefix r with Some i -> i | None -> raise Exit
-
-(* The message tag, compared in place: 1 = "pub" with 4 fields,
-   2 = "dlv" with 5, 0 = anything else. *)
-let hot_tag buf r =
-  match Codec.list_header r with
-  | Some arity when arity >= 1 -> (
-      match Codec.str_pos r with
-      | Some (pos, 3) when arity = 4 && same_from buf pos "pub" 0 -> 1
-      | Some (pos, 3) when arity = 5 && same_from buf pos "dlv" 0 -> 2
-      | Some _ | None -> 0)
-  | Some _ | None -> 0
-
-let envelope_field buf r =
-  match Codec.str_pos r with
-  | Some (ep, el) when Wire.Reader.at_end r ->
-      { sl_buf = buf; sl_off = ep; sl_len = el }
-  | Some _ | None -> raise Exit
-
 (* Parse one payload slice in place. The hot shapes — Pub and Deliver,
    the only messages that carry an envelope — are taken apart
-   piecewise so the envelope stays a view into [buf]; everything else
-   goes through the ordinary full decode (control messages are tiny).
-   Any structural surprise falls back to the full decode, whose answer
-   is authoritative. *)
+   piecewise, with the offset in a local, so the envelope stays a view
+   into [buf] and peer and class names come from the intern cache;
+   everything else goes through the ordinary full decode (control
+   messages are tiny). Any structural surprise falls back to the full
+   decode, whose answer is authoritative. *)
 let decode_view buf ~off ~len =
   let fallback () =
     let r = Wire.Reader.of_substring buf ~off ~len in
@@ -267,29 +243,44 @@ let decode_view buf ~off ~len =
         else match of_value v with Some m -> V_msg m | None -> V_none)
     | exception Codec.Decode_error _ -> V_none
   in
-  let r = Wire.Reader.of_substring buf ~off ~len in
-  match hot_tag buf r with
-  | 1 -> (
-      match
-        let pseq = int_field r in
-        let cls = str_field buf r in
-        V_pub { pseq; cls; envelope = envelope_field buf r }
-      with
-      | v -> v
-      | exception (Exit | Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _) ->
-          fallback ())
-  | 2 -> (
-      match
-        let origin = str_field buf r in
-        let pseq = int_field r in
-        let cls = str_field buf r in
-        V_deliver { origin; pseq; cls; envelope = envelope_field buf r }
-      with
-      | v -> v
-      | exception (Exit | Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _) ->
-          fallback ())
-  | _ -> fallback ()
-  | exception (Wire.Truncated _ | Wire.Malformed _ | Codec.Decode_error _) -> fallback ()
+  if off < 0 || len < 0 || off + len > String.length buf then
+    invalid_arg "Proto.decode_view";
+  let limit = off + len in
+  (* [p] steps from field to field; a string's bytes end where the
+     next field starts. *)
+  match
+    let arity = Codec.list_arity_at buf off ~limit in
+    let p = Codec.next_at buf off ~limit in
+    let tl = Codec.str_len_at buf p ~limit in
+    let p = Codec.next_at buf p ~limit in
+    if arity = 4 && tl = 3 && same_from buf (p - 3) "pub" 0 then begin
+      let pseq = Codec.int_at buf p ~limit in
+      let p = Codec.next_at buf p ~limit in
+      let cl = Codec.str_len_at buf p ~limit in
+      let p = Codec.next_at buf p ~limit in
+      let cls = intern buf (p - cl) cl in
+      let el = Codec.str_len_at buf p ~limit in
+      if Codec.next_at buf p ~limit <> limit then raise Exit;
+      V_pub { pseq; cls; envelope = { sl_buf = buf; sl_off = limit - el; sl_len = el } }
+    end
+    else if arity = 5 && tl = 3 && same_from buf (p - 3) "dlv" 0 then begin
+      let ol = Codec.str_len_at buf p ~limit in
+      let p = Codec.next_at buf p ~limit in
+      let origin = intern buf (p - ol) ol in
+      let pseq = Codec.int_at buf p ~limit in
+      let p = Codec.next_at buf p ~limit in
+      let cl = Codec.str_len_at buf p ~limit in
+      let p = Codec.next_at buf p ~limit in
+      let cls = intern buf (p - cl) cl in
+      let el = Codec.str_len_at buf p ~limit in
+      if Codec.next_at buf p ~limit <> limit then raise Exit;
+      V_deliver
+        { origin; pseq; cls; envelope = { sl_buf = buf; sl_off = limit - el; sl_len = el } }
+    end
+    else raise Exit
+  with
+  | v -> v
+  | exception (Exit | Wire.Truncated _ | Wire.Malformed _) -> fallback ()
 
 let tag = function
   | Hello _ -> "hello"

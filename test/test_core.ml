@@ -1457,6 +1457,31 @@ let test_words_per_event_flat () =
   Alcotest.(check bool) ("within 2%: " ^ msg) true (Float.abs (w256 -. w8) <= 0.02 *. w8);
   Alcotest.(check bool) ("at most 400: " ^ msg) true (w8 <= 400. && w256 <= 400.)
 
+(* Opening an envelope in place allocates its result and nothing else:
+   [Some (t, (origin, eseq), (off, len))] is 2 + 4 + 3 + 3 words. *)
+let test_open_envelope_allocates_only_result () =
+  let reg = Registry.create () in
+  Registry.declare_class reg ~name:"Tick" ~implements:[ "Obvent" ]
+    ~attrs:[ ("seq", Vtype.Tint) ] ();
+  let env =
+    "pad"
+    ^ Pubsub.Remote.encode_envelope ~publish_time:5 ~eid:(1, 9)
+        (Obvent.make reg "Tick" [ ("seq", Value.Int 9) ])
+  in
+  let off = 3 and len = String.length env - 3 in
+  let opened () = Pubsub.Remote.decode_envelope_sub env ~off ~len in
+  (match opened () with
+  | Some (5, (1, 9), (ooff, olen)) ->
+      Alcotest.(check int) "obvent runs to the end" (off + len) (ooff + olen)
+  | _ -> Alcotest.fail "envelope did not open");
+  let probe = let w = Gc.minor_words () in Gc.minor_words () -. w in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (opened ()))
+  done;
+  let words = (Gc.minor_words () -. w0 -. probe) /. 1000. in
+  Alcotest.(check (float 0.)) "words per open" 12. words
+
 let suite =
   ( "core",
     [ Alcotest.test_case "type routing: supertype sees subtypes (Fig. 1)"
@@ -1539,4 +1564,6 @@ let suite =
         test_lifted_prefilter ]
     @ List.map QCheck_alcotest.to_alcotest [ prop_dispatch_invariants; prop_fused_envelope ]
     @ [ Alcotest.test_case "words per delivered event do not grow with the read batch"
-          `Quick test_words_per_event_flat ] )
+          `Quick test_words_per_event_flat;
+        Alcotest.test_case "opening an envelope allocates only its result" `Quick
+          test_open_envelope_allocates_only_result ] )

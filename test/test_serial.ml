@@ -122,33 +122,60 @@ let crc32_bytewise s ~pos ~len =
   done;
   Int32.logxor !c 0xFFFFFFFFl
 
-(* Every length 0-300 and every start offset: covers each tail length
-   (0-7 bytes after the last 8-byte block) at every alignment. *)
+(* The slicing-by-8 table kernel, whatever the CPU: on a host with
+   carry-less multiply the kernel behind [Wire.crc32_sub] is the
+   folding one, and this keeps the fallback under test there too. *)
+external crc32_tables :
+  (int[@untagged]) ->
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "tpbs_crc32_update_tables_byte" "tpbs_crc32_update_tables"
+[@@noalloc]
+
+(* Lengths 0-9000 at every start offset 0-15, half of them under 300:
+   covers the 64-byte folding loop, the 16-byte steps after it, every
+   tail length and the under-64-byte path, at every alignment. *)
+let crc_slice =
+  QCheck.Gen.(
+    int_range 0 15 >>= fun pos ->
+    oneof [ int_range 0 300; int_range 0 9000 ] >>= fun len ->
+    int_range 0 15 >>= fun slack ->
+    map (fun s -> (s, pos, len)) (string_size (return (pos + len + slack))))
+
+let print_slice (s, pos, len) =
+  Printf.sprintf "%d-byte string pos=%d len=%d crc=%08lx" (String.length s)
+    pos len (crc32_bytewise s ~pos ~len)
+
 let prop_crc32_slicing =
-  let gen =
-    QCheck.Gen.(
-      string_size (int_range 0 300) >>= fun s ->
-      let n = String.length s in
-      int_range 0 n >>= fun pos ->
-      map (fun len -> (s, pos, len)) (int_range 0 (n - pos)))
-  in
   QCheck.Test.make ~name:"crc32_sub = bytewise table CRC" ~count:1000
-    (QCheck.make
-       ~print:(fun (s, pos, len) ->
-         Printf.sprintf "%S pos=%d len=%d" s pos len)
-       gen)
+    (QCheck.make ~print:print_slice crc_slice)
     (fun (s, pos, len) ->
       Wire.crc32_sub s ~pos ~len = crc32_bytewise s ~pos ~len)
 
+let prop_crc32_tables =
+  QCheck.Test.make ~name:"crc32 table kernel = bytewise table CRC" ~count:500
+    (QCheck.make ~print:print_slice crc_slice)
+    (fun (s, pos, len) ->
+      Int32.of_int (crc32_tables 0 s pos len) = crc32_bytewise s ~pos ~len)
+
 (* Continuing a CRC over a second buffer is the CRC of the
-   concatenation, either side possibly empty. *)
+   concatenation, either side possibly empty: the second pass starts
+   from a non-zero CRC, at any split of a buffer up to 9000 bytes. *)
 let prop_crc32_continue =
-  let str = QCheck.Gen.(string_size (int_range 0 300)) in
+  let str = QCheck.Gen.(string_size (oneof [ int_range 0 300; int_range 0 9000 ])) in
   QCheck.Test.make ~name:"crc32_continue (crc32 a) b = crc32 (a ^ b)"
     ~count:1000
-    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%S %S" a b)
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "%d + %d bytes" (String.length a) (String.length b))
        (QCheck.Gen.pair str str))
-    (fun (a, b) -> Wire.crc32_continue (Wire.crc32 a) b = Wire.crc32 (a ^ b))
+    (fun (a, b) ->
+      let ab = a ^ b in
+      Wire.crc32_continue (Wire.crc32 a) b = Wire.crc32 ab
+      && crc32_tables (crc32_tables 0 a 0 (String.length a)) b 0
+           (String.length b)
+         = Int32.to_int (Wire.crc32 ab) land 0xFFFFFFFF)
 
 (* [contents] of a full writer hands its buffer over: what it returned
    must never change when writing goes on, and a writer created (or
@@ -583,7 +610,7 @@ let suite =
         test_cursor_of_substring ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_cursor_agrees_with_decode; prop_roundtrip; prop_encoded_size;
-          prop_crc32_slicing; prop_crc32_continue;
+          prop_crc32_slicing; prop_crc32_tables; prop_crc32_continue;
           prop_frame;
           prop_varint_boundary_roundtrip; prop_zigzag_boundary_roundtrip;
           prop_varint_overflow_always_rejected;

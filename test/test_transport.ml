@@ -1079,6 +1079,156 @@ let test_broker_encode_once_counters () =
   Alcotest.(check int) "one encode per publish, independent of K" 10 encodes;
   Alcotest.(check int) "every enqueue shares the frame" 40 shared_enqueues
 
+(* An in-process broker with a raw subscriber of [TQuote] and a raw
+   publisher, connected and settled: the subscription is installed and
+   the publisher holds its credit window. [publish env] sends one Pub
+   and returns the envelope of the Deliver it causes. *)
+let raw_pair broker =
+  let dial () =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
+    Conn.create fd
+  in
+  let sub = dial () and pub = dial () in
+  let credit = ref 0 and delivered = ref None in
+  let drain who c on_msg =
+    match Conn.recv c with
+    | `Ok ->
+        let rec go () =
+          match Conn.pop c with
+          | Conn.Msg m ->
+              on_msg m;
+              go ()
+          | Conn.Nothing -> ()
+          | Conn.Bad m -> Alcotest.failf "%s: %s" who m
+        in
+        go ()
+    | `Blocked -> ()
+    | `Closed m -> Alcotest.failf "%s closed: %s" who m
+  in
+  let pump_until what cond =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      ignore (Conn.flush pub);
+      ignore (Conn.flush sub);
+      ignore (Broker.poll broker ~timeout_ms:1 ());
+      drain "publisher" pub (function
+        | Proto.Welcome { window } -> credit := window
+        | Proto.Credit { n } -> credit := !credit + n
+        | _ -> ());
+      drain "subscriber" sub (function
+        | Proto.Deliver { envelope; _ } -> delivered := Some envelope
+        | _ -> ())
+    done;
+    if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+  in
+  Conn.send sub (Proto.Hello { client = "sub"; window = 1_000_000 });
+  Conn.send sub (Proto.Sub { sid = 0; param = "TQuote"; filter = Value.Null });
+  pump_until "two sessions" (fun () -> Broker.session_count broker = 2);
+  Conn.send pub (Proto.Hello { client = "pub"; window = 0 });
+  Conn.send pub (Proto.Advertise { cls = "TQuote"; supers = [] });
+  pump_until "the publish window" (fun () -> !credit > 0);
+  let pseq = ref 0 in
+  let publish envelope =
+    delivered := None;
+    Conn.send pub (Proto.Pub { pseq = !pseq; cls = "TQuote"; envelope });
+    incr pseq;
+    pump_until "the delivery" (fun () -> !delivered <> None);
+    Option.get !delivered
+  in
+  (sub, pub, publish)
+
+let blob_envelope seq =
+  Codec.encode
+    (Value.List
+       [ Value.Int 0; Value.Int 1; Value.Int seq;
+         Value.Str
+           (Codec.encode
+              (Value.obj "TQuote"
+                 [ ("seq", Value.Int seq); ("data", Value.Str (String.make 8192 'x')) ]))
+       ])
+
+(* [transport.crc_bytes] grows by a frame's payload once when the frame
+   is built and once when it is verified: over a Pub -> Deliver round
+   trip with every peer in this process, that is every payload byte
+   sent plus every payload byte received, and the 8 KiB event is
+   checksummed exactly four times (publisher frame, broker verify,
+   broker re-frame, subscriber verify). *)
+let test_crc_bytes_one_pass_per_frame () =
+  Trace.set_ambient (Trace.create ());
+  let broker = Broker.create ~config:instant_config ~port:0 () in
+  let sub, pub, publish = raw_pair broker in
+  let v name = Trace.Counter.value (Trace.counter (Trace.ambient ()) name) in
+  (* let the publisher's first credit round settle before counting *)
+  ignore (publish (blob_envelope 0));
+  let snap () =
+    ( v "transport.crc_bytes",
+      v "transport.bytes_sent" - (Frame.header_bytes * v "transport.frames_sent"),
+      v "transport.bytes_received" - (Frame.header_bytes * v "transport.frames_received") )
+  in
+  let crc0, sent0, recv0 = snap () in
+  let env = blob_envelope 1 in
+  let got = publish env in
+  (* the peers' replies (acks, credits) may still be in flight *)
+  for _ = 1 to 5 do
+    ignore (Conn.flush pub);
+    ignore (Conn.flush sub);
+    ignore (Broker.poll broker ~timeout_ms:1 ())
+  done;
+  let crc1, sent1, recv1 = snap () in
+  Alcotest.(check string) "delivered intact" env got;
+  let pub_payload =
+    String.length
+      (Frame.preframed_bytes (Proto.frame (Proto.Pub { pseq = 1; cls = "TQuote"; envelope = env })))
+    - Frame.header_bytes
+  in
+  Alcotest.(check int) "one pass per frame built or verified"
+    (sent1 - sent0 + (recv1 - recv0))
+    (crc1 - crc0);
+  Alcotest.(check bool) "the event is checksummed four times" true
+    (crc1 - crc0 >= 4 * pub_payload && crc1 - crc0 < 5 * pub_payload);
+  Conn.close sub;
+  Conn.close pub;
+  Broker.stop broker
+
+(* On Unix a file descriptor is its number. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
+
+(* select(2) cannot watch a descriptor at or past FD_SETSIZE (1024):
+   with every lower descriptor taken, the broker's sessions are accepted
+   above it and must still carry a Pub -> Deliver round trip. *)
+let test_broker_sessions_above_fd_setsize () =
+  Trace.set_ambient (Trace.create ());
+  let broker = Broker.create ~config:instant_config ~port:0 () in
+  let devnull = Unix.openfile "/dev/null" [ O_RDONLY ] 0 in
+  (* a process limited to 1024 descriptors cannot open one above it *)
+  let rec fill acc =
+    match Unix.dup devnull with
+    | fd when fd_number fd < 1024 -> fill (fd :: acc)
+    | fd ->
+        Unix.close fd;
+        acc
+    | exception Unix.Unix_error (EMFILE, _, _) ->
+        List.iter Unix.close acc;
+        Unix.close devnull;
+        Broker.stop broker;
+        Alcotest.skip ()
+  in
+  let fillers = fill [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close fillers;
+      Unix.close devnull;
+      Broker.stop broker)
+    (fun () ->
+      let sub, pub, publish = raw_pair broker in
+      Alcotest.(check bool) "peers above FD_SETSIZE" true
+        (fd_number (Conn.fd sub) >= 1024 && fd_number (Conn.fd pub) >= 1024);
+      let env = blob_envelope 7 in
+      Alcotest.(check string) "delivered" env (publish env);
+      Conn.close sub;
+      Conn.close pub)
+
 let suite =
   ( "transport",
     [ Alcotest.test_case "framing roundtrip" `Quick test_frame_roundtrip;
@@ -1123,4 +1273,8 @@ let suite =
       Alcotest.test_case "ambient syscall counters balance per-conn stats"
         `Quick test_syscall_stats_balance;
       Alcotest.test_case "broker fan-out encodes once per publish" `Quick
-        test_broker_encode_once_counters ] )
+        test_broker_encode_once_counters;
+      Alcotest.test_case "crc_bytes: one pass per frame built or verified"
+        `Quick test_crc_bytes_one_pass_per_frame;
+      Alcotest.test_case "broker sessions above FD_SETSIZE deliver" `Quick
+        test_broker_sessions_above_fd_setsize ] )
