@@ -236,9 +236,12 @@ let next_at s pos ~limit =
   let after = Wire.varint_end s (pos + 1) ~limit in
   if tag = tag_int || tag = tag_list then after
   else if tag = tag_str then begin
-    let stop = after + Wire.varint_at s (pos + 1) ~limit in
-    if stop > limit then raise (Wire.Truncated "skip");
-    stop
+    (* Compared as [n > limit - after], not [after + n > limit]: a
+       varint length may be as large as max_int, and the sum would
+       wrap negative and pass. *)
+    let n = Wire.varint_at s (pos + 1) ~limit in
+    if n > limit - after then raise (Wire.Truncated "skip");
+    after + n
   end
   else raise Exit
 

@@ -4,17 +4,10 @@ type t = { bytes : string; off : int; len : int }
 
 (* Ambient-registry counters, re-resolved when the ambient trace
    registry is swapped (benches and tests do this between runs). *)
-let cached = ref None
-
-let counters () =
-  let tr = Trace.ambient () in
-  match !cached with
-  | Some (tr', lazy_c, full_c) when tr' == tr -> lazy_c, full_c
-  | Some _ | None ->
-      let lazy_c = Trace.counter tr "serial.lazy_decodes" in
-      let full_c = Trace.counter tr "serial.cursor_full_decodes" in
-      cached := Some (tr, lazy_c, full_c);
-      lazy_c, full_c
+let counters =
+  Trace.ambient_cached (fun tr ->
+      ( Trace.counter tr "serial.lazy_decodes",
+        Trace.counter tr "serial.cursor_full_decodes" ))
 
 let lazy_decodes () = Trace.Counter.value (fst (counters ()))
 let full_decodes () = Trace.Counter.value (snd (counters ()))

@@ -57,6 +57,17 @@ let ambient_registry = ref (create ())
 let ambient () = !ambient_registry
 let set_ambient t = ambient_registry := t
 
+let ambient_cached resolve =
+  let cached = ref None in
+  fun () ->
+    let tr = !ambient_registry in
+    match !cached with
+    | Some (tr', v) when tr' == tr -> v
+    | Some _ | None ->
+        let v = resolve tr in
+        cached := Some (tr, v);
+        v
+
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c

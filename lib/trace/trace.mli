@@ -51,6 +51,12 @@ val ambient : unit -> t
 
 val set_ambient : t -> unit
 
+val ambient_cached : (t -> 'a) -> unit -> 'a
+(** [ambient_cached resolve] is a getter for what [resolve] finds in
+    the ambient registry (typically a few counters). It resolves once
+    per registry and again whenever {!set_ambient} has swapped it
+    since (benches and tests do this between runs). *)
+
 val counter : t -> string -> Counter.t
 (** Find-or-create by name. *)
 

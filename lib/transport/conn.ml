@@ -85,28 +85,19 @@ type ctrs = {
   c_payload_copies : Trace.Counter.t;
 }
 
-let cached = ref None
-
-let counters () =
-  let tr = Trace.ambient () in
-  match !cached with
-  | Some (tr', c) when tr' == tr -> c
-  | _ ->
-      let c =
-        {
-          c_frames_sent = Trace.counter tr "transport.frames_sent";
-          c_frames_recv = Trace.counter tr "transport.frames_received";
-          c_bytes_sent = Trace.counter tr "transport.bytes_sent";
-          c_bytes_recv = Trace.counter tr "transport.bytes_received";
-          c_write_sys = Trace.counter tr "transport.write_syscalls";
-          c_read_sys = Trace.counter tr "transport.read_syscalls";
-          c_corrupt = Trace.counter tr "transport.corrupt_frames";
-          c_fanout_shared = Trace.counter tr "transport.fanout_shared";
-          c_payload_copies = Trace.counter tr "transport.payload_copies";
-        }
-      in
-      cached := Some (tr, c);
-      c
+let counters =
+  Trace.ambient_cached (fun tr ->
+      {
+        c_frames_sent = Trace.counter tr "transport.frames_sent";
+        c_frames_recv = Trace.counter tr "transport.frames_received";
+        c_bytes_sent = Trace.counter tr "transport.bytes_sent";
+        c_bytes_recv = Trace.counter tr "transport.bytes_received";
+        c_write_sys = Trace.counter tr "transport.write_syscalls";
+        c_read_sys = Trace.counter tr "transport.read_syscalls";
+        c_corrupt = Trace.counter tr "transport.corrupt_frames";
+        c_fanout_shared = Trace.counter tr "transport.fanout_shared";
+        c_payload_copies = Trace.counter tr "transport.payload_copies";
+      })
 
 let create ?max_frame fd =
   Unix.set_nonblock fd;

@@ -25,19 +25,9 @@ let default_max_frame = 1 lsl 24 (* 16 MiB: far above any envelope *)
 (* [transport.crc_bytes]: the payload bytes of every frame checksummed
    here, built or verified, added once per frame. Resolved again when
    the ambient trace registry is swapped. *)
-let crc_cached = ref None
+let crc_counter = Trace.ambient_cached (fun tr -> Trace.counter tr "transport.crc_bytes")
 
-let count_crc n =
-  let tr = Trace.ambient () in
-  let c =
-    match !crc_cached with
-    | Some (tr', c) when tr' == tr -> c
-    | Some _ | None ->
-        let c = Trace.counter tr "transport.crc_bytes" in
-        crc_cached := Some (tr, c);
-        c
-  in
-  Trace.Counter.add c n
+let count_crc n = Trace.Counter.add (crc_counter ()) n
 
 (* A frame built once and shared by reference across any number of
    connections: header + CRC are computed at construction, so fanning

@@ -49,10 +49,14 @@ value tpbs_poll(value fds, value events, value timeout_ms)
   int err = errno;
   caml_leave_blocking_section();
   if (r < 0) {
-    if (pfd != stack) free(pfd);
-    if (err == EINTR) CAMLreturn(Val_int(0));
-    errno = err;
-    caml_uerror("poll", Nothing);
+    /* Interrupted: nothing is ready. The revents are still zero, so
+       the copy-back below reports every entry as 0. */
+    if (err == EINTR) r = 0;
+    else {
+      if (pfd != stack) free(pfd);
+      errno = err;
+      caml_uerror("poll", Nothing);
+    }
   }
   for (mlsize_t i = 0; i < n; i++) {
     short re = pfd[i].revents;

@@ -92,19 +92,10 @@ let of_value v =
    quantity the encode-once fan-out makes independent of subscriber
    count — and [transport.payload_copies] counts each time a payload
    slice is materialized into a fresh string. *)
-let cached = ref None
-
-let counters () =
-  let tr = Trace.ambient () in
-  match !cached with
-  | Some (tr', cs) when tr' == tr -> cs
-  | Some _ | None ->
-      let cs =
-        ( Trace.counter tr "transport.deliver_encodes",
-          Trace.counter tr "transport.payload_copies" )
-      in
-      cached := Some (tr, cs);
-      cs
+let counters =
+  Trace.ambient_cached (fun tr ->
+      ( Trace.counter tr "transport.deliver_encodes",
+        Trace.counter tr "transport.payload_copies" ))
 
 let count_deliver_encode () = Trace.Counter.incr (fst (counters ()))
 let count_payload_copy () = Trace.Counter.incr (snd (counters ()))

@@ -8,6 +8,7 @@ module Broker = Tpbs_transport.Broker
 module Client = Tpbs_transport.Client
 module Value = Tpbs_serial.Value
 module Codec = Tpbs_serial.Codec
+module Wire = Tpbs_serial.Wire
 module Registry = Tpbs_types.Registry
 module Vtype = Tpbs_types.Vtype
 module Obvent = Tpbs_obvent.Obvent
@@ -813,11 +814,24 @@ let test_decode_view_agrees_with_decode () =
         | _, _ -> Alcotest.fail "decode_view disagrees with decode")
       [ (s, 0); (padded, String.length pad) ]
   in
+  (* A name whose length is the largest varint the codec accepts
+     (max_int, nine bytes): the end offset it implies must not wrap. *)
+  let huge_name tag arity fields =
+    let w = Wire.Writer.create () in
+    Codec.encode_list_header w arity;
+    Codec.encode_str_sub w tag ~pos:0 ~len:(String.length tag);
+    fields w;
+    Codec.encode_str_header w max_int;
+    Wire.Writer.raw w "abc";
+    Wire.Writer.contents w
+  in
   List.iter (fun m -> agree (Proto.encode m)) all_msgs;
   List.iter agree
     [ ""; "\xff\xff\xff"; Codec.encode (Value.Str "not a message");
       Codec.encode (Value.List [ Value.Str "unknown-tag"; Value.Int 1 ]);
-      Codec.encode (Value.List [ Value.Str "pub"; Value.Str "wrong shape" ]) ]
+      Codec.encode (Value.List [ Value.Str "pub"; Value.Str "wrong shape" ]);
+      huge_name "pub" 4 (fun w -> Codec.encode_int w 1);
+      huge_name "dlv" 5 ignore ]
 
 let test_chunk_queue_order_under_partial_writes () =
   (* Interleave small coalesced messages, large by-reference shared
@@ -1229,6 +1243,28 @@ let test_broker_sessions_above_fd_setsize () =
       Conn.close sub;
       Conn.close pub)
 
+(* A signal that interrupts the wait reports nothing ready: an idle
+   control pipe must not read as readable (its owner would then block
+   reading it). *)
+let test_broker_poll_interrupted () =
+  Trace.set_ambient (Trace.create ());
+  let broker = Broker.create ~config:instant_config ~port:0 () in
+  let r, w = Unix.pipe () in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle ignore) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore
+        (Unix.setitimer ITIMER_REAL { it_interval = 0.0; it_value = 0.0 });
+      Sys.set_signal Sys.sigalrm old;
+      Unix.close r;
+      Unix.close w;
+      Broker.stop broker)
+    (fun () ->
+      ignore
+        (Unix.setitimer ITIMER_REAL { it_interval = 0.0; it_value = 0.02 });
+      Alcotest.(check bool) "idle pipe not ready" false
+        (Broker.poll broker ~extra_fds:[ r ] ~timeout_ms:1000 ()))
+
 let suite =
   ( "transport",
     [ Alcotest.test_case "framing roundtrip" `Quick test_frame_roundtrip;
@@ -1277,4 +1313,6 @@ let suite =
       Alcotest.test_case "crc_bytes: one pass per frame built or verified"
         `Quick test_crc_bytes_one_pass_per_frame;
       Alcotest.test_case "broker sessions above FD_SETSIZE deliver" `Quick
-        test_broker_sessions_above_fd_setsize ] )
+        test_broker_sessions_above_fd_setsize;
+      Alcotest.test_case "broker poll interrupted by a signal: nothing ready"
+        `Quick test_broker_poll_interrupted ] )
