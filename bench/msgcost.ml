@@ -31,6 +31,14 @@
    and obvent decode, each with the CRC bytes per event that
    [transport.crc_bytes] counts.
 
+   The broker hop is an in-process [Transport.Broker] on loopback, fed
+   recorded [Pub] frames of the small_typed and broker_filtered shapes
+   a publish window at a time (one write, as the client sends a full
+   window), with a raw subscriber session holding the shape's
+   subscriptions. Its row is the broker's turns: the read and frame
+   verify, route, [encode_deliver], the queueing and the pumps, per
+   publish, with the write syscalls the pumps make.
+
    Word counts are exact and host-independent (the test suite gates the
    path row); nanoseconds are the median of [reps] timed repetitions
    and depend on the host. *)
@@ -48,6 +56,8 @@ module Dispatch = Tpbs_core.Dispatch
 module Routing = Tpbs_core.Routing
 module Proto = Tpbs_transport.Proto
 module Frame = Tpbs_transport.Frame
+module Conn = Tpbs_transport.Conn
+module Broker = Tpbs_transport.Broker
 module Trace = Tpbs_trace.Trace
 
 let batches = [ 1; 64; 256 ]
@@ -432,6 +442,187 @@ let blob_costs () =
   in
   [ ("publisher: envelope + frame", pub); ("subscriber: verify + open + decode", sub) ]
 
+(* --- the broker hop -------------------------------------------------------- *)
+
+(* The [Sub] messages a subscribing client sends for [subs], as its
+   domain's remote endpoint hands them over. *)
+let recorded_subs reg subs =
+  let engine = Engine.create ~seed:1 () in
+  let net = Net.create engine in
+  let dom = Pubsub.Domain.create reg net in
+  let proc = Pubsub.Process.create dom (Net.add_node net) in
+  let got = ref [] in
+  let endpoint =
+    { noop_endpoint with
+      Pubsub.Remote.r_subscribe =
+        (fun ~sid ~param ~filter -> got := Proto.Sub { sid; param; filter } :: !got) }
+  in
+  let _inject = Pubsub.Remote.connect dom proc endpoint in
+  List.iter
+    (fun (param, expr) ->
+      let filter = Option.map (fun e -> Fspec.tree e) expr in
+      Pubsub.Subscription.activate (Pubsub.Process.subscribe proc ~param ?filter ignore))
+    subs;
+  Engine.run engine;
+  List.rev !got
+
+(* Advertise [cls], supertypes first, as the client does. *)
+let rec advertise reg seen conn cls =
+  if not (Hashtbl.mem seen cls) then begin
+    Hashtbl.replace seen cls ();
+    let supers = try (Registry.find reg cls).Registry.supers with _ -> [] in
+    List.iter (advertise reg seen conn) supers;
+    Conn.send conn (Proto.Advertise { cls; supers })
+  end
+
+(* (ns, words, write syscalls, deliveries) per publish through an
+   in-process broker: [envs] are (class, envelope) pairs, [subs] the
+   subscriber's (param, filter) list. Only the broker's turns are
+   timed; in between, the subscriber's bytes are read and dropped and
+   the publisher reads its acks and credits. *)
+let broker_hop reg subs envs =
+  let ambient = Trace.ambient () in
+  let tr = Trace.create () in
+  Trace.set_ambient tr;
+  let window = Broker.default_config.pub_window in
+  let broker =
+    Broker.create ~config:{ Broker.default_config with warmup_ms = 0 } ~port:0 ()
+  in
+  let dial () =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
+    Conn.create fd
+  in
+  let sub = dial () and pub = dial () in
+  let advertised conn classes =
+    let seen = Hashtbl.create 8 in
+    List.iter (advertise reg seen conn) classes
+  in
+  Conn.send sub (Proto.Hello { client = "sub"; window = 1 lsl 40 });
+  advertised sub (List.map fst subs);
+  List.iter (Conn.send sub) (recorded_subs reg subs);
+  Conn.send pub (Proto.Hello { client = "pub"; window = 0 });
+  advertised pub (Array.to_list (Array.map fst envs));
+  let credit = ref 0 and acked = ref (-1) in
+  let rec pub_drain () =
+    match Conn.pop pub with
+    | Conn.Msg (Proto.Welcome { window = n }) | Conn.Msg (Proto.Credit { n }) ->
+        credit := !credit + n;
+        pub_drain ()
+    | Conn.Msg (Proto.Pub_ack { pseq }) ->
+        acked := pseq;
+        pub_drain ()
+    | Conn.Msg _ -> pub_drain ()
+    | Conn.Nothing -> ()
+    | Conn.Bad m -> failwith ("msgcost: publisher: " ^ m)
+  in
+  let sink = Bytes.create 65536 in
+  let rec sub_drain () =
+    match Unix.read (Conn.fd sub) sink 0 (Bytes.length sink) with
+    | 0 -> failwith "msgcost: broker hung up"
+    | _ -> sub_drain ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  in
+  let ns = ref 0. and words = ref 0. in
+  let turns_until cond =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while not (cond ()) do
+      if Unix.gettimeofday () > deadline then
+        failwith (Printf.sprintf "msgcost: broker stalled (credit %d, acked %d)" !credit !acked);
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      ignore (Broker.poll broker ~timeout_ms:0 ());
+      let t1 = Unix.gettimeofday () in
+      words := !words +. (Gc.minor_words () -. w0 -. probe_words);
+      ns := !ns +. ((t1 -. t0) *. 1e9);
+      ignore (Conn.flush sub);
+      ignore (Conn.flush pub);
+      sub_drain ();
+      match Conn.recv pub with
+      | `Ok -> pub_drain ()
+      | `Blocked -> ()
+      | `Closed m -> failwith ("msgcost: publisher: " ^ m)
+    done
+  in
+  turns_until (fun () -> !credit = window);
+  let n = Array.length envs in
+  (* repetition [r] publishes the recorded envelopes under pseqs from
+     [r * n]: a pseq already routed would be re-acked, not routed *)
+  let frames r =
+    Array.init ((n + window - 1) / window) (fun k ->
+        String.concat ""
+          (List.init (min window (n - (k * window))) (fun i ->
+               let cls, envelope = envs.((k * window) + i) in
+               let pseq = (r * n) + (k * window) + i in
+               Frame.preframed_bytes (Proto.frame (Proto.Pub { pseq; cls; envelope })))))
+  in
+  let count name = Trace.Counter.value (Trace.counter tr name) in
+  let rep r =
+    let writes = frames r in
+    ns := 0.;
+    words := 0.;
+    let w0 = count "transport.write_syscalls" and f0 = count "tpbsd.forwarded" in
+    Array.iteri
+      (fun k s ->
+        (* a full window in one write, as the client sends it *)
+        ignore (Unix.write_substring (Conn.fd pub) s 0 (String.length s));
+        let last = (r * n) + min n ((k + 1) * window) - 1 in
+        credit := !credit - (last - (r * n) - (k * window) + 1);
+        turns_until (fun () -> !acked = last && !credit = window))
+      writes;
+    let per x = float_of_int x /. float_of_int n in
+    ( !ns /. float_of_int n,
+      !words /. float_of_int n,
+      per (count "transport.write_syscalls" - w0),
+      per (count "tpbsd.forwarded" - f0) )
+  in
+  ignore (rep 0);
+  let runs = Array.init reps (fun r -> rep (r + 1)) in
+  Conn.close sub;
+  Conn.close pub;
+  Broker.stop broker;
+  Trace.set_ambient ambient;
+  let median f =
+    let a = Array.map f runs in
+    Array.sort compare a;
+    a.(reps / 2)
+  in
+  ( median (fun (ns, _, _, _) -> ns),
+    median (fun (_, w, _, _) -> w),
+    median (fun (_, _, s, _) -> s),
+    median (fun (_, _, _, d) -> d) )
+
+(* broker_filtered's shape: one class, 256 disjoint (symbol, price
+   band) filters, about 10% of publishes forwarded. *)
+let filtered_hop () =
+  let reg = Registry.create () in
+  Registry.declare_class reg ~name:"Order" ~implements:[ "Obvent" ]
+    ~attrs:[ ("seq", Vtype.Tint); ("sym", Vtype.Tstring); ("price", Vtype.Tint) ]
+    ();
+  let sym s = Printf.sprintf "S%02d" s in
+  let subs =
+    List.init 256 (fun k ->
+        let s = k / 4 and b = k mod 4 in
+        let lo = (b * 2500) + (s * 7 mod 9 * 250) in
+        ( "Order",
+          Some
+            Expr.(
+              attr "sym" =. str (sym s)
+              &&& (attr "price" >=. int lo)
+              &&& (attr "price" <. int (lo + 250))) ))
+  in
+  let envs =
+    Array.init events (fun seq ->
+        let h k = ((seq * 0x9E3779B1) + (k * 0x85EBCA77)) lsr 7 land 0xFFFFF in
+        let o =
+          Obvent.make reg "Order"
+            [ ("seq", Value.Int seq); ("sym", Value.Str (sym (h 1 mod 64)));
+              ("price", Value.Int (h 2 mod 10_000)) ]
+        in
+        ("Order", Pubsub.Remote.encode_envelope ~publish_time:0 ~eid:(1, seq) o))
+  in
+  broker_hop reg subs envs
+
 (* --- report ------------------------------------------------------------ *)
 
 let run () =
@@ -482,4 +673,21 @@ let run () =
       Fmt.pr "%-34s  %6.0f  %7.1f  %10.0f@." stage ns w c;
       Workload.json_row ~key:"msgcost_blob"
         Workload.[ J_str stage; J_float ns; J_float w; J_float c ])
-    (blob_costs ())
+    (blob_costs ());
+  Workload.table_header
+    (Printf.sprintf
+       "MSGCOST  broker hop (in-process tpbsd, loopback), per publish, %d publishes \
+        in windows of %d"
+       events Broker.default_config.pub_window)
+    [ "shape           "; "    ns"; "  words"; " writes"; " deliv/pub" ];
+  Workload.json_table ~key:"msgcost_broker"
+    ~cols:
+      [ "shape"; "ns_per_pub"; "words_per_pub"; "write_syscalls_per_pub";
+        "deliveries_per_pub" ];
+  List.iter
+    (fun (shape, (ns, w, wr, d)) ->
+      Fmt.pr "%-16s  %6.0f  %7.1f  %7.3f  %10.3f@." shape ns w wr d;
+      Workload.json_row ~key:"msgcost_broker"
+        Workload.[ J_str shape; J_float ns; J_float w; J_float wr; J_float d ])
+    [ ("small_typed", broker_hop reg (List.map (fun (p, e, _) -> (p, e)) subs) envs);
+      ("broker_filtered", filtered_hop ()) ]

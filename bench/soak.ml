@@ -6,8 +6,9 @@
    full Pubsub.Domain joined over TCP through Tpbs_transport.Client.
    Publishers stamp each obvent with a wall-clock send time;
    subscribers verify exactly-once, per-origin ordering, and record
-   delivery latency samples. With --restart the broker is SIGKILLed
-   mid-run (a genuine crash: no goodbye, no flush) and a fresh
+   delivery latency samples. With --restart the broker hangs for
+   100 ms (SIGSTOP) and is then SIGKILLed mid-run (a genuine crash: no
+   goodbye, no flush, events unacknowledged) and a fresh
    incarnation adopts the socket — certified delivery must hold
    through it via publisher retransmission + subscriber dedup.
 
@@ -348,12 +349,17 @@ let harness ~subs ~pubs ~events ~restart ~pace_us ~out =
               ~metrics_file:(path ("metrics-" ^ id ^ ".jsonl"))
               ()))
   in
-  (* the crash: SIGKILL mid-stream, then a new incarnation adopts the
-     same listening socket *)
+  (* the crash: the broker hangs (SIGSTOP) while the publishers go on
+     writing into its socket buffers, then dies (SIGKILL), and a new
+     incarnation adopts the same listening socket. The hang makes the
+     publishers hold unacknowledged events at the crash however
+     promptly the broker acks, so certified resume must retransmit. *)
   let kill_ms = ref 0 in
   let broker_children, ctl =
     if restart then begin
       Unix.sleepf 0.6;
+      (try Unix.kill broker0.pid Sys.sigstop with Unix.Unix_error _ -> ());
+      Unix.sleepf 0.1;
       (try Unix.kill broker0.pid Sys.sigkill with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] broker0.pid);
       broker0.code <- Some 0 (* killed on purpose *);

@@ -18,14 +18,15 @@ end
 module Gauge = struct
   type t = { name : string; level : int Atomic.t; peak : int Atomic.t }
 
+  (* Monotone peak via CAS so concurrent setters never regress it. A
+     top-level loop: a local one would allocate its closure per set. *)
+  let rec raise_peak t v =
+    let p = Atomic.get t.peak in
+    if v > p && not (Atomic.compare_and_set t.peak p v) then raise_peak t v
+
   let set t v =
     Atomic.set t.level v;
-    (* Monotone peak via CAS so concurrent setters never regress it. *)
-    let rec raise_peak () =
-      let p = Atomic.get t.peak in
-      if v > p && not (Atomic.compare_and_set t.peak p v) then raise_peak ()
-    in
-    raise_peak ()
+    raise_peak t v
 
   let value t = Atomic.get t.level
   let peak t = Atomic.get t.peak

@@ -28,7 +28,14 @@ module Trace = Tpbs_trace.Trace
    retransmits after reconnecting; subscriber-side per-origin monotone
    sequence checks drop whatever was already seen. Within one broker
    life, a per-client publish frontier suppresses re-routing of
-   retransmitted duplicates (they are re-acked, not re-delivered). *)
+   retransmitted duplicates (they are re-acked, not re-delivered).
+
+   A turn is pipelined: every quarter publish window routed, the
+   broker pumps — deliveries first, then the acks and credits they
+   released — and goes on routing what it already read, so a
+   publisher's next writes overlap the rest of the batch. A pump walks
+   a work list of the sessions that have something to send, never
+   every session. *)
 
 type pubrec = {
   pr_session : session;  (* publisher awaiting the ack *)
@@ -51,9 +58,10 @@ and session = {
   mutable s_acked : (int, unit) Hashtbl.t;  (* completed pseqs *)
   mutable s_ack_frontier : int;  (* all ≤ this are complete *)
   mutable s_ack_sent : int;  (* last cumulative ack shipped *)
-  mutable s_closing : bool;
   mutable s_dropped : bool;
-  mutable s_window_granted : bool;  (* full publish window released *)
+  mutable s_slot : int;  (* index in [t.sessions] *)
+  mutable s_marked : bool;  (* on the work list, not yet pumped *)
+  mutable s_held : bool;  (* owes publish credit held back by pressure *)
 }
 
 type config = {
@@ -89,11 +97,23 @@ type t = {
   port : int;
   registry : Registry.t;
   core : session Broker_core.t;
-  mutable sessions : session list;
+  mutable sessions : session array;  (* live ones in [0, n_sessions) *)
+  mutable n_sessions : int;
+  mutable hellos : int;  (* live sessions that said Hello *)
   mutable next_bsid : int;
   pub_frontier : (string, int) Hashtbl.t;  (* client id → routed frontier *)
   t_started : float;
+  mutable warming : bool;  (* within [warmup_ms] of the start *)
   mutable stopped : bool;
+  (* work lists *)
+  mutable work : session list;  (* to pump; deduped by [s_marked] *)
+  mutable held : session list;  (* owe credit; deduped by [s_held] *)
+  slice : int;  (* pubs routed between two pumps of one turn *)
+  mutable routed : int;  (* pubs routed since the last pump *)
+  (* depths.(d) = delivery queues holding d ≥ 1 frames; worst = the
+     deepest, kept exact on every push and pop *)
+  mutable depths : int array;
+  mutable worst : int;
   (* observability *)
   c_accepts : Trace.Counter.t;
   c_pubs : Trace.Counter.t;
@@ -103,6 +123,7 @@ type t = {
   c_bad_frames : Trace.Counter.t;
   c_bad_adverts : Trace.Counter.t;
   c_disconnects : Trace.Counter.t;
+  c_session_pumps : Trace.Counter.t;
   g_sessions : Trace.Gauge.t;
   g_qdepth : Trace.Gauge.t;
   g_credit : Trace.Gauge.t;
@@ -137,11 +158,23 @@ let create ?(config = default_config) ?(host = "127.0.0.1") ?listen_fd
     port;
     registry;
     core = Broker_core.create ~covering:config.covering ~equal:( == ) registry;
-    sessions = [];
+    sessions = [||];
+    n_sessions = 0;
+    hellos = 0;
     next_bsid = 0;
     pub_frontier = Hashtbl.create 16;
     t_started = Unix.gettimeofday ();
+    warming = config.warmup_ms > 0;
     stopped = false;
+    work = [];
+    held = [];
+    (* as the client returns delivery credit every half window, the
+       broker acks every quarter publish window: the publisher has
+       credit to write again while the rest of its window is routed *)
+    slice = max 1 (config.pub_window / 4);
+    routed = 0;
+    depths = Array.make 64 0;
+    worst = 0;
     c_accepts = Trace.counter tr "tpbsd.accepts";
     c_pubs = Trace.counter tr "tpbsd.pubs";
     c_dup_pubs = Trace.counter tr "tpbsd.dup_pubs";
@@ -150,6 +183,7 @@ let create ?(config = default_config) ?(host = "127.0.0.1") ?listen_fd
     c_bad_frames = Trace.counter tr "tpbsd.bad_frames";
     c_bad_adverts = Trace.counter tr "tpbsd.bad_adverts";
     c_disconnects = Trace.counter tr "tpbsd.disconnects";
+    c_session_pumps = Trace.counter tr "tpbsd.session_pumps";
     g_sessions = Trace.gauge tr "tpbsd.sessions";
     g_qdepth = Trace.gauge tr "tpbsd.qdepth";
     g_credit = Trace.gauge tr "tpbsd.credit_outstanding";
@@ -160,6 +194,50 @@ let port t = t.port
 let warmed_up t =
   Unix.gettimeofday () -. t.t_started
   >= float_of_int t.cfg.warmup_ms /. 1000.
+
+(* Publish credit may be returned now: not during the warmup, and not
+   while a delivery queue sits at the low watermark. *)
+let may_grant t = not t.warming && t.worst < t.cfg.low_watermark
+
+(* --- work lists and queue depths ----------------------------------------- *)
+
+(* [s] has deliveries queued, an ack or credit owed, or bytes pending:
+   the next pump visits it. *)
+let mark t s =
+  if not s.s_marked then begin
+    s.s_marked <- true;
+    t.work <- s :: t.work
+  end
+
+(* A queue went from [d - 1] to [d] frames. *)
+let depth_up t d =
+  if d >= Array.length t.depths then begin
+    let a = Array.make (2 * d) 0 in
+    Array.blit t.depths 0 a 0 (Array.length t.depths);
+    t.depths <- a
+  end;
+  if d > 1 then t.depths.(d - 1) <- t.depths.(d - 1) - 1;
+  t.depths.(d) <- t.depths.(d) + 1;
+  if d > t.worst then begin
+    t.worst <- d;
+    Trace.Gauge.set t.g_qdepth d
+  end
+
+(* A queue of [d] frames lost [k] of them. *)
+let depth_down t d k =
+  t.depths.(d) <- t.depths.(d) - 1;
+  if d > k then t.depths.(d - k) <- t.depths.(d - k) + 1;
+  if d = t.worst && t.depths.(d) = 0 then begin
+    while t.worst > 0 && t.depths.(t.worst) = 0 do
+      t.worst <- t.worst - 1
+    done;
+    Trace.Gauge.set t.g_qdepth t.worst
+  end
+
+let enqueue t dst frame pr =
+  Queue.push (frame, pr) dst.s_q;
+  depth_up t (Queue.length dst.s_q);
+  mark t dst
 
 (* --- type lattice from advertisements ------------------------------- *)
 
@@ -204,11 +282,14 @@ let complete_pub t s pseq =
     s.s_ack_frontier <- s.s_ack_frontier + 1;
     advanced := true
   done;
-  if !advanced then Trace.Counter.incr t.c_acked
+  if !advanced then begin
+    Trace.Counter.incr t.c_acked;
+    mark t s
+  end
 
 let pubrec_done t pr =
   pr.pr_outstanding <- pr.pr_outstanding - 1;
-  if pr.pr_outstanding = 0 && not pr.pr_session.s_closing then
+  if pr.pr_outstanding = 0 && not pr.pr_session.s_dropped then
     complete_pub t pr.pr_session pr.pr_pseq
 
 (* [envelope] is a view into the session's frame decoder buffer: valid
@@ -245,75 +326,35 @@ let on_pub t s ~pseq ~cls ~(envelope : Proto.slice) =
         complete_pub t s pseq
     | Some (_, _, (obv_off, obv_len)) -> (
         match
-          List.filter
-            (fun dst -> not dst.s_closing)
-            (Broker_core.route t.core ~cls envelope.Proto.sl_buf ~off:obv_off
-               ~len:obv_len)
+          Broker_core.route t.core ~cls envelope.Proto.sl_buf ~off:obv_off
+            ~len:obv_len
         with
         | [] -> complete_pub t s pseq
         | targets ->
-            let pr =
-              { pr_session = s; pr_pseq = pseq;
-                pr_outstanding = List.length targets }
-            in
+            let pr = { pr_session = s; pr_pseq = pseq; pr_outstanding = 0 } in
             (* THE encode+CRC of the whole fan-out *)
             let frame = Proto.encode_deliver ~origin:s.s_id ~pseq ~cls envelope in
-            List.iter (fun dst -> Queue.push (frame, pr) dst.s_q) targets)
+            (* every target is live: drop_session takes a session out
+               of the core *)
+            List.iter
+              (fun dst ->
+                pr.pr_outstanding <- pr.pr_outstanding + 1;
+                enqueue t dst frame pr)
+              targets)
   end
 
-(* --- per-session pump -------------------------------------------------- *)
-
-let qdepth_gauges t =
-  let worst = ref 0 in
-  List.iter
-    (fun s -> if Queue.length s.s_q > !worst then worst := Queue.length s.s_q)
-    t.sessions;
-  Trace.Gauge.set t.g_qdepth !worst;
-  !worst
-
-let pump_session t s =
-  if not s.s_closing then begin
-    (* drain the delivery queue into the connection, credit-gated *)
-    while s.s_deliver_credit > 0 && not (Queue.is_empty s.s_q) do
-      let frame, pr = Queue.pop s.s_q in
-      Conn.send_preframed s.s_conn frame;
-      Trace.Counter.incr t.c_forwarded;
-      s.s_deliver_credit <- s.s_deliver_credit - 1;
-      s.s_unflushed <- pr :: s.s_unflushed
-    done;
-    (* cumulative ack, if it advanced *)
-    if s.s_ack_frontier > s.s_ack_sent && s.s_ack_frontier <> min_int then begin
-      Conn.send s.s_conn (Proto.Pub_ack { pseq = s.s_ack_frontier });
-      s.s_ack_sent <- s.s_ack_frontier
-    end;
-    (* publish-credit replenishment only under low queue pressure *)
-    if s.s_pub_credit_owed > 0 then begin
-      let worst = qdepth_gauges t in
-      if worst < t.cfg.low_watermark then begin
-        Conn.send s.s_conn (Proto.Credit { n = s.s_pub_credit_owed });
-        s.s_pub_credit_owed <- 0
-      end
-    end;
-    match Conn.flush s.s_conn with
-    | `Ok ->
-        (* everything sent so far reached the kernel: deliveries are
-           now the network's problem, count them complete *)
-        let done_ = s.s_unflushed in
-        s.s_unflushed <- [];
-        List.iter (fun pr -> pubrec_done t pr) done_
-    | `Blocked -> ()
-    | `Closed _ -> s.s_closing <- true
-  end
+(* --- sessions ------------------------------------------------------------ *)
 
 let drop_session t s reason =
   if s.s_dropped then ()
   else begin
   s.s_dropped <- true;
-  s.s_closing <- true;
   ignore reason;
   Trace.Counter.incr t.c_disconnects;
   (* its queued/unflushed deliveries will never happen; release the
      publisher acks they were holding back *)
+  let d = Queue.length s.s_q in
+  if d > 0 then depth_down t d d;
   Queue.iter (fun (_, pr) -> pubrec_done t pr) s.s_q;
   Queue.clear s.s_q;
   let un = s.s_unflushed in
@@ -322,35 +363,142 @@ let drop_session t s reason =
   Broker_core.drop t.core s;
   s.s_subs <- [];
   Conn.close s.s_conn;
-  t.sessions <- List.filter (fun s' -> not (s' == s)) t.sessions;
-  Trace.Gauge.set t.g_sessions (List.length t.sessions)
+  if s.s_hello then t.hellos <- t.hellos - 1;
+  (* the last live session takes the vacated slot; the freed tail
+     slot points at a live session, not at the dropped one's buffers *)
+  let last = t.n_sessions - 1 in
+  let moved = t.sessions.(last) in
+  t.sessions.(s.s_slot) <- moved;
+  moved.s_slot <- s.s_slot;
+  t.sessions.(last) <- t.sessions.(0);
+  t.n_sessions <- last;
+  Trace.Gauge.set t.g_sessions t.n_sessions
   end
+
+(* Hand the connection's queue to the kernel. Once it drained,
+   everything sent so far is the network's problem: the deliveries
+   count as complete. *)
+let flush t s =
+  match Conn.flush s.s_conn with
+  | `Ok ->
+      let done_ = s.s_unflushed in
+      s.s_unflushed <- [];
+      List.iter (fun pr -> pubrec_done t pr) done_
+  | `Blocked -> ()
+  | `Closed reason -> drop_session t s reason
+
+(* drain the delivery queue into the connection, credit-gated *)
+let send_deliveries t s =
+  while s.s_deliver_credit > 0 && not (Queue.is_empty s.s_q) do
+    let frame, pr = Queue.pop s.s_q in
+    depth_down t (Queue.length s.s_q + 1) 1;
+    Conn.send_preframed s.s_conn frame;
+    Trace.Counter.incr t.c_forwarded;
+    s.s_deliver_credit <- s.s_deliver_credit - 1;
+    s.s_unflushed <- pr :: s.s_unflushed
+  done
+
+let pump_session t s =
+  if not s.s_dropped then begin
+    Trace.Counter.incr t.c_session_pumps;
+    send_deliveries t s;
+    (* cumulative ack, if it advanced *)
+    if s.s_ack_frontier > s.s_ack_sent && s.s_ack_frontier <> min_int then begin
+      Conn.send s.s_conn (Proto.Pub_ack { pseq = s.s_ack_frontier });
+      s.s_ack_sent <- s.s_ack_frontier
+    end;
+    (* publish-credit replenishment only under low queue pressure; a
+       held session is pumped again once credit may be returned *)
+    if s.s_pub_credit_owed > 0 then begin
+      if may_grant t then begin
+        Conn.send s.s_conn (Proto.Credit { n = s.s_pub_credit_owed });
+        s.s_pub_credit_owed <- 0
+      end
+      else if not s.s_held then begin
+        s.s_held <- true;
+        t.held <- s :: t.held
+      end
+    end;
+    flush t s
+  end
+
+let release_held t =
+  if t.held <> [] && may_grant t then begin
+    let held = t.held in
+    t.held <- [];
+    List.iter
+      (fun s ->
+        s.s_held <- false;
+        mark t s)
+      held
+  end
+
+(* Pump the work list in two steps. First the sessions with queued
+   deliveries flush them: that completes their pubrecs and advances
+   the publishers' ack frontiers (marking those publishers). Then
+   every marked session sends its ack and credit and flushes, so a
+   publisher gets the acks its deliveries released in the same pump.
+   A session marked again after its own step repeats the loop. *)
+let rec pump t =
+  t.routed <- 0;
+  release_held t;
+  match t.work with
+  | [] -> ()
+  | batch ->
+      t.work <- [];
+      List.iter
+        (fun s ->
+          if s.s_deliver_credit > 0 && not (s.s_dropped || Queue.is_empty s.s_q)
+          then begin
+            send_deliveries t s;
+            flush t s
+          end)
+        batch;
+      release_held t;
+      let batch = List.rev_append t.work batch in
+      t.work <- [];
+      List.iter
+        (fun s ->
+          s.s_marked <- false;
+          pump_session t s)
+        batch;
+      pump t
+
+(* Every processed Pub owes the publisher a credit back; every
+   [slice] of them routed in a turn, the broker pumps. *)
+let handle_pub t s ~pseq ~cls ~envelope =
+  s.s_pub_credit_owed <- s.s_pub_credit_owed + 1;
+  mark t s;
+  on_pub t s ~pseq ~cls ~envelope;
+  t.routed <- t.routed + 1;
+  if t.routed >= t.slice then pump t
 
 let on_msg t s (m : Proto.msg) =
   match m with
   | Hello { client; window } ->
       s.s_id <- client;
+      if not s.s_hello then t.hellos <- t.hellos + 1;
       s.s_hello <- true;
       s.s_deliver_credit <- window;
-      (* during warmup the publish window opens at zero; the full
-         window follows as a Credit once the warmup has elapsed *)
-      let granted = if warmed_up t then t.cfg.pub_window else 0 in
-      s.s_window_granted <- granted > 0;
+      (* during warmup the publish window opens at zero and is owed:
+         it follows as a Credit once the warmup has elapsed *)
+      let granted = if t.warming then 0 else t.cfg.pub_window in
+      s.s_pub_credit_owed <- s.s_pub_credit_owed + t.cfg.pub_window - granted;
       Conn.send s.s_conn (Proto.Welcome { window = granted });
-      Trace.Gauge.set t.g_credit
-        (List.fold_left
-           (fun acc s' -> acc + if s'.s_hello then t.cfg.pub_window else 0)
-           0 t.sessions)
+      mark t s;
+      Trace.Gauge.set t.g_credit (t.hellos * t.cfg.pub_window)
   | _ when not s.s_hello -> drop_session t s "message before hello"
   | Welcome _ -> drop_session t s "unexpected welcome"
   | Advertise { cls; supers } -> on_advertise t cls supers
   | Sub { sid; param; filter } -> on_sub t s ~sid ~param ~filter
   | Unsub { sid } -> on_unsub t s ~sid
   | Pub { pseq; cls; envelope } ->
-      on_pub t s ~pseq ~cls ~envelope:(Proto.slice_of_string envelope)
+      handle_pub t s ~pseq ~cls ~envelope:(Proto.slice_of_string envelope)
   | Pub_ack _ -> ()  (* brokers do not publish *)
   | Deliver _ -> drop_session t s "client sent deliver"
-  | Credit { n } -> s.s_deliver_credit <- s.s_deliver_credit + n
+  | Credit { n } ->
+      s.s_deliver_credit <- s.s_deliver_credit + n;
+      mark t s
   | Bye -> drop_session t s "bye"
 
 let accept_all t =
@@ -372,13 +520,20 @@ let accept_all t =
             s_acked = Hashtbl.create 16;
             s_ack_frontier = min_int;
             s_ack_sent = min_int;
-            s_closing = false;
             s_dropped = false;
-            s_window_granted = false;
+            s_slot = t.n_sessions;
+            s_marked = false;
+            s_held = false;
           }
         in
-        t.sessions <- s :: t.sessions;
-        Trace.Gauge.set t.g_sessions (List.length t.sessions)
+        if t.n_sessions = Array.length t.sessions then begin
+          let a = Array.make (max 16 (2 * t.n_sessions)) s in
+          Array.blit t.sessions 0 a 0 t.n_sessions;
+          t.sessions <- a
+        end;
+        t.sessions.(t.n_sessions) <- s;
+        t.n_sessions <- t.n_sessions + 1;
+        Trace.Gauge.set t.g_sessions t.n_sessions
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
         continue := false
     | exception Unix.Unix_error (_, _, _) -> continue := false
@@ -397,18 +552,14 @@ let read_session t s =
     match Conn.recv s.s_conn with
     | `Ok ->
         let continue = ref true in
-        while !continue && not s.s_closing do
+        while !continue && not s.s_dropped do
           match Conn.pop_view s.s_conn with
           | Conn.View (Proto.V_pub { pseq; cls; envelope }) ->
               (* the hot message, decoded in place: the envelope slice
                  stays valid through on_pub — no recv happens before
-                 it returns. Every processed Pub owes the publisher a
-                 credit back. *)
+                 it returns *)
               if not s.s_hello then drop_session t s "message before hello"
-              else begin
-                s.s_pub_credit_owed <- s.s_pub_credit_owed + 1;
-                on_pub t s ~pseq ~cls ~envelope
-              end
+              else handle_pub t s ~pseq ~cls ~envelope
           | Conn.View (Proto.V_deliver _) ->
               if not s.s_hello then drop_session t s "message before hello"
               else drop_session t s "client sent deliver"
@@ -426,52 +577,42 @@ let read_session t s =
     | `Closed reason -> drop_session t s reason
   end
 
-(* poll(2) (poll_stubs.c) in place of select, which cannot watch a
-   descriptor past FD_SETSIZE (1024). [events.(i)] asks for readable
-   (1) and/or writable (2) on [fds.(i)] and comes back holding what it
-   is ready for. *)
-external poll_fds : Unix.file_descr array -> int array -> int -> int
-  = "tpbs_poll"
-
-let readable = 1
-let writable = 2
-
-(* One engine turn: accept, read, route, pump, sweep. [timeout_ms < 0]
-   blocks until any fd is ready. *)
+(* One engine turn: accept, read and route (pumping every [slice]
+   routed pubs), pump. [timeout_ms < 0] blocks until any fd is
+   ready. *)
 let poll t ?(extra_fds = []) ~timeout_ms () =
   if t.stopped then false
   else begin
-    (* slot 0 is the listener, then the sessions in [t.sessions] order,
-       then [extra_fds] *)
-    let sessions = t.sessions in
-    let n_sessions = List.length sessions in
+    (* slot 0 is the listener, then the sessions as they stand now
+       (reads may drop some), then [extra_fds] *)
+    let n_sessions = t.n_sessions in
+    let sessions = Array.sub t.sessions 0 n_sessions in
     let n = 1 + n_sessions + List.length extra_fds in
-    let fds = Array.make n t.listen_fd and events = Array.make n readable in
-    List.iteri
+    let fds = Array.make n t.listen_fd and events = Array.make n Conn.readable in
+    Array.iteri
       (fun i s ->
         fds.(1 + i) <- Conn.fd s.s_conn;
         if Conn.pending_bytes s.s_conn > 0 then
-          events.(1 + i) <- readable lor writable)
+          events.(1 + i) <- Conn.readable lor Conn.writable)
       sessions;
     List.iteri (fun i fd -> fds.(1 + n_sessions + i) <- fd) extra_fds;
-    ignore (poll_fds fds events timeout_ms);
-    let ready i = events.(i) land readable <> 0 in
+    ignore (Conn.poll_fds fds events timeout_ms);
+    let ready i = events.(i) land Conn.readable <> 0 in
     if ready 0 then accept_all t;
-    (* release withheld publish windows once the warmup has elapsed *)
-    if warmed_up t then
-      List.iter
-        (fun s ->
-          if s.s_hello && not s.s_window_granted then begin
-            s.s_window_granted <- true;
-            Conn.send s.s_conn (Proto.Credit { n = t.cfg.pub_window })
-          end)
-        t.sessions;
-    List.iteri (fun i s -> if ready (1 + i) then read_session t s) sessions;
-    List.iter (fun s -> pump_session t s) t.sessions;
-    List.iter
-      (fun s -> if s.s_closing then drop_session t s "sweep")
-      (List.filter (fun s -> s.s_closing) t.sessions);
-    ignore (qdepth_gauges t);
+    (* the withheld windows go out with the next pump *)
+    if t.warming && warmed_up t then t.warming <- false;
+    (* highest slot first, the newest session unless a drop moved one
+       down: a subscriber that connected after a publisher has its Subs
+       installed before that publisher's Pubs of the same turn are
+       routed *)
+    for i = n_sessions - 1 downto 0 do
+      let s = sessions.(i) in
+      if not s.s_dropped then begin
+        if events.(1 + i) land Conn.writable <> 0 then mark t s;
+        if ready (1 + i) then read_session t s
+      end
+    done;
+    pump t;
     let rec extra_ready i = i < n && (ready i || extra_ready (i + 1)) in
     extra_ready (1 + n_sessions)
   end
@@ -479,9 +620,11 @@ let poll t ?(extra_fds = []) ~timeout_ms () =
 let stop ?(keep_listener = false) t =
   if not t.stopped then begin
     t.stopped <- true;
-    List.iter (fun s -> drop_session t s "shutdown") t.sessions;
+    Array.iter
+      (fun s -> drop_session t s "shutdown")
+      (Array.sub t.sessions 0 t.n_sessions);
     if not keep_listener then
       try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end
 
-let session_count t = List.length t.sessions
+let session_count t = t.n_sessions

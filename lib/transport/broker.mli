@@ -27,6 +27,13 @@
       backpressure propagates from the slowest subscriber to every
       publisher. A session whose owed credits exceed the high watermark
       (a publisher ignoring backpressure) simply stops being read;
+    - a pipelined turn: every quarter publish window routed, the
+      broker pumps (the sessions with queued deliveries flush them,
+      then the publishers they completed get their cumulative
+      [Pub_ack] and [Credit]) and goes on routing what it already
+      read. Pumps visit a work list of the sessions that have
+      deliveries queued, an ack or credit owed or bytes pending, not
+      every session;
     - certified delivery across broker crashes: a [Pub] is acknowledged
       only after its [Deliver] frames have been fully handed to the
       kernel for every matching subscriber session; an unacknowledged
@@ -38,10 +45,11 @@
     Metrics (ambient {!Tpbs_trace.Trace} registry): counters
     [tpbsd.accepts], [tpbsd.pubs], [tpbsd.dup_pubs],
     [tpbsd.forwarded], [tpbsd.acked], [tpbsd.bad_frames],
-    [tpbsd.bad_adverts], [tpbsd.disconnects], plus the core's
+    [tpbsd.bad_adverts], [tpbsd.disconnects], [tpbsd.session_pumps]
+    (sessions visited by pumps), plus the core's
     [broker.subs_covered] and [broker.subs_restored]; gauges
-    [tpbsd.sessions], [tpbsd.qdepth] (worst queue, with peak),
-    [tpbsd.credit_outstanding]. *)
+    [tpbsd.sessions], [tpbsd.qdepth] (worst queue, kept on every push
+    and pop, so its peak is exact), [tpbsd.credit_outstanding]. *)
 
 type t
 
@@ -89,7 +97,8 @@ val poll : t -> ?extra_fds:Unix.file_descr list -> timeout_ms:int -> unit -> boo
 (** One engine turn: wait up to [timeout_ms] for readiness (in
     poll(2), so descriptors past select's 1024 are served), accept new
     clients, read and process frames, route publishes, pump delivery
-    queues and acknowledgements. [extra_fds] are watched for
+    queues and acknowledgements — every [pub_window / 4] routed
+    publishes and at the end of the turn. [extra_fds] are watched for
     readability alongside the sockets (e.g. a control pipe); the
     return value is [true] iff one of them is readable. *)
 

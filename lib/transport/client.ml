@@ -244,20 +244,18 @@ let handshake t conn ~timeout_ms =
   let deadline = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.) in
   let ok = ref None in
   while !ok = None && Unix.gettimeofday () < deadline do
-    (match Unix.select [ Conn.fd conn ] [] [] 0.05 with
-    | [], _, _ -> ()
-    | _ -> (
-        match Conn.recv conn with
-        | `Ok -> (
-            match Conn.pop conn with
-            | Conn.Msg (Proto.Welcome { window }) ->
-                t.pub_credit <- window;
-                ok := Some true
-            | Conn.Msg _ | Conn.Nothing -> ()
-            | Conn.Bad _ -> ok := Some false)
-        | `Blocked -> ()
-        | `Closed _ -> ok := Some false)
-    | exception Unix.Unix_error (EINTR, _, _) -> ());
+    if Conn.wait conn ~timeout_ms:50 then begin
+      match Conn.recv conn with
+      | `Ok -> (
+          match Conn.pop conn with
+          | Conn.Msg (Proto.Welcome { window }) ->
+              t.pub_credit <- window;
+              ok := Some true
+          | Conn.Msg _ | Conn.Nothing -> ()
+          | Conn.Bad _ -> ok := Some false)
+      | `Blocked -> ()
+      | `Closed _ -> ok := Some false
+    end;
     ignore (Conn.flush conn)
   done;
   !ok = Some true
@@ -364,18 +362,11 @@ let poll t ~timeout_ms =
   match t.conn with
   | None -> false
   | Some conn -> (
-      let rds = [ Conn.fd conn ] in
-      let wrs = if Conn.pending_bytes conn > 0 then rds else [] in
-      let timeout = float_of_int timeout_ms /. 1000. in
-      (match Unix.select rds wrs [] timeout with
-      | rd, _, _ ->
-          if rd <> [] then begin
-            match Conn.recv conn with
-            | `Ok -> drain_incoming t conn
-            | `Blocked -> ()
-            | `Closed _ -> drop_conn t
-          end
-      | exception Unix.Unix_error (EINTR, _, _) -> ());
+      (if Conn.wait conn ~timeout_ms then
+         match Conn.recv conn with
+         | `Ok -> drain_incoming t conn
+         | `Blocked -> ()
+         | `Closed _ -> drop_conn t);
       match t.conn with
       | None -> false
       | Some conn -> (

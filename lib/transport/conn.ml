@@ -253,6 +253,23 @@ let flush t : verdict =
     drain ()
   end
 
+(* poll(2) (poll_stubs.c) in place of select, which cannot watch a
+   descriptor past FD_SETSIZE (1024). [events.(i)] asks for readable
+   (1) and/or writable (2) on [fds.(i)] and comes back holding what it
+   is ready for. *)
+external poll_fds : Unix.file_descr array -> int array -> int -> int
+  = "tpbs_poll"
+
+let readable = 1
+let writable = 2
+
+let wait t ~timeout_ms =
+  let events =
+    [| (if pending_bytes t > 0 then readable lor writable else readable) |]
+  in
+  ignore (poll_fds [| t.fd |] events timeout_ms);
+  events.(0) land readable <> 0
+
 (* One read syscall, straight into the decoder's tail. *)
 let recv t : verdict =
   if t.closed then `Closed "closed"

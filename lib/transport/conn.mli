@@ -59,6 +59,22 @@ val flush : t -> verdict
 
 val pending_bytes : t -> int
 
+val poll_fds : Unix.file_descr array -> int array -> int -> int
+(** [poll_fds fds events timeout_ms] waits in poll(2) (any descriptor
+    number, unlike select's 1024) up to [timeout_ms] (forever when
+    negative) until some [fds.(i)] is ready for what [events.(i)] asks
+    ({!readable} and/or {!writable}); on return [events.(i)] holds
+    what it is ready for, a hung-up or failed descriptor reading as
+    readable. Returns the number of ready descriptors; a signal that
+    interrupts the wait reports nothing ready. *)
+
+val readable : int
+val writable : int
+
+val wait : t -> timeout_ms:int -> bool
+(** Wait up to [timeout_ms] until the connection is readable, or
+    writable while bytes are pending; [true] iff it is readable. *)
+
 val recv : t -> verdict
 (** One [read] syscall, straight into the frame decoder's buffer
     ({!Frame.Decoder.reserve}): no userland copy before the CRC check.

@@ -1,8 +1,10 @@
-/* Readiness for the broker's event loop through poll(2).
+/* Readiness through poll(2), for the broker's event loop and the
+   client's waits (Conn.poll_fds, Conn.wait).
 
    Unix.select works on an fd_set, which holds descriptors below
    FD_SETSIZE (1024) only: one session past that made the broker's
-   select fail with EINVAL. poll takes an array of any descriptors.
+   select fail with EINVAL, and a client socket past it could not
+   connect. poll takes an array of any descriptors.
 
    The descriptors and requested events are copied into C memory
    first, so the runtime lock can be released while poll blocks (the

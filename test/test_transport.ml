@@ -1003,6 +1003,13 @@ let test_syscall_stats_balance () =
   Conn.close ca;
   Conn.close cb
 
+(* A [TQuote] envelope as a publishing client encodes it. *)
+let quote_envelope i =
+  Codec.encode
+    (Value.List
+       [ Value.Int 0; Value.Int 1; Value.Int i;
+         Value.Str (Codec.encode (Value.obj "TQuote" [ ("seq", Value.Int i) ])) ])
+
 (* In-process broker with raw connections: the encode-once ledger.
    K subscribers and P publishes cost exactly P Deliver encodes and
    P*K shared enqueues. *)
@@ -1028,20 +1035,13 @@ let run_fanout_counters ~subs ~pubs =
   let pub = dial "pub" 0 in
   Conn.send pub (Proto.Advertise { cls = "TQuote"; supers = [] });
   ignore (Conn.flush pub);
-  let envelope i =
-    Codec.encode
-      (Value.List
-         [ Value.Int 0; Value.Int 1; Value.Int i;
-           Value.Str (Codec.encode (Value.obj "TQuote" [ ("seq", Value.Int i) ]))
-         ])
-  in
   let delivered = ref 0 in
   let credit = ref 0 and sent = ref 0 in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while !delivered < pubs * subs && Unix.gettimeofday () < deadline do
     ignore (Broker.poll broker ~timeout_ms:0 ());
     while !credit > 0 && !sent < pubs do
-      Conn.send pub (Proto.Pub { pseq = !sent; cls = "TQuote"; envelope = envelope !sent });
+      Conn.send pub (Proto.Pub { pseq = !sent; cls = "TQuote"; envelope = quote_envelope !sent });
       incr sent;
       decr credit
     done;
@@ -1093,44 +1093,45 @@ let test_broker_encode_once_counters () =
   Alcotest.(check int) "one encode per publish, independent of K" 10 encodes;
   Alcotest.(check int) "every enqueue shares the frame" 40 shared_enqueues
 
+let raw_dial broker =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
+  Conn.create fd
+
+(* Read what has arrived on a raw connection and pass each message on. *)
+let raw_drain who c on_msg =
+  match Conn.recv c with
+  | `Ok ->
+      let rec go () =
+        match Conn.pop c with
+        | Conn.Msg m ->
+            on_msg m;
+            go ()
+        | Conn.Nothing -> ()
+        | Conn.Bad m -> Alcotest.failf "%s: %s" who m
+      in
+      go ()
+  | `Blocked -> ()
+  | `Closed m -> Alcotest.failf "%s closed: %s" who m
+
 (* An in-process broker with a raw subscriber of [TQuote] and a raw
    publisher, connected and settled: the subscription is installed and
    the publisher holds its credit window. [publish env] sends one Pub
    and returns the envelope of the Deliver it causes. *)
 let raw_pair broker =
-  let dial () =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
-    Conn.create fd
-  in
-  let sub = dial () and pub = dial () in
+  let sub = raw_dial broker and pub = raw_dial broker in
   let credit = ref 0 and delivered = ref None in
-  let drain who c on_msg =
-    match Conn.recv c with
-    | `Ok ->
-        let rec go () =
-          match Conn.pop c with
-          | Conn.Msg m ->
-              on_msg m;
-              go ()
-          | Conn.Nothing -> ()
-          | Conn.Bad m -> Alcotest.failf "%s: %s" who m
-        in
-        go ()
-    | `Blocked -> ()
-    | `Closed m -> Alcotest.failf "%s closed: %s" who m
-  in
   let pump_until what cond =
     let deadline = Unix.gettimeofday () +. 10.0 in
     while (not (cond ())) && Unix.gettimeofday () < deadline do
       ignore (Conn.flush pub);
       ignore (Conn.flush sub);
       ignore (Broker.poll broker ~timeout_ms:1 ());
-      drain "publisher" pub (function
+      raw_drain "publisher" pub (function
         | Proto.Welcome { window } -> credit := window
         | Proto.Credit { n } -> credit := !credit + n
         | _ -> ());
-      drain "subscriber" sub (function
+      raw_drain "subscriber" sub (function
         | Proto.Deliver { envelope; _ } -> delivered := Some envelope
         | _ -> ())
     done;
@@ -1208,14 +1209,11 @@ let test_crc_bytes_one_pass_per_frame () =
 (* On Unix a file descriptor is its number. *)
 let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
-(* select(2) cannot watch a descriptor at or past FD_SETSIZE (1024):
-   with every lower descriptor taken, the broker's sessions are accepted
-   above it and must still carry a Pub -> Deliver round trip. *)
-let test_broker_sessions_above_fd_setsize () =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
+(* Run [f] with every descriptor below 1024 taken, so whatever it
+   opens lands above; [cleanup] runs either way. Skipped when the
+   process may not open that many. *)
+let above_fd_setsize ~cleanup f =
   let devnull = Unix.openfile "/dev/null" [ O_RDONLY ] 0 in
-  (* a process limited to 1024 descriptors cannot open one above it *)
   let rec fill acc =
     match Unix.dup devnull with
     | fd when fd_number fd < 1024 -> fill (fd :: acc)
@@ -1223,9 +1221,10 @@ let test_broker_sessions_above_fd_setsize () =
         Unix.close fd;
         acc
     | exception Unix.Unix_error (EMFILE, _, _) ->
+        (* a process limited to 1024 descriptors cannot open one above it *)
         List.iter Unix.close acc;
         Unix.close devnull;
-        Broker.stop broker;
+        cleanup ();
         Alcotest.skip ()
   in
   let fillers = fill [] in
@@ -1233,8 +1232,16 @@ let test_broker_sessions_above_fd_setsize () =
     ~finally:(fun () ->
       List.iter Unix.close fillers;
       Unix.close devnull;
-      Broker.stop broker)
-    (fun () ->
+      cleanup ())
+    f
+
+(* select(2) cannot watch a descriptor at or past FD_SETSIZE (1024):
+   with every lower descriptor taken, the broker's sessions are accepted
+   above it and must still carry a Pub -> Deliver round trip. *)
+let test_broker_sessions_above_fd_setsize () =
+  Trace.set_ambient (Trace.create ());
+  let broker = Broker.create ~config:instant_config ~port:0 () in
+  above_fd_setsize ~cleanup:(fun () -> Broker.stop broker) (fun () ->
       let sub, pub, publish = raw_pair broker in
       Alcotest.(check bool) "peers above FD_SETSIZE" true
         (fd_number (Conn.fd sub) >= 1024 && fd_number (Conn.fd pub) >= 1024);
@@ -1242,6 +1249,182 @@ let test_broker_sessions_above_fd_setsize () =
       Alcotest.(check string) "delivered" env (publish env);
       Conn.close sub;
       Conn.close pub)
+
+(* The client side of the same limit: a client whose socket lands above
+   fd 1024 connects, publishes and receives (its waits are poll(2),
+   not select). The broker is forked first, below the limit. *)
+let test_client_above_fd_setsize () =
+  Trace.set_ambient (Trace.create ());
+  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
+  let port = bound_port listen_fd in
+  let bp = fork_broker ~listen_fd () in
+  above_fd_setsize
+    ~cleanup:(fun () ->
+      quit_broker bp;
+      Unix.close listen_fd)
+    (fun () ->
+      let sub = fresh_ctx ~id:"sub" ~port in
+      let pub = fresh_ctx ~id:"pub" ~port in
+      let ctxs = [ sub; pub ] in
+      let got, dups, _ = collector sub in
+      publish_quote pub ~origin:"pub" 0;
+      Alcotest.(check bool) "delivered above FD_SETSIZE" true
+        (spin ~ctxs ~until:(fun () -> !got <> []) ~for_ms:5000 ());
+      Alcotest.(check (list (pair string int))) "the one event" [ ("pub", 0) ] !got;
+      Alcotest.(check int) "no dups" 0 !dups;
+      List.iter (fun c -> Client.close c.client) ctxs)
+
+(* --- the pipelined turn --------------------------------------------- *)
+
+(* An in-process broker with a raw subscriber of [TQuote] (delivery
+   window [sub_window]), a raw publisher holding its publish window and
+   [idle] more sockets that connect and never send a byte. [turn] is
+   one round of flushes, one broker poll and draining both peers. *)
+type raw_peers = {
+  broker : Broker.t;
+  sub : Conn.t;
+  pub : Conn.t;
+  idle_fds : Unix.file_descr list;
+  acks : int list ref;  (* Pub_acks the publisher got, newest first *)
+  delivered : int list ref;  (* pseqs the subscriber got, newest first *)
+  credit : int ref;  (* the publisher's window *)
+}
+
+let turn p =
+  ignore (Conn.flush p.pub);
+  ignore (Conn.flush p.sub);
+  ignore (Broker.poll p.broker ~timeout_ms:1 ());
+  raw_drain "publisher" p.pub (function
+    | Proto.Welcome { window } -> p.credit := window
+    | Proto.Credit { n } -> p.credit := !(p.credit) + n
+    | Proto.Pub_ack { pseq } -> p.acks := pseq :: !(p.acks)
+    | _ -> ());
+  raw_drain "subscriber" p.sub (function
+    | Proto.Deliver { pseq; _ } -> p.delivered := pseq :: !(p.delivered)
+    | _ -> ())
+
+let until p what cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    turn p
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
+let raw_peers ?(idle = 0) ~sub_window () =
+  Trace.set_ambient (Trace.create ());
+  let broker = Broker.create ~config:instant_config ~port:0 () in
+  let idle_fds =
+    List.init idle (fun k ->
+        (* accept as they come, so the listen backlog never fills *)
+        if k mod 16 = 0 then ignore (Broker.poll broker ~timeout_ms:0 ());
+        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
+        fd)
+  in
+  let p =
+    { broker; sub = raw_dial broker; pub = raw_dial broker; idle_fds;
+      acks = ref []; delivered = ref []; credit = ref 0 }
+  in
+  Conn.send p.sub (Proto.Hello { client = "sub"; window = sub_window });
+  Conn.send p.sub (Proto.Sub { sid = 0; param = "TQuote"; filter = Value.Null });
+  until p "every session" (fun () -> Broker.session_count broker = idle + 2);
+  Conn.send p.pub (Proto.Hello { client = "pub"; window = 0 });
+  Conn.send p.pub (Proto.Advertise { cls = "TQuote"; supers = [] });
+  until p "the publish window" (fun () -> !(p.credit) > 0);
+  p
+
+let close_peers p =
+  Conn.close p.sub;
+  Conn.close p.pub;
+  List.iter Unix.close p.idle_fds;
+  Broker.stop p.broker
+
+(* Pubs 0 .. n-1 in one write; the pause lets all of it reach the
+   broker's socket buffer, so one read takes the lot. *)
+let burst p n =
+  for i = 0 to n - 1 do
+    Conn.send p.pub (Proto.Pub { pseq = i; cls = "TQuote"; envelope = quote_envelope i })
+  done;
+  p.credit := !(p.credit) - n;
+  Alcotest.(check bool) "the burst is written" true (Conn.flush p.pub = `Ok);
+  Unix.sleepf 0.02
+
+let last_ack_is p n () = match !(p.acks) with a :: _ -> a = n | [] -> false
+
+(* A window read in one go is acked while it is being routed: at least
+   one cumulative ack per quarter window, the first after a quarter. *)
+let test_pipelined_acks () =
+  let p = raw_peers ~sub_window:1_000_000 () in
+  let w = Broker.default_config.pub_window in
+  Alcotest.(check int) "a full window" w !(p.credit);
+  burst p w;
+  until p "the last ack" (last_ack_is p (w - 1));
+  let acks = List.rev !(p.acks) in
+  Alcotest.(check bool) "at least four acks per window" true (List.length acks >= 4);
+  Alcotest.(check bool) "the first after at most a quarter window" true
+    (List.hd acks <= w / 4);
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "strictly increasing" true (increasing acks);
+  Alcotest.(check int) "every pub delivered" w (List.length !(p.delivered));
+  close_peers p
+
+(* A subscriber that grants no delivery credit holds the publisher's
+   acks back: nothing is acked before its deliveries reach the kernel,
+   however often the broker pumps. The queue depth gauge follows the
+   held queue exactly. *)
+let test_zero_credit_holds_acks () =
+  let p = raw_peers ~sub_window:0 () in
+  let qdepth = Trace.gauge (Trace.ambient ()) "tpbsd.qdepth" in
+  burst p 8;
+  for _ = 1 to 20 do
+    turn p
+  done;
+  Alcotest.(check (list int)) "no ack while nothing is delivered" [] !(p.acks);
+  Alcotest.(check (list int)) "nothing delivered" [] !(p.delivered);
+  Alcotest.(check int) "queue depth" 8 (Trace.Gauge.value qdepth);
+  let granted = ref 0 in
+  let grant n =
+    granted := !granted + n;
+    Conn.send p.sub (Proto.Credit { n });
+    until p "the granted acks" (last_ack_is p (!granted - 1));
+    for _ = 1 to 5 do
+      turn p
+    done;
+    Alcotest.(check (list int)) "exactly the granted pubs delivered"
+      (List.init !granted Fun.id) (List.rev !(p.delivered));
+    Alcotest.(check bool) "every ack covers flushed pubs only" true
+      (List.for_all (fun a -> a < !granted) !(p.acks))
+  in
+  grant 3;
+  Alcotest.(check int) "queue depth after 3" 5 (Trace.Gauge.value qdepth);
+  grant 5;
+  Alcotest.(check int) "queue drained" 0 (Trace.Gauge.value qdepth);
+  Alcotest.(check int) "queue depth peak" 8 (Trace.Gauge.peak qdepth);
+  close_peers p
+
+(* Pumps visit the sessions that have work: a burst costs the same
+   number of session pumps however many idle sockets are connected. *)
+let burst_pumps ~idle =
+  let p = raw_peers ~idle ~sub_window:1_000_000 () in
+  let pumps () =
+    Trace.Counter.value (Trace.counter (Trace.ambient ()) "tpbsd.session_pumps")
+  in
+  let before = pumps () in
+  burst p 64;
+  until p "the burst" (fun () ->
+      last_ack_is p 63 () && List.length !(p.delivered) = 64);
+  let n = pumps () - before in
+  close_peers p;
+  n
+
+let test_pumps_independent_of_idle () =
+  let quiet = burst_pumps ~idle:0 in
+  let crowded = burst_pumps ~idle:128 in
+  Alcotest.(check bool) "a burst pumps" true (quiet > 0);
+  Alcotest.(check int) "idle sockets cost no pumps" quiet crowded
 
 (* A signal that interrupts the wait reports nothing ready: an idle
    control pipe must not read as readable (its owner would then block
@@ -1315,4 +1498,12 @@ let suite =
       Alcotest.test_case "broker sessions above FD_SETSIZE deliver" `Quick
         test_broker_sessions_above_fd_setsize;
       Alcotest.test_case "broker poll interrupted by a signal: nothing ready"
-        `Quick test_broker_poll_interrupted ] )
+        `Quick test_broker_poll_interrupted;
+      Alcotest.test_case "client above FD_SETSIZE connects and receives" `Quick
+        test_client_above_fd_setsize;
+      Alcotest.test_case "pipelined turn: acks every quarter window" `Quick
+        test_pipelined_acks;
+      Alcotest.test_case "pipelined turn: zero delivery credit holds acks"
+        `Quick test_zero_credit_holds_acks;
+      Alcotest.test_case "pipelined turn: idle sockets cost no pumps" `Quick
+        test_pumps_independent_of_idle ] )
