@@ -13,11 +13,7 @@
        deserialization (the pre-COW §2.1.2 implementation) vs
        copy-on-write views (the delivery path's current strategy,
        with and without subscriber writes) vs a hypothetical shared
-       decode with no isolation at all.
-   A5: shard contention: the same Prioritary event budget spread
-       evenly over the class partition vs funnelled onto one class
-       (one shard owns everything), per-shard load read back through
-       [Domain.stats_of_shard]. *)
+       decode with no isolation at all. *)
 
 module Value = Tpbs_serial.Value
 module Codec = Tpbs_serial.Codec
@@ -289,83 +285,8 @@ let a4 () =
           J_float eager_ratio; J_float cow_ratio ])
     [ 1; 4; 16; 64 ]
 
-(* --- A5 ----------------------------------------------------------------- *)
-
-let a5 () =
-  let module Registry = Tpbs_types.Registry in
-  let module Vtype = Tpbs_types.Vtype in
-  let module Pubsub = Tpbs_core.Pubsub in
-  let module Shard = Tpbs_core.Shard in
-  let n_shards = 4 in
-  (* Four Prioritary classes, one per shard of the 4-way partition. *)
-  let classes = Array.make n_shards "" in
-  let found = ref 0 in
-  let i = ref 0 in
-  while !found < n_shards do
-    let name = Printf.sprintf "Hot%d" !i in
-    let k = Shard.key ~n_shards name in
-    if classes.(k) = "" then begin
-      classes.(k) <- name;
-      incr found
-    end;
-    incr i
-  done;
-  let events = 400 in
-  Workload.table_header
-    (Printf.sprintf
-       "A5  shard contention: %d Prioritary events at %d shards, even spread \
-        vs one hot class"
-       events n_shards)
-    [ "workload"; "virt-ms"; "evt/ms"; "shard-load (deliveries/shard)" ];
-  Workload.json_table ~key:"a5_contention"
-    ~cols:[ "workload"; "virt_ms"; "evt_per_ms"; "max_shard_share" ];
-  List.iter
-    (fun (label, pick) ->
-      let reg = Registry.create () in
-      Array.iter
-        (fun name ->
-          Registry.declare_class reg ~name ~implements:[ "Prioritary" ]
-            ~attrs:[ "n", Vtype.Tint; "priority", Vtype.Tint ]
-            ())
-        classes;
-      let engine = Engine.create ~seed:5 () in
-      let net =
-        Net.create ~config:{ Net.default_config with jitter = 0 } engine
-      in
-      let domain = Pubsub.Domain.create ~n_shards reg net in
-      let pub = Pubsub.Process.create domain (Net.add_node net) in
-      let sub = Pubsub.Process.create domain (Net.add_node net) in
-      Array.iter
-        (fun cls ->
-          Pubsub.Subscription.activate
-            (Pubsub.Process.subscribe sub ~param:cls (fun _ -> ())))
-        classes;
-      for j = 0 to events - 1 do
-        Pubsub.Process.publish pub
-          (Obvent.make reg
-             classes.(pick j)
-             [ "n", Value.Int j; "priority", Value.Int (j mod 3) ])
-      done;
-      Engine.run engine;
-      let virt_ms = float_of_int (Engine.now engine) /. 1000. in
-      let thr = float_of_int events /. virt_ms in
-      let per_shard =
-        List.init n_shards (fun k ->
-            (Pubsub.Domain.stats_of_shard domain k).Pubsub.Domain.deliveries)
-      in
-      let max_share =
-        float_of_int (List.fold_left max 0 per_shard) /. float_of_int events
-      in
-      Fmt.pr "%-8s  %7.1f  %6.2f  %s@." label virt_ms thr
-        (String.concat " "
-           (List.map (Printf.sprintf "%d") per_shard));
-      Workload.json_row ~key:"a5_contention"
-        [ J_str label; J_float virt_ms; J_float thr; J_float max_share ])
-    [ "even", (fun j -> j mod n_shards); "hot", (fun _ -> 0) ]
-
 let run () =
   a1 ();
   a2 ();
   a3 ();
-  a4 ();
-  a5 ()
+  a4 ()

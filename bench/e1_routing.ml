@@ -15,16 +15,10 @@
    matching pays for the enumerated subtype constraints. *)
 
 module Registry = Tpbs_types.Registry
-module Vtype = Tpbs_types.Vtype
 module Value = Tpbs_serial.Value
 module Obvent = Tpbs_obvent.Obvent
 module Rng = Tpbs_sim.Rng
-module Engine = Tpbs_sim.Engine
-module Net = Tpbs_sim.Net
 module Routing = Tpbs_core.Routing
-module Shard = Tpbs_core.Shard
-module Pool = Tpbs_core.Pool
-module Pubsub = Tpbs_core.Pubsub
 module Topics = Tpbs_baselines.Topics
 module Contentps = Tpbs_baselines.Contentps
 
@@ -46,7 +40,7 @@ let all_topics =
   [| "stocks"; "stocks/quote"; "stocks/request"; "stocks/request/spot";
      "stocks/request/market" |]
 
-let rec run () =
+let run () =
   let reg = Workload.registry () in
   let rng = Rng.create 2025 in
   Workload.table_header
@@ -172,115 +166,4 @@ let rec run () =
       all_topics
   done;
   Fmt.pr "routing agreement between type hierarchy and topic tree: %s@."
-    (if !agreement then "exact" else "BROKEN");
-  run_sharded ()
-
-(* E1b — sharded dispatch.
-
-   Aggregate egress throughput across engine shards: Prioritary
-   traffic is egress-limited (one message per shard per drain
-   interval), so with the class population spread over the shard
-   partition, aggregate virtual-time throughput scales with the shard
-   count. Handler bodies run on the real domain pool ([~domains:n]);
-   per-shard delivery counts come from [Domain.stats_of_shard] and
-   expose the load balance the hash partition achieves. *)
-
-and run_sharded () =
-  (* Eight Prioritary classes, one per residue of the 8-way partition
-     — which also covers every shard at 4, 2 and 1 (r mod 8 covers
-     r mod 4 covers r mod 2). *)
-  let classes = Array.make 8 "" in
-  let found = ref 0 in
-  let i = ref 0 in
-  while !found < 8 do
-    let name = Printf.sprintf "Load%d" !i in
-    let k = Shard.key ~n_shards:8 name in
-    if classes.(k) = "" then begin
-      classes.(k) <- name;
-      incr found
-    end;
-    incr i
-  done;
-  let events = 400 in
-  Workload.table_header
-    (Printf.sprintf
-       "E1b sharded dispatch: %d Prioritary events over %d classes \
-        (virtual-time egress throughput)"
-       events (Array.length classes))
-    [ "shards"; "delivered"; "virt-ms"; "evt/ms"; "speedup"; "balance";
-      "pool-tasks"; "pool-steals" ];
-  Workload.json_table ~key:"e1_sharded"
-    ~cols:
-      [ "shards"; "delivered"; "virt_ms"; "evt_per_ms"; "speedup"; "balance";
-        "pool_tasks"; "pool_steals" ];
-  let base = ref 0.0 in
-  (* [pool.tasks]/[pool.steals] live in the ambient trace registry and
-     accumulate across pool instances: report per-run deltas. *)
-  let prev_tasks = ref 0 and prev_steals = ref 0 in
-  List.iter
-    (fun n ->
-      let reg = Registry.create () in
-      Array.iter
-        (fun name ->
-          Registry.declare_class reg ~name ~implements:[ "Prioritary" ]
-            ~attrs:[ "n", Vtype.Tint; "priority", Vtype.Tint ]
-            ())
-        classes;
-      let engine = Engine.create ~seed:5 () in
-      let net =
-        Net.create ~config:{ Net.default_config with jitter = 0 } engine
-      in
-      let domain = Pubsub.Domain.create ~n_shards:n ~domains:n reg net in
-      let pub = Pubsub.Process.create domain (Net.add_node net) in
-      let sub = Pubsub.Process.create domain (Net.add_node net) in
-      let subs =
-        Array.map
-          (fun cls ->
-            let s = Pubsub.Process.subscribe sub ~param:cls (fun _ -> ()) in
-            Pubsub.Subscription.activate s;
-            s)
-          classes
-      in
-      for j = 0 to events - 1 do
-        Pubsub.Process.publish pub
-          (Obvent.make reg
-             classes.(j mod Array.length classes)
-             [ "n", Value.Int j; "priority", Value.Int (j mod 3) ])
-      done;
-      Engine.run engine;
-      let delivered =
-        Array.fold_left
-          (fun acc s -> acc + Pubsub.Subscription.delivered s)
-          0 subs
-      in
-      let virt_ms = float_of_int (Engine.now engine) /. 1000. in
-      let thr = float_of_int delivered /. virt_ms in
-      if n = 1 then base := thr;
-      let speedup = thr /. !base in
-      (* Partition balance: smallest/largest per-shard delivery share
-         (1.0 = perfectly even). *)
-      let per_shard =
-        List.init n (fun k ->
-            (Pubsub.Domain.stats_of_shard domain k).Pubsub.Domain.deliveries)
-      in
-      let balance =
-        float_of_int (List.fold_left min max_int per_shard)
-        /. float_of_int (max 1 (List.fold_left max 0 per_shard))
-      in
-      let tasks, steals =
-        match Pubsub.Domain.pool_stats domain with
-        | None -> 0, 0
-        | Some st ->
-            let t = st.Pool.tasks - !prev_tasks
-            and s = st.Pool.steals - !prev_steals in
-            prev_tasks := st.Pool.tasks;
-            prev_steals := st.Pool.steals;
-            t, s
-      in
-      Fmt.pr "%6d  %9d  %7.1f  %6.2f  %7.2f  %7.2f  %10d  %11d@." n delivered
-        virt_ms thr speedup balance tasks steals;
-      Workload.json_row ~key:"e1_sharded"
-        [ J_int n; J_int delivered; J_float virt_ms; J_float thr;
-          J_float speedup; J_float balance; J_int tasks; J_int steals ];
-      Pubsub.Domain.shutdown domain)
-    [ 1; 2; 4; 8 ]
+    (if !agreement then "exact" else "BROKEN")

@@ -13,10 +13,6 @@
                                                -- CI perf smoke: fail if the
                                                   COW arm at 64 subs/node
                                                   exceeds 3x the shared arm
-   dune exec bench/main.exe -- --guard-shard 2.0 e1
-                                               -- CI scaling smoke: fail if the
-                                                  4-shard E1b dispatch run is
-                                                  under 2x the 1-shard run
    dune exec bench/main.exe -- --guard-cover 50 e3
                                                -- CI covering smoke: fail if the
                                                   E3c install scan suppresses
@@ -65,36 +61,6 @@ let guard_a4 limit =
                   %.2fx)@."
             r limit)
 
-let guard_shard floor =
-  match Workload.json_find "e1_sharded" with
-  | None ->
-      Fmt.epr "--guard-shard: the E1b sharded table was not produced (run e1)@.";
-      exit 1
-  | Some (_, rows) -> (
-      let speedup_at_4 =
-        List.find_map
-          (function
-            | Workload.J_int 4 :: _ as row -> (
-                match List.nth_opt row 4 with
-                | Some (Workload.J_float s) -> Some s
-                | _ -> None)
-            | _ -> None)
-          rows
-      in
-      match speedup_at_4 with
-      | None ->
-          Fmt.epr "--guard-shard: no 4-shard row in the E1b table@.";
-          exit 1
-      | Some s when s < floor ->
-          Fmt.epr
-            "--guard-shard: 4-shard dispatch throughput is %.2fx the 1-shard \
-             run, below the %.2fx floor@."
-            s floor;
-          exit 1
-      | Some s ->
-          Fmt.pr "shard guard: 4-shard dispatch = %.2fx 1-shard (floor %.2fx)@."
-            s floor)
-
 let guard_cover floor =
   match Workload.json_find "e3c_suppression" with
   | None ->
@@ -127,40 +93,31 @@ let guard_cover floor =
             r floor)
 
 let () =
-  let rec parse json guard shard cover names = function
-    | [] -> json, guard, shard, cover, List.rev names
-    | "--json" :: rest -> parse true guard shard cover names rest
+  let rec parse json guard cover names = function
+    | [] -> json, guard, cover, List.rev names
+    | "--json" :: rest -> parse true guard cover names rest
     | "--guard-a4" :: limit :: rest -> (
         match float_of_string_opt limit with
-        | Some l -> parse json (Some l) shard cover names rest
+        | Some l -> parse json (Some l) cover names rest
         | None ->
             Fmt.epr "--guard-a4 expects a ratio, got %s@." limit;
             exit 1)
     | [ "--guard-a4" ] ->
         Fmt.epr "--guard-a4 expects a ratio@.";
         exit 1
-    | "--guard-shard" :: floor :: rest -> (
-        match float_of_string_opt floor with
-        | Some f -> parse json guard (Some f) cover names rest
-        | None ->
-            Fmt.epr "--guard-shard expects a ratio, got %s@." floor;
-            exit 1)
-    | [ "--guard-shard" ] ->
-        Fmt.epr "--guard-shard expects a ratio@.";
-        exit 1
     | "--guard-cover" :: floor :: rest -> (
         match float_of_string_opt floor with
-        | Some f -> parse json guard shard (Some f) names rest
+        | Some f -> parse json guard (Some f) names rest
         | None ->
             Fmt.epr "--guard-cover expects a percentage, got %s@." floor;
             exit 1)
     | [ "--guard-cover" ] ->
         Fmt.epr "--guard-cover expects a percentage@.";
         exit 1
-    | name :: rest -> parse json guard shard cover (name :: names) rest
+    | name :: rest -> parse json guard cover (name :: names) rest
   in
-  let json, guard, shard, cover, requested =
-    parse false None None None [] (List.tl (Array.to_list Sys.argv))
+  let json, guard, cover, requested =
+    parse false None None [] (List.tl (Array.to_list Sys.argv))
   in
   let requested =
     match requested with [] -> List.map fst experiments | names -> names
@@ -176,5 +133,4 @@ let () =
     requested;
   if json then Workload.write_json json_path;
   Option.iter guard_a4 guard;
-  Option.iter guard_shard shard;
   Option.iter guard_cover cover

@@ -1,81 +1,74 @@
-(* SHARD — traced sharded-engine smoke for CI.
+(* SHARD — traced 2-domain pool smoke for CI.
 
-   One pooled pub/sub run at a domain count taken from $TPBS_DOMAINS
-   (default 1): Prioritary classes spread over the shard partition,
-   every handler body on the domain pool when domains > 1. The JSONL
-   trace (metrics included) goes to $TPBS_TRACE_FILE (default
-   "shard_smoke.jsonl") so CI can gate on the per-shard delivery
-   counters ([core.shard.<k>.deliveries]) and the pool counters
-   ([pool.tasks]) actually existing and being non-zero. *)
+   One pub/sub run with the dispatch pool at two domains: [events]
+   Load obvents reach two Multi-policy subscriptions, and one of them
+   republishes every tenth as an Echo from its worker (the hand-off
+   queue) to a third subscription. Every handler body runs on the
+   pool, so the run must count exactly [handler_bodies] pool tasks.
+   The JSONL trace (metrics included) goes to $TPBS_TRACE_FILE
+   (default "shard_smoke.jsonl") for
+
+     tpbs_report shard_smoke.jsonl --require-eq "pool.tasks:value==420"
+
+   and the run itself exits 1 unless every subscription got every
+   obvent published on its class. *)
 
 module Engine = Tpbs_sim.Engine
 module Net = Tpbs_sim.Net
 module Trace = Tpbs_trace.Trace
-module Report = Tpbs_trace.Report
 module Registry = Tpbs_types.Registry
 module Vtype = Tpbs_types.Vtype
 module Value = Tpbs_serial.Value
 module Obvent = Tpbs_obvent.Obvent
 module Pubsub = Tpbs_core.Pubsub
-module Shard = Tpbs_core.Shard
 module Pool = Tpbs_core.Pool
 
+let domains = 2
 let events = 200
+let echoes = events / 10
+let handler_bodies = (2 * events) + echoes
 
 let run () =
-  let domains =
-    match Sys.getenv_opt "TPBS_DOMAINS" with
-    | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1)
-    | None -> 1
-  in
   let engine = Engine.create ~seed:41 () in
   let tr = Trace.create ~clock:(fun () -> Engine.now engine) () in
   let buf = Buffer.create (1 lsl 14) in
   Trace.set_sink tr (Some buf);
   Trace.set_ambient tr;
-  (* One Prioritary class per shard residue, as in E1b. *)
-  let classes = Array.make (max 2 domains) "" in
-  let n_classes = Array.length classes in
-  let found = ref 0 in
-  let i = ref 0 in
-  while !found < n_classes do
-    let name = Printf.sprintf "Load%d" !i in
-    let k = Shard.key ~n_shards:n_classes name in
-    if classes.(k) = "" then begin
-      classes.(k) <- name;
-      incr found
-    end;
-    incr i
-  done;
   let reg = Registry.create () in
-  Array.iter
+  List.iter
     (fun name ->
-      Registry.declare_class reg ~name ~implements:[ "Prioritary" ]
-        ~attrs:[ "n", Vtype.Tint; "priority", Vtype.Tint ]
-        ())
-    classes;
-  let net = Net.create ~config:{ Net.default_config with jitter = 0 } engine in
-  let domain = Pubsub.Domain.create ~n_shards:domains ~domains reg net in
+      Registry.declare_class reg ~name ~implements:[ "Obvent" ]
+        ~attrs:[ "n", Vtype.Tint ] ())
+    [ "Load"; "Echo" ];
+  let net = Net.create engine in
+  let domain = Pubsub.Domain.create ~domains reg net in
   let pub = Pubsub.Process.create domain (Net.add_node net) in
   let sub = Pubsub.Process.create domain (Net.add_node net) in
-  let subs =
-    Array.map
-      (fun cls ->
-        let s = Pubsub.Process.subscribe sub ~param:cls (fun _ -> ()) in
-        Pubsub.Subscription.activate s;
-        s)
-      classes
+  let listener = Pubsub.Process.create domain (Net.add_node net) in
+  let bodies = Atomic.make 0 in
+  let subscribe p param handler =
+    let s =
+      Pubsub.Process.subscribe p ~param (fun o ->
+          Atomic.incr bodies;
+          handler o)
+    in
+    Pubsub.Subscription.activate s;
+    s
   in
+  let echo =
+    subscribe sub "Load" (fun o ->
+        match Obvent.get o "n" with
+        | Value.Int n when n mod 10 = 0 ->
+            Pubsub.Process.publish sub
+              (Obvent.make reg "Echo" [ "n", Value.Int n ])
+        | _ -> ())
+  in
+  let plain = subscribe sub "Load" ignore in
+  let heard = subscribe listener "Echo" ignore in
   for j = 0 to events - 1 do
-    Pubsub.Process.publish pub
-      (Obvent.make reg
-         classes.(j mod n_classes)
-         [ "n", Value.Int j; "priority", Value.Int (j mod 3) ])
+    Pubsub.Process.publish pub (Obvent.make reg "Load" [ "n", Value.Int j ])
   done;
   Engine.run engine;
-  let delivered =
-    Array.fold_left (fun acc s -> acc + Pubsub.Subscription.delivered s) 0 subs
-  in
   let pool_tasks =
     match Pubsub.Domain.pool_stats domain with
     | None -> 0
@@ -92,15 +85,23 @@ let run () =
   let oc = open_out path in
   Buffer.output_buffer oc buf;
   close_out oc;
-  Fmt.pr "@.SHARD  sharded-engine smoke (domains=%d, shards=%d)@." domains
-    domains;
-  Fmt.pr "delivered=%d/%d pool_tasks=%d virt=%d trace -> %s@." delivered events
-    pool_tasks (Engine.now engine) path;
-  if delivered <> events then begin
-    Fmt.epr "shard smoke: lost events (%d/%d)@." delivered events;
+  let delivered = Pubsub.Subscription.delivered in
+  Fmt.pr "@.SHARD  pool smoke (domains=%d)@." domains;
+  Fmt.pr "delivered=%d+%d/%d echoes=%d/%d bodies=%d pool_tasks=%d/%d virt=%d \
+          trace -> %s@."
+    (delivered echo) (delivered plain) events (delivered heard) echoes
+    (Atomic.get bodies) pool_tasks handler_bodies (Engine.now engine) path;
+  if
+    delivered echo <> events
+    || delivered plain <> events
+    || delivered heard <> echoes
+  then begin
+    Fmt.epr "shard smoke: a subscription missed obvents@.";
     exit 1
   end;
-  if domains > 1 && pool_tasks = 0 then begin
-    Fmt.epr "shard smoke: pool never ran a handler at domains=%d@." domains;
+  if Atomic.get bodies <> handler_bodies || pool_tasks <> handler_bodies
+  then begin
+    Fmt.epr "shard smoke: %d handler bodies and %d pool tasks, expected %d@."
+      (Atomic.get bodies) pool_tasks handler_bodies;
     exit 1
   end

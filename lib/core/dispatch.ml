@@ -59,7 +59,7 @@ type t = {
   mutable executed : int;
   mutable max_overlap : int;
   mutable peak_queue : int;
-  (* Optional offload seam for the sharded engine: when set, [Multi]
+  (* Optional offload seam for the domain pool: when set, [Multi]
      handler bodies run through this (a [Pool.submit] closure) instead
      of inline. [Single]/[Class_serial] always stay inline — their
      whole point is serialisation, which the engine thread provides

@@ -1,44 +1,32 @@
-(* The parallel dispatch tier: a work-stealing pool of OCaml 5
-   domains fed by bounded per-shard queues.
+(* The parallel dispatch tier: a pool of OCaml 5 domains fed by one
+   bounded FIFO queue that any idle worker pops from.
 
-   Topology: one bounded FIFO queue per shard; worker [w] owns queues
-   [w, w + workers, w + 2*workers, ...], so with workers = shards the
-   feed is SPSC-like — the engine thread is the single producer and
-   the pinned worker the single consumer — and a shard's tasks always
-   run in submission order on one domain unless stolen. An idle
-   worker steals from the other queues rather than spinning, which
-   keeps the pool busy when the class mix is skewed across shards.
-
-   Back-pressure: [submit] blocks when the target queue is full
-   (bounded capacity), and counts a pressure event whenever the queue
-   is at or beyond the pressure threshold — the observable knob for
-   the bench contention ablation.
+   The engine thread is the only producer. [submit] blocks while the
+   queue holds [capacity] tasks.
 
    The barrier: [barrier] blocks the caller until every submitted
    task has completed (not merely been dequeued). The engine calls it
    at each tick barrier so a simulated tick's handler side effects are
-   all visible before virtual time advances — that, plus the handoff
-   queue in [Pubsub] for cross-shard publishes, is what keeps the
-   sharded engine's observable behaviour equal to the serial one.
+   all visible before virtual time advances — that, plus the hand-off
+   queue in [Pubsub] for publishes made from handlers, is what keeps
+   the pooled engine's observable behaviour equal to the inline one.
 
-   One global mutex guards all queues. That is deliberately simple:
-   the protected sections are a few pointer moves, and correctness
-   (stealing, the completed==submitted barrier, shutdown) stays easy
-   to reason about. The counters pool.tasks / pool.steals /
-   pool.pressure are created per pool instance at [create], so
-   engines that never spawn a pool emit no new metrics. *)
+   Failures: the first exception a task raises is kept with its
+   backtrace and re-raised by the next [barrier], on the engine
+   thread, so a handler that raises on a worker fails the run just as
+   it does inline. Later exceptions before that barrier are dropped.
+
+   One mutex guards the queue and the counts. The counter pool.tasks
+   is created at [create], so engines that never spawn a pool emit no
+   pool metrics. *)
 
 module Trace = Tpbs_trace.Trace
 
-type queue = {
-  buf : (unit -> unit) Queue.t;
-  capacity : int;
-  pressure_at : int;
-}
+let capacity = 1024
 
 type t = {
   mutable workers : unit Domain.t list;
-  queues : queue array;
+  queue : (unit -> unit) Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
   not_full : Condition.t;
@@ -46,81 +34,48 @@ type t = {
   mutable submitted : int;
   mutable completed : int;
   mutable stop : bool;
-  n_workers : int;
+  mutable failure : (exn * Printexc.raw_backtrace) option;
   c_tasks : Trace.Counter.t;
-  c_steals : Trace.Counter.t;
-  c_pressure : Trace.Counter.t;
-  mutable stalls : int;
 }
 
 (* Set on pool worker domains via DLS so [on_worker] lets the engine
    detect calls made from handler code running off the engine thread
-   (those must hand off instead of touching shard state directly). *)
+   (those must hand off instead of touching engine state directly). *)
 let worker_key = Domain.DLS.new_key (fun () -> false)
 let on_worker () = Domain.DLS.get worker_key
 
-let total_queued t =
-  Array.fold_left (fun acc q -> acc + Queue.length q.buf) 0 t.queues
-
-(* Pop a task for worker [w]: own queues first (preserving per-shard
-   FIFO), then steal a task from any other queue. Caller holds the
-   mutex. *)
-let try_pop t w =
-  let n = Array.length t.queues in
-  let rec own i =
-    if i >= n then None
-    else if Queue.length t.queues.(i).buf > 0 then
-      Some (Queue.pop t.queues.(i).buf, false)
-    else own (i + t.n_workers)
-  in
-  let rec steal i =
-    if i >= n then None
-    else if i mod t.n_workers <> w && Queue.length t.queues.(i).buf > 0 then
-      Some (Queue.pop t.queues.(i).buf, true)
-    else steal (i + 1)
-  in
-  match own w with Some r -> Some r | None -> steal 0
-
-let worker_loop t w () =
+let worker_loop t () =
   Domain.DLS.set worker_key true;
-  let rec loop () =
-    Mutex.lock t.mutex;
-    let rec next () =
-      match try_pop t w with
-      | Some (task, stolen) ->
-          Condition.signal t.not_full;
-          Mutex.unlock t.mutex;
-          if stolen then Trace.Counter.incr t.c_steals;
-          (try task () with _ -> ());
-          Mutex.lock t.mutex;
-          t.completed <- t.completed + 1;
-          if t.completed = t.submitted then Condition.broadcast t.idle;
-          next ()
-      | None ->
-          if t.stop then Mutex.unlock t.mutex
-          else begin
-            Condition.wait t.nonempty t.mutex;
-            next ()
-          end
-    in
-    next ();
-    if not t.stop then loop ()
+  Mutex.lock t.mutex;
+  let rec next () =
+    if not (Queue.is_empty t.queue) then begin
+      let task = Queue.pop t.queue in
+      Condition.signal t.not_full;
+      Mutex.unlock t.mutex;
+      let failure =
+        match task () with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ())
+      in
+      Mutex.lock t.mutex;
+      if Option.is_none t.failure then t.failure <- failure;
+      t.completed <- t.completed + 1;
+      if t.completed = t.submitted then Condition.broadcast t.idle;
+      next ()
+    end
+    else if t.stop then Mutex.unlock t.mutex
+    else begin
+      Condition.wait t.nonempty t.mutex;
+      next ()
+    end
   in
-  loop ()
+  next ()
 
-let create ?(capacity = 1024) ?pressure ~workers ~shards () =
-  let n_workers = max 1 workers in
-  let n_queues = max n_workers (max 1 shards) in
-  let pressure_at =
-    match pressure with Some p -> p | None -> max 1 (capacity * 3 / 4)
-  in
-  let tr = Trace.ambient () in
+let create ~workers =
   let t =
     {
       workers = [];
-      queues =
-        Array.init n_queues (fun _ ->
-            { buf = Queue.create (); capacity; pressure_at });
+      queue = Queue.create ();
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       not_full = Condition.create ();
@@ -128,31 +83,27 @@ let create ?(capacity = 1024) ?pressure ~workers ~shards () =
       submitted = 0;
       completed = 0;
       stop = false;
-      n_workers;
-      c_tasks = Trace.counter tr "pool.tasks";
-      c_steals = Trace.counter tr "pool.steals";
-      c_pressure = Trace.counter tr "pool.pressure";
-      stalls = 0;
+      failure = None;
+      c_tasks = Trace.counter (Trace.ambient ()) "pool.tasks";
     }
   in
-  t.workers <- List.init n_workers (fun w -> Domain.spawn (worker_loop t w));
+  t.workers <-
+    List.init (max 1 workers) (fun _ -> Domain.spawn (worker_loop t));
   t
 
-let submit t ~shard task =
-  let q = t.queues.(shard mod Array.length t.queues) in
+let submit t task =
   Mutex.lock t.mutex;
-  while Queue.length q.buf >= q.capacity && not t.stop do
-    t.stalls <- t.stalls + 1;
+  if t.stop then begin
+    Mutex.unlock t.mutex;
+    invalid_arg "Pool.submit: the pool is shut down"
+  end;
+  while Queue.length t.queue >= capacity do
     Condition.wait t.not_full t.mutex
   done;
-  if not t.stop then begin
-    Queue.push task q.buf;
-    t.submitted <- t.submitted + 1;
-    if Queue.length q.buf >= q.pressure_at then
-      Trace.Counter.incr t.c_pressure;
-    Trace.Counter.incr t.c_tasks;
-    Condition.signal t.nonempty
-  end;
+  Queue.push task t.queue;
+  t.submitted <- t.submitted + 1;
+  Trace.Counter.incr t.c_tasks;
+  Condition.signal t.nonempty;
   Mutex.unlock t.mutex
 
 (* Wait until every submitted task has completed. Also the engine's
@@ -163,35 +114,25 @@ let barrier t =
   while t.completed < t.submitted do
     Condition.wait t.idle t.mutex
   done;
-  Mutex.unlock t.mutex
+  let failure = t.failure in
+  t.failure <- None;
+  Mutex.unlock t.mutex;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) failure
 
+(* Workers leave only once the queue is empty, so joining them drains
+   it; the closing [barrier] then re-raises a failure not yet seen. *)
 let shutdown t =
-  barrier t;
   Mutex.lock t.mutex;
   t.stop <- true;
   Condition.broadcast t.nonempty;
-  Condition.broadcast t.not_full;
   Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers
+  List.iter Domain.join t.workers;
+  barrier t
 
-type stats = {
-  tasks : int;
-  steals : int;
-  pressure_events : int;
-  submit_stalls : int;
-  queued : int;
-  workers : int;
-}
+type stats = { tasks : int; queued : int }
 
 let stats t =
   Mutex.lock t.mutex;
-  let queued = total_queued t and stalls = t.stalls in
+  let queued = Queue.length t.queue in
   Mutex.unlock t.mutex;
-  {
-    tasks = Trace.Counter.value t.c_tasks;
-    steals = Trace.Counter.value t.c_steals;
-    pressure_events = Trace.Counter.value t.c_pressure;
-    submit_stalls = stalls;
-    queued;
-    workers = t.n_workers;
-  }
+  { tasks = Trace.Counter.value t.c_tasks; queued }

@@ -1,51 +1,43 @@
-(** The parallel dispatch tier: a work-stealing pool of OCaml 5
-    domains fed by bounded per-shard queues.
+(** The parallel dispatch tier: a pool of OCaml 5 domains fed by one
+    bounded FIFO queue that any idle worker pops from.
 
-    Each shard's tasks go to one queue owned by one pinned worker
-    (SPSC-like when [workers = shards]), preserving per-shard
-    submission order on the happy path; idle workers steal from
-    foreign queues. [submit] blocks when the target queue is full and
-    counts pressure events past a threshold; [barrier] waits for every
+    [submit] blocks while the queue is full; [barrier] waits for every
     submitted task to complete — the engine calls it at each tick
     barrier so handler side effects are visible before virtual time
     advances.
 
-    Counters [pool.tasks], [pool.steals] and [pool.pressure] are
-    created per pool at {!create}; engines that never spawn a pool
-    emit no new metrics. *)
+    The counter [pool.tasks] is created at {!create}; engines that
+    never spawn a pool emit no pool metrics. *)
 
 type t
 
-val create : ?capacity:int -> ?pressure:int -> workers:int -> shards:int -> unit -> t
-(** Spawn [workers] domains serving [max workers shards] queues.
-    [capacity] (default 1024) bounds each queue; [pressure] (default
-    3/4 of capacity) is the queue depth at or past which a submit
-    counts a pressure event. *)
+val create : workers:int -> t
+(** Spawn [workers] (at least one) domains serving the queue. *)
 
-val submit : t -> shard:int -> (unit -> unit) -> unit
-(** Enqueue a task on [shard]'s queue, blocking while it is full.
-    Exceptions escaping the task are swallowed (the task still counts
-    as completed for {!barrier}). *)
+val submit : t -> (unit -> unit) -> unit
+(** Enqueue a task, blocking while the queue holds 1024 tasks.
+    A task that raises still counts as completed; the first such
+    exception is re-raised by the next {!barrier}.
+    @raise Invalid_argument after {!shutdown}. *)
 
 val barrier : t -> unit
-(** Block until every task submitted so far has completed. *)
+(** Block until every task submitted so far has completed, then
+    re-raise (with its backtrace) the first exception a task raised
+    since the previous barrier, if any. *)
 
 val shutdown : t -> unit
-(** Drain ({!barrier}), stop and join all workers. The pool is dead
-    afterwards: further [submit]s are dropped. *)
+(** Run what is queued, stop and join all workers, then {!barrier}.
+    The pool is dead afterwards. *)
 
 val on_worker : unit -> bool
 (** [true] iff the calling domain is a pool worker — used by the
-    engine to route cross-shard publishes through the hand-off queue
-    instead of touching shard state off the engine thread. *)
+    engine to route publishes made by handler code through the
+    hand-off queue instead of touching engine state off the engine
+    thread. *)
 
 type stats = {
-  tasks : int;
-  steals : int;
-  pressure_events : int;
-  submit_stalls : int;  (** submits that blocked on a full queue *)
-  queued : int;  (** tasks currently waiting, across all queues *)
-  workers : int;
+  tasks : int;  (** tasks submitted (the [pool.tasks] counter) *)
+  queued : int;  (** tasks currently waiting *)
 }
 
 val stats : t -> stats

@@ -67,33 +67,19 @@ and process = {
   node : Net.node_id;
   rmi : Tpbs_rmi.Rmi.runtime option;
   cert_storage : Stable.t;
-  pshards : pshard array;
-      (* this process's slice of each engine shard, indexed like
-         [domain.shards]: the channel stacks, routing index and egress
-         queue for the classes that shard owns *)
+  channels : (string, Stack.t) Hashtbl.t;
+  route : subscription Routing.t;
+      (* concrete class -> active subscriptions it routes to *)
+  prefilter : Factored.t;
+      (* the lifted filters of the routed subscriptions, by sid: a
+         sound pre-filter in front of their local evaluation *)
+  mutable txq : tx_entry list;  (* the egress queue *)
+  mutable tx_armed : bool;
+  mutable tx_next_seq : int;
   mutable subs : subscription list;
   interest : (Net.node_id * string, unit) Hashtbl.t;
       (* (node, subscribed type) pairs learned from the meta channel:
          this process's local view of who wants what *)
-}
-
-(* One process × one shard. Everything here is only ever touched for
-   classes the shard owns, so shards pinned to different domains never
-   contend on these tables. The routing index is the exception in
-   spirit: a subscription to a supertype must be visible from every
-   shard (its concrete subclasses can hash anywhere), so [route_in]
-   registers it with all pshards — but each index is still only read
-   and memoized for its own shard's classes. *)
-and pshard = {
-  ps_channels : (string, Stack.t) Hashtbl.t;
-  ps_route : subscription Routing.t;
-      (* concrete class -> active subscriptions it routes to *)
-  ps_filter : Factored.t;
-      (* the lifted filters of the routed subscriptions, by sid: a
-         sound pre-filter in front of their local evaluation *)
-  mutable ps_txq : tx_entry list;
-  mutable ps_tx_armed : bool;
-  mutable ps_tx_next_seq : int;
 }
 
 and channel_meta = {
@@ -127,24 +113,39 @@ and obs = {
   c_channel_misses : Trace.Counter.t;
 }
 
+(* The engine's running tallies, read as a {!Domain.stats} snapshot.
+   Only the engine thread writes them. *)
+and counts = {
+  mutable published : int;
+  mutable deliveries : int;
+  mutable filtered_out : int;
+  mutable expired : int;
+  mutable decode_errors : int;
+  mutable broker_forwards : int;
+  mutable broker_events : int;
+  mutable control_messages : int;
+  mutable qos_conflicts : int;
+  mutable filters_pruned : int;
+  mutable replayed : int;
+  mutable channel_misses : int;
+}
+
 and domain = {
   registry : Registry.t;
   net : Net.t;
   tx_interval : int;
   rng : Rng.t;
-  n_shards : int;
-  shards : channel_meta Shard.t array;
-      (* shard-local channel metadata + stats; classes are partitioned
-         across shards by [Shard.key] of the class id *)
-  pool : Pool.t option;
+  channel_meta : (string, channel_meta) Hashtbl.t;
+  mutable st : counts;
+  mutable pool : Pool.t option;
       (* the parallel dispatch tier, present when the domain was
-         created with [~domains] > 1: handler bodies of Multi-policy
-         subscriptions run on its workers, pinned per shard *)
+         created with [~domains] > 1 and not yet shut down: handler
+         bodies of Multi-policy subscriptions run on its workers *)
   handoff : (unit -> unit) Queue.t;
   handoff_mutex : Mutex.t;
-      (* cross-shard hand-off: engine mutations requested from pool
-         workers (e.g. a handler publishing) are queued here and
-         drained on the engine thread at the tick barrier *)
+      (* engine mutations requested from pool workers (e.g. a handler
+         publishing) are queued here and drained on the engine thread
+         at the tick barrier *)
   mutable flush_storages : Stable.t list;
       (* grouped (group-commit) storages to [Stable.flush] once per
          tick barrier *)
@@ -170,24 +171,23 @@ and domain = {
 let processes_in_order d = List.rev d.processes
 let brokers_in_order d = List.rev d.brokers
 
-(* --- shard plumbing --------------------------------------------------- *)
+let zero_counts () =
+  {
+    published = 0;
+    deliveries = 0;
+    filtered_out = 0;
+    expired = 0;
+    decode_errors = 0;
+    broker_forwards = 0;
+    broker_events = 0;
+    control_messages = 0;
+    qos_conflicts = 0;
+    filters_pruned = 0;
+    replayed = 0;
+    channel_misses = 0;
+  }
 
-let shard_ix d cls = Shard.key ~n_shards:d.n_shards cls
-let shard_of d cls = d.shards.(shard_ix d cls)
-
-(* The owning shard's stats slice for a class — every former
-   [d.<stat> <- ...] bump goes through one of these. Sites with no
-   class in hand (an undecodable frame) account to shard 0. *)
-let sstats d cls = Shard.stats (shard_of d cls)
-let sstats0 d = Shard.stats d.shards.(0)
-let pshard p cls = p.pshards.(shard_ix p.dom cls)
-
-let meta_find d cls = Hashtbl.find_opt (Shard.channel_meta (shard_of d cls)) cls
-
-let meta_count d =
-  Array.fold_left
-    (fun acc sh -> acc + Hashtbl.length (Shard.channel_meta sh))
-    0 d.shards
+let meta_find d cls = Hashtbl.find_opt d.channel_meta cls
 
 (* Engine thunks queued by pool workers, run on the engine thread. *)
 let drain_handoff d =
@@ -197,11 +197,11 @@ let drain_handoff d =
   Mutex.unlock d.handoff_mutex;
   Queue.iter (fun f -> f ()) pending
 
-(* The tick barrier joins the sharded world back together between
-   virtual-time steps: wait for every offloaded handler to complete,
-   apply their queued cross-shard publishes, then pay the single
-   group-commit fsync of any grouped storage. Installed lazily — an
-   unsharded, ungrouped domain leaves the engine loop untouched. *)
+(* The tick barrier joins the pool back in between virtual-time
+   steps: wait for every offloaded handler to complete, apply their
+   handed-off publishes, then pay the single group-commit fsync of any
+   grouped storage. Installed lazily — an unpooled, ungrouped domain
+   leaves the engine loop untouched. *)
 let install_barrier d =
   if not d.barrier_installed then begin
     d.barrier_installed <- true;
@@ -281,29 +281,10 @@ let decode_routed bytes =
 module Domain = struct
   type t = domain
 
-  let create ?(tx_interval = 200) ?n_shards ?(domains = 1) registry net =
-    let domains = max 1 domains in
-    let n_shards =
-      match n_shards with Some n -> max 1 n | None -> domains
-    in
+  let create ?(tx_interval = 200) ?(domains = 1) registry net =
     let tr = Trace.ambient () in
-    let shards =
-      Array.init n_shards (fun k ->
-          (* Per-shard delivery counters only exist on actually-sharded
-             engines: a default domain's metrics output stays identical
-             to the unsharded one. *)
-          let c_deliveries =
-            if n_shards > 1 then
-              Some
-                (Trace.counter tr (Printf.sprintf "core.shard.%d.deliveries" k))
-            else None
-          in
-          Shard.create ?c_deliveries ~id:k ())
-    in
     let pool =
-      if domains > 1 then
-        Some (Pool.create ~workers:domains ~shards:n_shards ())
-      else None
+      if domains > 1 then Some (Pool.create ~workers:domains) else None
     in
     let d =
       {
@@ -311,8 +292,8 @@ module Domain = struct
       net;
       tx_interval;
       rng = Rng.split (Engine.rng (Net.engine net));
-      n_shards;
-      shards;
+      channel_meta = Hashtbl.create 16;
+      st = zero_counts ();
       pool;
       handoff = Queue.create ();
       handoff_mutex = Mutex.create ();
@@ -389,47 +370,36 @@ module Domain = struct
     channel_misses : int;
   }
 
-  let of_shard_stats (m : Shard.stats) =
-    {
-      published = m.Shard.published;
-      deliveries = m.Shard.deliveries;
-      filtered_out = m.Shard.filtered_out;
-      expired = m.Shard.expired;
-      decode_errors = m.Shard.decode_errors;
-      broker_forwards = m.Shard.broker_forwards;
-      broker_events = m.Shard.broker_events;
-      control_messages = m.Shard.control_messages;
-      qos_conflicts = m.Shard.qos_conflicts;
-      filters_pruned = m.Shard.filters_pruned;
-      replayed = m.Shard.replayed;
-      channel_misses = m.Shard.channel_misses;
-    }
-
-  (* Merge-on-read: each shard's slice is owned by one thread; the
-     aggregate view sums the slices. *)
   let stats (d : t) =
-    let m = Shard.zero_stats () in
-    Array.iter (fun sh -> Shard.add_stats m (Shard.stats sh)) d.shards;
-    of_shard_stats m
-
-  let n_shards (d : t) = d.n_shards
-
-  let shard_of_class (d : t) cls = shard_ix d cls
-
-  let stats_of_shard (d : t) k =
-    if k < 0 || k >= d.n_shards then
-      invalid_arg "Domain.stats_of_shard: no such shard";
-    of_shard_stats (Shard.stats d.shards.(k))
+    let m = d.st in
+    {
+      published = m.published;
+      deliveries = m.deliveries;
+      filtered_out = m.filtered_out;
+      expired = m.expired;
+      decode_errors = m.decode_errors;
+      broker_forwards = m.broker_forwards;
+      broker_events = m.broker_events;
+      control_messages = m.control_messages;
+      qos_conflicts = m.qos_conflicts;
+      filters_pruned = m.filters_pruned;
+      replayed = m.replayed;
+      channel_misses = m.channel_misses;
+    }
 
   let pool_stats (d : t) = Option.map Pool.stats d.pool
 
+  (* Dropping the pool sends later Multi handler bodies inline (the
+     executor installed at subscribe reads [d.pool] per task). *)
   let shutdown (d : t) =
-    match d.pool with None -> () | Some pool -> Pool.shutdown pool
+    match d.pool with
+    | None -> ()
+    | Some pool ->
+        d.pool <- None;
+        Pool.shutdown pool
 
   let latency d = d.latency
-
-  let reset_stats (d : t) =
-    Array.iter (fun sh -> Shard.reset_stats (Shard.stats sh)) d.shards
+  let reset_stats (d : t) = d.st <- zero_counts ()
 end
 
 let now_of d = Engine.now (Net.engine d.net)
@@ -468,12 +438,10 @@ let stale_lazy d meta bytes ~off ~len =
   | _, _ -> false
   | exception Codec.Decode_error _ -> false
 
-let deliver_clone p ~publish_time ~eid sh s obvent =
+let deliver_clone p ~publish_time ~eid s obvent =
   let d = p.dom in
   s.delivered <- s.delivered + 1;
-  let st = Shard.stats sh in
-  st.Shard.deliveries <- st.Shard.deliveries + 1;
-  Shard.count_delivery sh;
+  d.st.deliveries <- d.st.deliveries + 1;
   Trace.Counter.incr d.obs.c_deliveries;
   Metric.record d.latency (float_of_int (now_of d - publish_time));
   if Trace.emitting d.obs.tr then
@@ -490,15 +458,14 @@ let build_routed p cls =
     (fun s -> s.active && (not s.pruned) && Registry.subtype reg cls s.param)
     p.subs
 
-let rec deliver_all p ~publish_time ~eid sh subs copies =
+let rec deliver_all p ~publish_time ~eid subs copies =
   match subs, copies with
   | s :: subs, clone :: copies ->
-      deliver_clone p ~publish_time ~eid sh s clone;
-      deliver_all p ~publish_time ~eid sh subs copies
+      deliver_clone p ~publish_time ~eid s clone;
+      deliver_all p ~publish_time ~eid subs copies
   | _, _ -> ()
 
-let routed_subscriptions p cls =
-  Routing.find (pshard p cls).ps_route cls ~build:build_routed p
+let routed_subscriptions p cls = Routing.find p.route cls ~build:build_routed p
 
 (* Learn interest from control traffic: every process sees the meta
    channel (it is broadcast) and updates its local routing view. *)
@@ -518,16 +485,16 @@ let learn_interest p cls bytes ~off ~len =
 
 (* The pre-filter of [on_event_sub]: the sids of the routed
    subscriptions whose lifted filter accepts [gate], from one
-   compound-filter pass over the shard's index, descending like the
+   compound-filter pass over the process's index, descending like the
    routed list. A lifted filter that rejects implies the local filter
    rejects (the same soundness the filtering hosts rely on), so only
    accepted subscriptions need [Fspec.matches]. No pass when no routed
    subscription has a lifted filter. *)
 let has_lifted s = Option.is_some s.rfilter
 
-let lifted_matches p cls gate subs =
+let lifted_matches p gate subs =
   if List.exists has_lifted subs then
-    match Factored.matches (pshard p cls).ps_filter (Obvent.to_value gate) with
+    match Factored.matches p.prefilter (Obvent.to_value gate) with
     | ([] | [ _ ]) as ids -> ids
     | ids -> List.rev ids
   else []
@@ -554,7 +521,7 @@ let rec accepting d st gate lifted = function
         && Fspec.matches d.registry s.filter gate
       then s :: accepting d st gate lifted rest
       else begin
-        st.Shard.filtered_out <- st.Shard.filtered_out + 1;
+        st.filtered_out <- st.filtered_out + 1;
         Trace.Counter.incr d.obs.c_filtered;
         accepting d st gate lifted rest
       end
@@ -594,10 +561,9 @@ let rec clones d ~eager bytes ~off ~len gate first = function
    [bytes] happens before this returns. *)
 let on_event_sub p cls bytes ~off ~len =
   let d = p.dom in
-  let sh = shard_of d cls in
-  let st = Shard.stats sh in
+  let st = d.st in
   let decode_error () =
-    st.Shard.decode_errors <- st.Shard.decode_errors + 1;
+    st.decode_errors <- st.decode_errors + 1;
     Trace.Counter.incr d.obs.c_decode_errors;
     if Trace.emitting d.obs.tr then
       Trace.emit d.obs.tr ~layer:"core" ~kind:"decode_error" ~node:p.node
@@ -607,7 +573,7 @@ let on_event_sub p cls bytes ~off ~len =
   | None -> decode_error ()
   | Some (publish_time, eid, (ooff, olen)) -> (
       learn_interest p cls bytes ~off:ooff ~len:olen;
-      match Hashtbl.find_opt (Shard.channel_meta sh) cls with
+      match meta_find d cls with
       | None ->
           (* Delivery raced channel registration: count the miss, do
              not abort the simulation. *)
@@ -627,7 +593,7 @@ let on_event_sub p cls bytes ~off ~len =
               if stale_lazy d meta bytes ~off:ooff ~len:olen then begin
                 (* Once per event, not once per matching subscription —
                    and without ever materializing the obvent. *)
-                st.Shard.expired <- st.Shard.expired + 1;
+                st.expired <- st.expired + 1;
                 Trace.Counter.incr d.obs.c_expired;
                 if Trace.emitting d.obs.tr then
                   Trace.emit d.obs.tr ~layer:"core" ~kind:"expire"
@@ -638,11 +604,11 @@ let on_event_sub p cls bytes ~off ~len =
                 | exception Obvent.Invalid_obvent _ -> decode_error ()
                 | gate ->
                     Trace.Counter.incr d.obs.c_cloned;
-                    let filtered = st.Shard.filtered_out in
+                    let filtered = st.filtered_out in
                     let matched =
-                      accepting d st gate (lifted_matches p cls gate subs) subs
+                      accepting d st gate (lifted_matches p gate subs) subs
                     in
-                    let dropped = st.Shard.filtered_out - filtered in
+                    let dropped = st.filtered_out - filtered in
                     if dropped > 0 && Trace.emitting d.obs.tr then
                       Trace.emit d.obs.tr ~layer:"core" ~kind:"filter_drop"
                         ~node:p.node ~id:eid
@@ -659,7 +625,7 @@ let on_event_sub p cls bytes ~off ~len =
                     let copies =
                       clones d ~eager bytes ~off:ooff ~len:olen gate true matched
                     in
-                    deliver_all p ~publish_time ~eid sh matched copies)))
+                    deliver_all p ~publish_time ~eid matched copies)))
 
 let on_event p cls envelope =
   on_event_sub p cls envelope ~off:0 ~len:(String.length envelope)
@@ -673,9 +639,9 @@ let on_event p cls envelope =
    measures the live path. *)
 let replay_event p s cls envelope =
   let d = p.dom in
-  let st = sstats d cls in
+  let st = d.st in
   let decode_error () =
-    st.Shard.decode_errors <- st.Shard.decode_errors + 1;
+    st.decode_errors <- st.decode_errors + 1;
     Trace.Counter.incr d.obs.c_decode_errors
   in
   if s.active && not s.pruned then
@@ -690,7 +656,7 @@ let replay_event p s cls envelope =
               && Fspec.matches d.registry s.filter gate
             then begin
               s.delivered <- s.delivered + 1;
-              st.Shard.replayed <- st.Shard.replayed + 1;
+              st.replayed <- st.replayed + 1;
               Trace.Counter.incr d.obs.c_replayed;
               if Trace.emitting d.obs.tr then
                 Trace.emit d.obs.tr ~layer:"core" ~kind:"replay_deliver"
@@ -731,8 +697,7 @@ let remote_transport r cls =
     ()
 
 let attach_channel p cls (meta : channel_meta) =
-  let ps = pshard p cls in
-  if not (Hashtbl.mem ps.ps_channels cls) then begin
+  if not (Hashtbl.mem p.channels cls) then begin
     let deliver ~origin:_ envelope = on_event p cls envelope in
     let profile =
       match p.dom.remote with
@@ -764,24 +729,24 @@ let attach_channel p cls (meta : channel_meta) =
     in
     let stack =
       Stack.assemble profile ~transport ~storage:p.cert_storage
-        ~retain_acked:meta.retain ~shard:(shard_ix p.dom cls)
-        ~group:meta.members ~me:p.node ~name:cls ~deliver ()
+        ~retain_acked:meta.retain ~group:meta.members ~me:p.node ~name:cls
+        ~deliver ()
     in
-    Hashtbl.replace ps.ps_channels cls stack
+    Hashtbl.replace p.channels cls stack
   end
 
 let ensure_channel d cls =
   match meta_find d cls with
   | Some meta -> meta
   | None ->
-      let st = sstats d cls in
+      let st = d.st in
       let profile, conflicts = Qos.of_type d.registry cls in
       (* Fig. 4 precedence dropped a requested semantics: surface it
          instead of silently resolving (once per class, at channel
          creation). *)
       List.iter
         (fun c ->
-          st.Shard.qos_conflicts <- st.Shard.qos_conflicts + 1;
+          st.qos_conflicts <- st.qos_conflicts + 1;
           Trace.Counter.incr d.obs.c_qos_conflicts;
           if Trace.emitting d.obs.tr then
             Trace.emit d.obs.tr ~layer:"core" ~kind:"qos_conflict"
@@ -798,7 +763,7 @@ let ensure_channel d cls =
           gossip_config = Hashtbl.find_opt d.gossip_overrides cls;
           retain = Hashtbl.mem d.retain_overrides cls }
       in
-      Hashtbl.replace (Shard.channel_meta (shard_of d cls)) cls meta;
+      Hashtbl.replace d.channel_meta cls meta;
       (* Creation order: attach order feeds per-process RNG draws. *)
       List.iter (fun p -> attach_channel p cls meta) (processes_in_order d);
       meta
@@ -808,7 +773,7 @@ let ensure_channel d cls =
 let transmit p cls envelope =
   let meta = ensure_channel p.dom cls in
   attach_channel p cls meta;
-  match Hashtbl.find_opt (pshard p cls).ps_channels cls with
+  match Hashtbl.find_opt p.channels cls with
   | None ->
       (* The channel vanished between enqueue and drain (the egress
          queue decouples publish from transmission, so a concurrent
@@ -816,8 +781,7 @@ let transmit p cls envelope =
          here used to kill the whole engine tick; skip the entry,
          counted and traced like any other tolerated inconsistency. *)
       let d = p.dom in
-      let st = sstats d cls in
-      st.Shard.channel_misses <- st.Shard.channel_misses + 1;
+      d.st.channel_misses <- d.st.channel_misses + 1;
       Trace.Counter.incr d.obs.c_channel_misses;
       if Trace.emitting d.obs.tr then
         Trace.emit d.obs.tr ~layer:"core" ~kind:"channel_miss" ~node:p.node
@@ -846,13 +810,9 @@ let transmit p cls envelope =
 (* Egress queue for Prioritary/Timely traffic: one message per drain
    slot; higher priority overtakes, later-born timely obvents are
    preferred, stale ones expire in the queue (§3.1.2 "transmission
-   semantics"). The queue is per process × shard, so a sharded engine
-   drains one message per interval per shard — egress bandwidth
-   scales with the shard count, which is what the E1 sharded-dispatch
-   bench measures. *)
-let rec drain_tx p six =
-  let ps = p.pshards.(six) in
-  ps.ps_tx_armed <- false;
+   semantics"). One queue per process, one message per interval. *)
+let rec drain_tx p =
+  p.tx_armed <- false;
   let d = p.dom in
   let current = now_of d in
   let fresh, dead =
@@ -861,16 +821,15 @@ let rec drain_tx p six =
         match e.tx_birth, e.tx_ttl with
         | Some birth, Some ttl -> current <= birth + ttl
         | _, _ -> true)
-      ps.ps_txq
+      p.txq
   in
-  let st = Shard.stats d.shards.(six) in
-  st.Shard.expired <- st.Shard.expired + List.length dead;
+  d.st.expired <- d.st.expired + List.length dead;
   Trace.Counter.add d.obs.c_expired (List.length dead);
   if dead <> [] && Trace.emitting d.obs.tr then
     Trace.emit d.obs.tr ~layer:"core" ~kind:"expire_tx" ~node:p.node
       ~data:[ ("count", Trace.I (List.length dead)) ]
       ();
-  ps.ps_txq <- fresh;
+  p.txq <- fresh;
   match fresh with
   | [] -> ()
   | entries ->
@@ -885,16 +844,15 @@ let rec drain_tx p six =
         List.fold_left (fun acc e -> if better e acc then e else acc)
           (List.hd entries) (List.tl entries)
       in
-      ps.ps_txq <- List.filter (fun e -> e.tx_seq <> best.tx_seq) ps.ps_txq;
+      p.txq <- List.filter (fun e -> e.tx_seq <> best.tx_seq) p.txq;
       transmit p best.tx_cls best.tx_envelope;
-      arm_tx p six
+      arm_tx p
 
-and arm_tx p six =
-  let ps = p.pshards.(six) in
-  if (not ps.ps_tx_armed) && ps.ps_txq <> [] then begin
-    ps.ps_tx_armed <- true;
+and arm_tx p =
+  if (not p.tx_armed) && p.txq <> [] then begin
+    p.tx_armed <- true;
     Net.schedule_on p.dom.net p.node ~delay:p.dom.tx_interval (fun () ->
-        drain_tx p six)
+        drain_tx p)
   end
 
 (* --- the reflexive meta channel (§4.2) ----------------------------------------- *)
@@ -953,10 +911,9 @@ module Subscription = struct
        a filtering host (§3.3.3 migration saved entirely). *)
     if s.pruned then ()
     else
-    let st = sstats d s.param in
     match d.remote with
     | Some r -> (
-        st.Shard.control_messages <- st.Shard.control_messages + 1;
+        d.st.control_messages <- d.st.control_messages + 1;
         match verb with
         | `Sub ->
             let filter =
@@ -970,7 +927,7 @@ module Subscription = struct
     match broker_of d p.node with
     | None -> ()
     | Some b ->
-        st.Shard.control_messages <- st.Shard.control_messages + 1;
+        d.st.control_messages <- d.st.control_messages + 1;
         let body =
           match verb with
           | `Sub ->
@@ -998,22 +955,15 @@ module Subscription = struct
      subscription into every warm entry instead of dropping them for a
      full rebuild. Entries mirror [p.subs] order — newest (highest
      sid) first — so the insert compares sids descending. A pruned
-     subscription never routes and never enters the index.
-
-     Registered with every pshard's index: the subscribed param may be
-     a supertype whose concrete subclasses hash to different shards,
-     and each shard must be able to route its own classes without
-     consulting another shard's state. Each index still only memoizes
-     entries for the classes its shard owns. *)
+     subscription never routes and never enters the index. *)
   let route_in s =
-    if not s.pruned then
-      Array.iter
-        (fun ps ->
-          Routing.add ps.ps_route ~param:s.param
-            ~compare:(fun a b -> Int.compare b.sid a.sid)
-            s;
-          Option.iter (fun rf -> Factored.add ps.ps_filter ~id:s.sid rf) s.rfilter)
-        s.sub_process.pshards
+    if not s.pruned then begin
+      let p = s.sub_process in
+      Routing.add p.route ~param:s.param
+        ~compare:(fun a b -> Int.compare b.sid a.sid)
+        s;
+      Option.iter (fun rf -> Factored.add p.prefilter ~id:s.sid rf) s.rfilter
+    end
 
   let activate s =
     if s.active then
@@ -1064,7 +1014,7 @@ module Subscription = struct
     List.iter
       (fun cls ->
         if Registry.subtype d.registry cls s.param then
-          match Hashtbl.find_opt (pshard p cls).ps_channels cls with
+          match Hashtbl.find_opt p.channels cls with
           | None -> ()
           | Some stack -> (
               match Stack.certified stack with
@@ -1080,11 +1030,9 @@ module Subscription = struct
     if not s.active then
       Errors.cannot_unsubscribe "subscription %d is not activated" s.sid;
     s.active <- false;
-    Array.iter
-      (fun ps ->
-        Routing.remove ps.ps_route ~param:s.param (fun x -> x.sid = s.sid);
-        Factored.remove ps.ps_filter ~id:s.sid)
-      s.sub_process.pshards;
+    let p = s.sub_process in
+    Routing.remove p.route ~param:s.param (fun x -> x.sid = s.sid);
+    Factored.remove p.prefilter ~id:s.sid;
     send_ctl s `Unsub;
     emit_meta s.sub_process ~cls:"SubscriptionDeactivated" ~sid:s.sid
       ~param:s.param
@@ -1100,24 +1048,12 @@ module Process = struct
 
   let subscriptions p = List.rev p.subs
 
-  (* Merge-on-read across the per-shard indexes, like Domain.stats. *)
-  let routing_stats p =
-    Array.fold_left
-      (fun acc ps ->
-        let s = Routing.stats ps.ps_route in
-        Routing.
-          {
-            classes = acc.classes + s.classes;
-            lookups = acc.lookups + s.lookups;
-            builds = acc.builds + s.builds;
-          })
-      Routing.{ classes = 0; lookups = 0; builds = 0 }
-      p.pshards
+  let routing_stats p = Routing.stats p.route
 
   let create d ?storage ?rmi node =
     if List.exists (fun p -> p.node = node) d.processes then
       invalid_arg "Process.create: node already has a process";
-    if meta_count d > 0 then
+    if Hashtbl.length d.channel_meta > 0 then
       invalid_arg
         "Process.create: create all processes before opening channels";
     let storage =
@@ -1135,16 +1071,12 @@ module Process = struct
         node;
         rmi;
         cert_storage = storage;
-        pshards =
-          Array.init d.n_shards (fun _ ->
-              {
-                ps_channels = Hashtbl.create 8;
-                ps_route = Routing.create d.registry;
-                ps_filter = Factored.create ();
-                ps_txq = [];
-                ps_tx_armed = false;
-                ps_tx_next_seq = 0;
-              });
+        channels = Hashtbl.create 8;
+        route = Routing.create d.registry;
+        prefilter = Factored.create ();
+        txq = [];
+        tx_armed = false;
+        tx_next_seq = 0;
         subs = [];
         interest = Hashtbl.create 16;
       }
@@ -1154,9 +1086,7 @@ module Process = struct
     Net.set_handler d.net node ~port:del_port (fun _src bytes ->
         match decode_routed bytes with
         | Some (cls, envelope) -> on_event p cls envelope
-        | None ->
-            let st = sstats0 d in
-            st.Shard.decode_errors <- st.Shard.decode_errors + 1);
+        | None -> d.st.decode_errors <- d.st.decode_errors + 1);
     d.processes <- p :: d.processes;
     p
 
@@ -1230,23 +1160,21 @@ module Process = struct
       }
     in
     if pruned then begin
-      let st = sstats d param in
-      st.Shard.filters_pruned <- st.Shard.filters_pruned + 1;
+      d.st.filters_pruned <- d.st.filters_pruned + 1;
       Trace.Counter.incr d.obs.c_filters_pruned;
       if Trace.emitting d.obs.tr then
         Trace.emit d.obs.tr ~layer:"core" ~kind:"filter_pruned" ~node:p.node
           ~data:[ ("sid", Trace.I sid); ("param", Trace.S param) ] ()
     end;
     (* Parallel dispatch: Multi-policy handler bodies run on the pool
-       worker pinned to the subscribed type's shard. Single and
+       while it lives, inline after [Domain.shutdown]. Single and
        Class_serial policies stay inline on the engine thread (see
        Dispatch.set_executor). *)
-    (match d.pool with
-    | Some pool ->
-        let six = shard_ix d param in
-        Dispatch.set_executor s.dispatch (fun task ->
-            Pool.submit pool ~shard:six task)
-    | None -> ());
+    if Option.is_some d.pool then
+      Dispatch.set_executor s.dispatch (fun task ->
+          match d.pool with
+          | Some pool -> Pool.submit pool task
+          | None -> task ());
     p.subs <- s :: p.subs;
     s
 
@@ -1255,10 +1183,8 @@ module Process = struct
     if not (Net.alive d.net p.node) then
       Errors.cannot_publish "publishing process %d is crashed" p.node;
     let cls = Obvent.cls obvent in
-    let six = shard_ix d cls in
     let meta = ensure_channel d cls in
-    let st = Shard.stats d.shards.(six) in
-    st.Shard.published <- st.Shard.published + 1;
+    d.st.published <- d.st.published + 1;
     Trace.Counter.incr d.obs.c_published;
     let eid = p.node, d.next_eid in
     d.next_eid <- d.next_eid + 1;
@@ -1269,7 +1195,6 @@ module Process = struct
       encode_envelope ~publish_time:(now_of d) ~eid obvent
     in
     if meta.profile.Qos.prioritary || meta.profile.Qos.timely then begin
-      let ps = p.pshards.(six) in
       let entry =
         {
           tx_cls = cls;
@@ -1277,16 +1202,16 @@ module Process = struct
           tx_prio = Obvent.priority d.registry obvent;
           tx_birth = Obvent.birth d.registry obvent;
           tx_ttl = Obvent.time_to_live d.registry obvent;
-          tx_seq = ps.ps_tx_next_seq;
+          tx_seq = p.tx_next_seq;
         }
       in
-      ps.ps_tx_next_seq <- ps.ps_tx_next_seq + 1;
-      ps.ps_txq <- entry :: ps.ps_txq;
-      arm_tx p six
+      p.tx_next_seq <- p.tx_next_seq + 1;
+      p.txq <- entry :: p.txq;
+      arm_tx p
     end
     else transmit p cls envelope
 
-  (* Cross-shard hand-off: a handler running on a pool worker must not
+  (* Hand-off: a handler running on a pool worker must not
      mutate engine state (channel tables, the event heap) from its
      domain — its publish is queued and applied on the engine thread
      at the tick barrier. On the engine thread this is just
@@ -1301,12 +1226,10 @@ module Process = struct
     else publish_now p obvent
 
   let resume p =
-    Array.iter (fun ps -> ps.ps_tx_armed <- false) p.pshards;
-    Array.iter
-      (fun ps -> Hashtbl.iter (fun _ stack -> Stack.resume stack) ps.ps_channels)
-      p.pshards;
+    p.tx_armed <- false;
+    Hashtbl.iter (fun _ stack -> Stack.resume stack) p.channels;
     List.iter (fun s -> if s.active then Subscription.send_ctl s `Sub) p.subs;
-    Array.iteri (fun six _ -> arm_tx p six) p.pshards
+    arm_tx p
 end
 
 let () =
@@ -1338,7 +1261,7 @@ module Remote = struct
     | None -> ());
     if not (p.dom == d) then
       invalid_arg "Remote.connect: process belongs to another domain";
-    if meta_count d > 0 then
+    if Hashtbl.length d.channel_meta > 0 then
       invalid_arg "Remote.connect: connect before opening channels";
     d.remote <- Some endpoint;
     fun ~cls bytes ~off ~len -> on_event_sub p cls bytes ~off ~len
@@ -1355,24 +1278,22 @@ let add_broker d p =
     invalid_arg "add_broker: node is already a filtering host";
   let core = Broker_core.create ~covering:true ~equal:Int.equal d.registry in
   d.brokers <- { b_process = p; b_core = core } :: d.brokers;
-  let decode_error st =
-    st.Shard.decode_errors <- st.Shard.decode_errors + 1;
+  let decode_error () =
+    d.st.decode_errors <- d.st.decode_errors + 1;
     Trace.Counter.incr d.obs.c_decode_errors
   in
   Net.set_handler d.net p.node ~port:pub_port (fun _src bytes ->
       match decode_routed bytes with
-      | None ->
-          (* No class to key on: account the malformed frame to shard 0. *)
-          decode_error (sstats0 d)
+      | None -> decode_error ()
       | Some (cls, envelope) -> (
-          let st = sstats d cls in
-          st.Shard.broker_events <- st.Shard.broker_events + 1;
+          let st = d.st in
+          st.broker_events <- st.broker_events + 1;
           match decode_envelope envelope with
-          | None -> decode_error st
+          | None -> decode_error ()
           | Some (_, eid, obvent_bytes) ->
               List.iter
                 (fun node ->
-                  st.Shard.broker_forwards <- st.Shard.broker_forwards + 1;
+                  st.broker_forwards <- st.broker_forwards + 1;
                   Trace.Counter.incr d.obs.c_broker_forwards;
                   if Trace.emitting d.obs.tr then
                     Trace.emit d.obs.tr ~layer:"broker" ~kind:"forward"
@@ -1388,7 +1309,7 @@ let add_broker d p =
       | List [ Str "sub"; Int sid; Int node; Str param; filt ] ->
           Broker_core.subscribe core ~id:sid ~dest:node ~param filt
       | List [ Str "unsub"; Int sid ] -> Broker_core.unsubscribe core sid
-      | _ | (exception Codec.Decode_error _) -> decode_error (sstats0 d))
+      | _ | (exception Codec.Decode_error _) -> decode_error ())
 
 let broker_filter_stats d =
   match brokers_in_order d with

@@ -38,7 +38,6 @@ module Domain : sig
 
   val create :
     ?tx_interval:int ->
-    ?n_shards:int ->
     ?domains:int ->
     Tpbs_types.Registry.t ->
     Tpbs_sim.Net.t ->
@@ -46,21 +45,16 @@ module Domain : sig
   (** [tx_interval] is the egress-queue drain period for
       priority/timely traffic (default 200 ticks).
 
-      [n_shards] partitions the engine: obvent classes are assigned to
-      shards by a stable hash ({!Tpbs_core.Shard.key}) and each shard
-      owns its slice of channel metadata, routing indexes, egress
-      queue and stats. The default is [max 1 domains]. [n_shards = 1]
-      (the default default) is byte-identical to the historical
-      unsharded engine — same traces, same metrics.
-
-      [domains] > 1 additionally spawns the parallel dispatch tier: a
-      work-stealing pool of that many OCaml 5 domains ({!Pool}), with
-      each shard's Multi-policy handler bodies pinned to one worker.
-      Handlers that publish from a worker go through the cross-shard
-      hand-off queue, applied on the engine thread at the tick
-      barrier, where the pool is also joined — so all handler side
-      effects of a tick are visible before virtual time advances.
-      Call {!shutdown} when done to join the workers. *)
+      [domains] > 1 spawns the parallel dispatch tier: a pool of that
+      many OCaml 5 domains ({!Pool}) that runs the handler bodies of
+      Multi-policy subscriptions. Handlers that publish from a worker
+      go through a hand-off queue, applied on the engine thread at the
+      tick barrier, where the pool is also joined — so all handler
+      side effects of a tick are visible before virtual time advances,
+      and an exception raised by a pooled handler escapes
+      {!Tpbs_sim.Engine.run} as it would inline. The default (1) runs
+      every handler on the engine thread. Call {!shutdown} when done
+      to join the workers. *)
 
   val registry : t -> Tpbs_types.Registry.t
   val net : t -> Tpbs_sim.Net.t
@@ -139,31 +133,24 @@ module Domain : sig
   }
 
   val stats : t -> stats
-  (** The aggregate view: per-shard slices merged on read. *)
-
-  val n_shards : t -> int
-
-  val shard_of_class : t -> string -> int
-  (** The shard owning an obvent class ({!Tpbs_core.Shard.key}). *)
-
-  val stats_of_shard : t -> int -> stats
-  (** One shard's slice of {!stats}, for per-shard contention
-      analysis (bench A4 ablation).
-      @raise Invalid_argument if the shard index is out of range. *)
+  (** A snapshot of the engine's tallies. *)
 
   val pool_stats : t -> Pool.stats option
   (** Dispatch-tier counters when the domain was created with
-      [~domains] > 1. *)
+      [~domains] > 1 and has not been shut down. *)
 
   val shutdown : t -> unit
   (** Drain and join the dispatch-tier workers (a no-op without a
-      pool). The domain remains usable for single-threaded work. *)
+      pool). The domain remains usable for single-threaded work:
+      Multi-policy handler bodies then run inline on the engine
+      thread. Re-raises a pooled handler's exception not yet seen by a
+      tick barrier. *)
 
   val latency : t -> Tpbs_sim.Metric.t
   (** Publish-to-handler latency samples, virtual ticks. *)
 
   val reset_stats : t -> unit
-  (** Zero every shard's stats slice. *)
+  (** Zero the tallies behind {!stats}. *)
 end
 
 module Subscription : sig

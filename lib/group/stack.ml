@@ -11,12 +11,10 @@ type t = {
   layers : Layer.t list;  (* top first *)
   targeted : (dst:Net.node_id -> string -> unit) option;
   certified : Certified.t option;
-  shard : int;  (* owning engine shard; each shard has its own
-                   Seqspace instances via its own stacks *)
 }
 
 let assemble (profile : Qos.profile) ?(transport = Best) ?storage ?retain_acked
-    ?(shard = 0) ~group ~me ~name ~deliver () =
+    ~group ~me ~name ~deliver () =
   (* Bottom: the certified log is itself a (durable, reliable,
      per-publisher-FIFO) transport and needs unicast acks/sync, so it
      displaces any gossip override. Otherwise the chosen transport. *)
@@ -84,12 +82,11 @@ let assemble (profile : Qos.profile) ?(transport = Best) ?storage ?retain_acked
   (* Targeted unicast bypasses every layer above the transport, so it
      is only sound when the transport IS the whole stack. *)
   let targeted = if List.length layers = 1 then targeted_send else None in
-  { layers; targeted; certified; shard }
+  { layers; targeted; certified }
 
 let bcast t payload = Layer.send (List.hd t.layers) payload
 let targeted t = t.targeted
 let certified t = t.certified
-let shard t = t.shard
 let shape t = List.map Layer.name t.layers
 
 (* Bottom-up, so a re-activated certification layer has re-requested

@@ -47,7 +47,6 @@ val assemble :
   ?transport:transport ->
   ?storage:Tpbs_sim.Stable.t ->
   ?retain_acked:bool ->
-  ?shard:int ->
   group:Membership.t ->
   me:Tpbs_sim.Net.node_id ->
   name:string ->
@@ -58,10 +57,7 @@ val assemble :
     [transport] (default {!Best}) picks the bottom for non-certified
     profiles. [storage] backs the certified log/frontier;
     [retain_acked] keeps acknowledged certified history for replay
-    subscriptions instead of trimming it. [shard] (default 0) records
-    the engine shard owning this channel — every Seqspace instance in
-    the stack is thereby shard-local, since stacks are per-channel
-    and channels are partitioned by shard.
+    subscriptions instead of trimming it.
     @raise Invalid_argument if the profile is certified and no
     [storage] is given. *)
 
@@ -77,9 +73,6 @@ val targeted : t -> (dst:Tpbs_sim.Net.node_id -> string -> unit) option
 val certified : t -> Certified.t option
 (** The certified bottom, when the profile has one — the handle for
     {!Certified.replay} (replay subscriptions) and log accounting. *)
-
-val shard : t -> int
-(** The engine shard this channel (and its Seqspace state) belongs to. *)
 
 val resume : t -> unit
 (** Crash-recovery: run every layer's resume hook bottom-up

@@ -12,7 +12,7 @@ type t = {
   rng : Rng.t;
   mutable tick_barriers : (unit -> unit) list;
       (* joined whenever virtual time is about to advance (and once
-         more when the heap drains): the sharded engine parks its
+         more when the heap drains): the pooled engine parks its
          domain-pool join and group-commit flush here, so parallel
          work of one tick completes before the next tick's actions
          observe it. Empty list = the seed engine's exact loop. *)

@@ -38,7 +38,7 @@ val run : ?until:time -> t -> unit
 val add_tick_barrier : t -> (unit -> unit) -> unit
 (** Register a hook that [run] fires once whenever virtual time is
     about to advance, and once more when the heap drains — always
-    before the next action executes. The sharded engine joins its
+    before the next action executes. The pooled engine joins its
     domain pool and flushes group-committed storage here, so all
     parallel work of one tick is visible before the next tick. A
     barrier may schedule new actions (message hand-off); [run] picks

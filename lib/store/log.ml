@@ -556,7 +556,7 @@ let sync t =
       with Unix.Unix_error _ -> ())
 
 (* Group-commit variant of [stable]: record appends are flush-only and
-   the deferred fsync is paid in [Stable.flush] — which the sharded
+   the deferred fsync is paid in [Stable.flush] — which the pub/sub
    engine calls once per tick barrier, coalescing every certified
    frontier/low-watermark persist of the tick into one sync
    ([store.group_commits] counts the non-empty flushes). *)

@@ -1,11 +1,9 @@
-(* Counters and gauges are [Atomic] so the sharded engine's domain
-   workers (lib/core's dispatch pool) can bump them concurrently with
+(* Counters and gauges are [Atomic] so the engine's domain workers
+   (lib/core's dispatch pool) can bump them concurrently with
    the engine thread without losing updates. On the single-domain
    path an uncontended fetch-and-add costs the same handful of
    nanoseconds as the plain int it replaced. Histograms stay
-   engine-thread-owned: every recording site runs on the tick thread
-   (per-shard aggregation joins at the tick barrier before a reader
-   can observe them). *)
+   engine-thread-owned: every recording site runs on the tick thread. *)
 module Counter = struct
   type t = { name : string; count : int Atomic.t }
 

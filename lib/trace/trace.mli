@@ -5,10 +5,9 @@
     [Engine.now]), so every emitted event carries simulation time and a
     fixed-seed run produces byte-identical trace output. Counters and
     gauges are atomic ints — always on, a handful of nanoseconds per
-    update, and safe to bump from the sharded engine's domain workers
+    update, and safe to bump from the engine's domain workers
     concurrently with the engine thread. Histograms are owned by the
-    engine (tick) thread: parallel shards aggregate into them only at
-    the tick barrier. Trace {e events} are only serialized when a
+    engine (tick) thread. Trace {e events} are only serialized when a
     sink buffer is installed; with the default no-op sink [emit] is a
     single field test.
 

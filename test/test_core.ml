@@ -1230,14 +1230,6 @@ let prop_fused_envelope =
 let test_lifted_prefilter () =
   let module Trace = Tpbs_trace.Trace in
   let module Jsonl = Tpbs_trace.Jsonl in
-  (* One index per engine shard: as many shards as CI's sharded matrix
-     asks for. No worker pool — this suite must stay fork-safe for the
-     transport tests. *)
-  let n_shards =
-    match Sys.getenv_opt "TPBS_DOMAINS" with
-    | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1)
-    | None -> 1
-  in
   let reg = rich_registry () in
   Registry.declare_class reg ~name:"Leg" ~attrs:[ ("x", Vtype.Tint) ] ();
   Registry.declare_class reg ~name:"LegQuote" ~extends:"StockQuote"
@@ -1248,7 +1240,7 @@ let test_lifted_prefilter () =
   Trace.set_ambient tr;
   let engine = Engine.create ~seed:5 () in
   let net = Net.create engine in
-  let domain = Domain.create ~n_shards reg net in
+  let domain = Domain.create reg net in
   let publisher = Process.create domain (Net.add_node net) in
   let p = Process.create domain (Net.add_node net) in
   let trees =

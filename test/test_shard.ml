@@ -1,47 +1,16 @@
-(* The sharded engine: stable class→shard keying, the engine tick
-   barrier, the work-stealing domain pool, per-shard stats slices,
-   sharded-vs-unsharded delivery equivalence (the qcheck property the
-   refactor is held to), and a real multi-domain end-to-end run with
-   cross-shard hand-off. *)
+(* The multicore tier: the engine tick barrier, the domain pool, the
+   pooled-vs-inline delivery equivalence (the qcheck property the
+   pool is held to), a real two-domain run with the hand-off queue,
+   and how a pooled engine fails and shuts down. *)
 
 open Helpers
 module Engine = Tpbs_sim.Engine
 module Net = Tpbs_sim.Net
 module Pubsub = Tpbs_core.Pubsub
-module Shard = Tpbs_core.Shard
 module Pool = Tpbs_core.Pool
 module Domain = Pubsub.Domain
 module Process = Pubsub.Process
 module Subscription = Pubsub.Subscription
-
-(* --- shard keying ----------------------------------------------------- *)
-
-let leafs =
-  [ "StockQuote"; "SpotPrice"; "MarketPrice"; "StockRequest"; "StockObvent";
-    "CertQuote"; "Alarm"; "Tick" ]
-
-let test_key_stable () =
-  List.iter
-    (fun cls ->
-      Alcotest.(check int)
-        (cls ^ " deterministic") (Shard.key ~n_shards:4 cls)
-        (Shard.key ~n_shards:4 cls);
-      Alcotest.(check int) (cls ^ " single shard") 0 (Shard.key ~n_shards:1 cls);
-      List.iter
-        (fun n ->
-          let k = Shard.key ~n_shards:n cls in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s in range at n=%d" cls n)
-            true
-            (k >= 0 && k < n))
-        [ 2; 3; 4; 8 ])
-    leafs;
-  (* The partition actually spreads: over this class population at
-     n_shards = 4, more than one shard is hit. *)
-  let shards =
-    List.sort_uniq Int.compare (List.map (Shard.key ~n_shards:4) leafs)
-  in
-  Alcotest.(check bool) "spreads over shards" true (List.length shards > 1)
 
 (* --- the engine tick barrier ------------------------------------------ *)
 
@@ -75,52 +44,16 @@ let test_tick_barrier_schedules_followup () =
 (* --- the domain pool -------------------------------------------------- *)
 
 let test_pool_executes_all () =
-  let pool = Pool.create ~workers:2 ~shards:2 () in
+  let pool = Pool.create ~workers:2 in
   let hits = Atomic.make 0 in
-  for i = 0 to 99 do
-    Pool.submit pool ~shard:(i mod 2) (fun () -> Atomic.incr hits)
+  for _ = 0 to 99 do
+    Pool.submit pool (fun () -> Atomic.incr hits)
   done;
   Pool.barrier pool;
   Alcotest.(check int) "all tasks ran" 100 (Atomic.get hits);
   let st = Pool.stats pool in
   Alcotest.(check int) "tasks counted" 100 st.Pool.tasks;
   Alcotest.(check int) "nothing left queued" 0 st.Pool.queued;
-  Pool.shutdown pool
-
-let test_pool_steals_from_loaded_shard () =
-  let pool = Pool.create ~workers:2 ~shards:2 () in
-  let hits = Atomic.make 0 in
-  (* Load only shard 0: one slow task plus a tail of quick ones. The
-     worker pinned to shard 1 has nothing of its own and must steal. *)
-  Pool.submit pool ~shard:0 (fun () ->
-      Unix.sleepf 0.2;
-      Atomic.incr hits);
-  for _ = 1 to 10 do
-    Pool.submit pool ~shard:0 (fun () -> Atomic.incr hits)
-  done;
-  Pool.barrier pool;
-  Alcotest.(check int) "all tasks ran" 11 (Atomic.get hits);
-  let st = Pool.stats pool in
-  Alcotest.(check bool) "idle worker stole" true (st.Pool.steals > 0);
-  Pool.shutdown pool
-
-let test_pool_pressure_threshold () =
-  let pool = Pool.create ~capacity:8 ~pressure:2 ~workers:1 ~shards:1 () in
-  let release = Atomic.make false in
-  (* Park the only worker, then stack the queue past the pressure
-     threshold: the deep submits must be counted. *)
-  Pool.submit pool ~shard:0 (fun () ->
-      while not (Atomic.get release) do
-        Stdlib.Domain.cpu_relax ()
-      done);
-  for _ = 1 to 4 do
-    Pool.submit pool ~shard:0 (fun () -> ())
-  done;
-  Atomic.set release true;
-  Pool.barrier pool;
-  let st = Pool.stats pool in
-  Alcotest.(check bool) "pressure events counted" true
-    (st.Pool.pressure_events > 0);
   Pool.shutdown pool
 
 (* --- shared scenario fixtures ----------------------------------------- *)
@@ -132,13 +65,14 @@ let scen_registry () =
   Registry.declare_class reg ~name:"Alarm" ~implements:[ "Prioritary" ]
     ~attrs:[ "source", Vtype.Tstring; "priority", Vtype.Tint ]
     ();
+  Registry.declare_class reg ~name:"Reprint" ~extends:"StockRequest" ();
   reg
 
-let setup ?(n = 4) ?(seed = 42) ?n_shards ?domains () =
+let setup ?(n = 4) ?(seed = 42) ?config ?domains () =
   let reg = scen_registry () in
   let engine = Engine.create ~seed () in
-  let net = Net.create engine in
-  let domain = Domain.create ?n_shards ?domains reg net in
+  let net = Net.create ?config engine in
+  let domain = Domain.create ?domains reg net in
   let procs =
     Array.init n (fun _ -> Process.create domain (Net.add_node net))
   in
@@ -149,44 +83,7 @@ let quote_of reg cls ?(company = "Telco Mobiles") ?(amount = 10) () =
     [ "company", Value.Str company; "price", Value.Float 80.;
       "amount", Value.Int amount ]
 
-(* --- per-shard engine state ------------------------------------------- *)
-
-let test_stats_merge_on_read () =
-  let reg, engine, _net, domain, procs = setup ~n_shards:4 () in
-  (* Classes owned by different shards (the population guarantees at
-     least two distinct keys — assert rather than assume). *)
-  let classes = [ "StockQuote"; "SpotPrice"; "MarketPrice"; "StockRequest" ] in
-  let k0 = Domain.shard_of_class domain (List.hd classes) in
-  Alcotest.(check bool) "classes span shards" true
-    (List.exists (fun c -> Domain.shard_of_class domain c <> k0) classes);
-  let s = Process.subscribe procs.(1) ~param:"StockObvent" (fun _ -> ()) in
-  Subscription.activate s;
-  List.iter
-    (fun cls -> Process.publish procs.(0) (quote_of reg cls ()))
-    classes;
-  Engine.run engine;
-  let merged = Domain.stats domain in
-  let summed f =
-    List.fold_left
-      (fun acc k -> acc + f (Domain.stats_of_shard domain k))
-      0 [ 0; 1; 2; 3 ]
-  in
-  Alcotest.(check int) "published merges" merged.Domain.published
-    (summed (fun st -> st.Domain.published));
-  Alcotest.(check int) "deliveries merge" merged.Domain.deliveries
-    (summed (fun st -> st.Domain.deliveries));
-  Alcotest.(check int) "all four published" 4 merged.Domain.published;
-  Alcotest.(check int) "all four delivered" 4 merged.Domain.deliveries;
-  (* The slices really are per-shard: no single shard saw everything. *)
-  Alcotest.(check bool) "no shard owns all deliveries" true
-    (List.for_all
-       (fun k -> (Domain.stats_of_shard domain k).Domain.deliveries < 4)
-       [ 0; 1; 2; 3 ]);
-  Domain.reset_stats domain;
-  Alcotest.(check int) "reset zeros every shard" 0
-    (Domain.stats domain).Domain.published
-
-(* --- sharded = unsharded (the refactor's contract) -------------------- *)
+(* --- pooled = inline ---------------------------------------------------- *)
 
 let params =
   [| "StockObvent"; "StockQuote"; "StockRequest"; "SpotPrice"; "CertQuote";
@@ -195,19 +92,27 @@ let params =
 let event_classes =
   [| "StockQuote"; "SpotPrice"; "MarketPrice"; "CertQuote"; "Alarm" |]
 
-(* Run one random scenario at a given shard count: 4 processes, a
-   broker host, subscriptions on two processes, a publish batch
+(* Run one random scenario at a domain count: 4 processes, a broker
+   host, six logging subscriptions on two processes, a publish batch
    covering plain, broker-routed, certified and prioritary (egress
-   queue) classes. Returns per-subscription delivery logs and the
-   merged stats. Timely classes are deliberately absent: expiry
-   depends on drain timing, which sharding is allowed to change. *)
-let run_scenario ~n_shards (sub_params, events) =
-  let reg, engine, _net, domain, procs = setup ~seed:9 ~n_shards () in
+   queue) classes, and a Multi subscription that republishes every
+   StockQuote it gets as a Reprint — from a pool worker, through the
+   hand-off queue, at 2 domains. Returns per-subscription delivery
+   logs (flagged when the subscription is Single, so its bodies run on
+   the engine thread in delivery order) and the stats.
+
+   The net has no jitter: a handed-off publish runs at the end of its
+   tick rather than inside the handler, and with jitter that would
+   move the random draws of every later send. Timely classes are
+   absent: expiry depends on drain timing. *)
+let run_scenario ~domains (sub_params, events) =
+  let config = { Net.default_config with jitter = 0 } in
+  let reg, engine, _net, domain, procs = setup ~seed:9 ~config ~domains () in
   Pubsub.add_broker domain procs.(3);
   let logs =
     List.mapi
       (fun i pi ->
-        let log = ref [] in
+        let log = ref [] and lock = Mutex.create () in
         let param = params.(pi mod Array.length params) in
         let s =
           Process.subscribe procs.(1 + (i mod 2)) ~param (fun o ->
@@ -222,12 +127,21 @@ let run_scenario ~n_shards (sub_params, events) =
                     | Value.Int n -> string_of_int n
                     | _ -> "?")
               in
-              log := (Obvent.cls o, id) :: !log)
+              Mutex.protect lock (fun () -> log := (Obvent.cls o, id) :: !log))
         in
+        let single = i / 2 mod 2 = 1 in
+        if single then Subscription.set_single_threading s;
         Subscription.activate s;
-        param, log)
+        (param, single), log)
       sub_params
   in
+  Subscription.activate
+    (Process.subscribe procs.(2) ~param:"StockQuote" (fun o ->
+         match Obvent.get o "amount" with
+         | Value.Int n ->
+             Process.publish procs.(2)
+               (quote_of reg "Reprint" ~amount:(1000 + n) ())
+         | _ -> ()));
   List.iteri
     (fun j ci ->
       let cls = event_classes.(ci mod Array.length event_classes) in
@@ -241,12 +155,13 @@ let run_scenario ~n_shards (sub_params, events) =
       Process.publish procs.(0) o)
     events;
   Engine.run engine;
-  ( List.map (fun (param, log) -> param, List.rev !log) logs,
+  Domain.shutdown domain;
+  ( List.map (fun (key, log) -> key, List.rev !log) logs,
     Domain.stats domain )
 
-let sharded_equivalent =
+let pooled_equivalent =
   QCheck.Test.make ~count:25
-    ~name:"sharded engine = unsharded engine (n_shards in {2,4})"
+    ~name:"pooled engine = inline engine (domains in {1,2})"
     QCheck.(
       make
         Gen.(
@@ -256,41 +171,30 @@ let sharded_equivalent =
             (int_range 0 (Array.length event_classes - 1))
           >>= fun events -> return (sub_params, events)))
     (fun scenario ->
-      let base_logs, base_stats = run_scenario ~n_shards:1 scenario in
-      List.for_all
-        (fun n_shards ->
-          let logs, stats = run_scenario ~n_shards scenario in
-          (* Aggregate stats are shard-count independent. *)
-          stats = base_stats
-          && List.for_all2
-               (fun (param, base) (param', log) ->
-                 param = param'
-                 (* Per-subscriber multiset: same events delivered. *)
-                 && List.sort compare base = List.sort compare log
-                 (* Per-(subscriber, class) order: within one class the
-                    delivery sequence is exactly the unsharded one.
-                    (Cross-class interleaving may differ: each shard
-                    drains its own egress queue.) *)
-                 && List.for_all
-                      (fun cls ->
-                        List.filter (fun (c, _) -> c = cls) base
-                        = List.filter (fun (c, _) -> c = cls) log)
-                      (Array.to_list event_classes))
-               base_logs logs)
-        [ 2; 4 ])
+      let base_logs, base_stats = run_scenario ~domains:1 scenario in
+      let logs, stats = run_scenario ~domains:2 scenario in
+      stats = base_stats
+      && List.for_all2
+           (fun (key, base) (key', log) ->
+             key = key'
+             (* Per-subscriber multiset: same events delivered. *)
+             && List.sort compare base = List.sort compare log
+             (* Per-(subscriber, class) order for Single subscribers:
+                within one published class the delivery sequence is
+                exactly the inline one. (Reprints are published by
+                racing workers, so their order is not fixed.) *)
+             && ((not (snd key))
+                || List.for_all
+                     (fun cls ->
+                       List.filter (fun (c, _) -> c = cls) base
+                       = List.filter (fun (c, _) -> c = cls) log)
+                     (Array.to_list event_classes)))
+           base_logs logs)
 
-(* --- real domains: parallel dispatch + cross-shard hand-off ----------- *)
+(* --- real domains: parallel dispatch + hand-off ------------------------- *)
 
 let test_multi_domain_end_to_end () =
-  (* CI's sharded matrix sets TPBS_DOMAINS (1 and 4); default 2. At 1
-     there is no pool — dispatch stays inline and the hand-off queue is
-     bypassed — but the delivery contract below must hold regardless. *)
-  let domains =
-    match Sys.getenv_opt "TPBS_DOMAINS" with
-    | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 2)
-    | None -> 2
-  in
-  let reg, engine, _net, domain, procs = setup ~n_shards:2 ~domains () in
+  let reg, engine, _net, domain, procs = setup ~domains:2 () in
   let handled = Atomic.make 0 in
   (* Handler A (Multi policy ⇒ runs on a pool worker) republishes into
      another class — a publish from off the engine thread, carried by
@@ -319,30 +223,63 @@ let test_multi_domain_end_to_end () =
     (Subscription.delivered s_spot);
   Alcotest.(check int) "every handler body ran" 16 (Atomic.get handled);
   (match Domain.pool_stats domain with
-  | None ->
-      if domains > 1 then
-        Alcotest.fail "pooled domain reports no pool stats"
+  | None -> Alcotest.fail "pooled domain reports no pool stats"
   | Some st ->
       Alcotest.(check bool) "handlers went through the pool" true
         (st.Pool.tasks >= 16));
   Domain.shutdown domain
 
+(* A Multi handler that raises fails [Engine.run] whether its body ran
+   inline or on a worker (re-raised at the tick barrier). *)
+let test_handler_exception_propagates () =
+  List.iter
+    (fun domains ->
+      let reg, engine, _net, domain, procs = setup ~domains () in
+      Subscription.activate
+        (Process.subscribe procs.(1) ~param:"StockQuote" (fun _ ->
+             failwith "boom"));
+      Process.publish procs.(0) (quote_of reg "StockQuote" ());
+      (match Engine.run engine with
+      | () ->
+          Alcotest.failf "domains=%d: the handler's exception was lost" domains
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "domains=%d raises" domains)
+            "boom" msg);
+      Domain.shutdown domain)
+    [ 1; 2 ]
+
+(* After [shutdown] the domain stays usable: Multi handler bodies run
+   inline instead of being dropped on a stopped pool. *)
+let test_shutdown_runs_inline () =
+  List.iter
+    (fun domains ->
+      let reg, engine, _net, domain, procs = setup ~domains () in
+      let ran = ref 0 in
+      let s =
+        Process.subscribe procs.(1) ~param:"StockQuote" (fun _ -> incr ran)
+      in
+      Subscription.activate s;
+      Domain.shutdown domain;
+      Process.publish procs.(0) (quote_of reg "StockQuote" ());
+      Engine.run engine;
+      let label what = Printf.sprintf "domains=%d %s" domains what in
+      Alcotest.(check int) (label "delivered") 1 (Subscription.delivered s);
+      Alcotest.(check int) (label "handler ran") 1 !ran)
+    [ 1; 2 ]
+
 let suite =
   ( "shard",
-    [ Alcotest.test_case "shard key: stable, in range, spreading" `Quick
-        test_key_stable;
-      Alcotest.test_case "engine tick barrier placement" `Quick
+    [ Alcotest.test_case "engine tick barrier placement" `Quick
         test_tick_barrier;
       Alcotest.test_case "tick barrier may schedule follow-ups" `Quick
         test_tick_barrier_schedules_followup;
       Alcotest.test_case "pool executes every task" `Quick
         test_pool_executes_all;
-      Alcotest.test_case "pool steals from a loaded shard" `Quick
-        test_pool_steals_from_loaded_shard;
-      Alcotest.test_case "pool counts pressure events" `Quick
-        test_pool_pressure_threshold;
-      Alcotest.test_case "per-shard stats merge on read" `Quick
-        test_stats_merge_on_read;
-      QCheck_alcotest.to_alcotest ~long:false sharded_equivalent;
+      QCheck_alcotest.to_alcotest ~long:false pooled_equivalent;
       Alcotest.test_case "two domains: parallel dispatch + hand-off" `Quick
-        test_multi_domain_end_to_end ] )
+        test_multi_domain_end_to_end;
+      Alcotest.test_case "a raising handler fails the run at 1 and 2 domains"
+        `Quick test_handler_exception_propagates;
+      Alcotest.test_case "after shutdown, Multi handlers run inline" `Quick
+        test_shutdown_runs_inline ] )
