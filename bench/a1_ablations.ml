@@ -13,7 +13,10 @@
        deserialization (the pre-COW §2.1.2 implementation) vs
        copy-on-write views (the delivery path's current strategy,
        with and without subscriber writes) vs a hypothetical shared
-       decode with no isolation at all. *)
+       decode with no isolation at all. Exports the gauge
+       a4.cow_over_shared_pct, ceil (100 x cow/shared) at 64
+       subs/node, to $TPBS_TRACE_FILE: CI requires level<=300, COW
+       within 3x of shared. *)
 
 module Value = Tpbs_serial.Value
 module Codec = Tpbs_serial.Codec
@@ -27,6 +30,7 @@ module Membership = Tpbs_group.Membership
 module Best_effort = Tpbs_group.Best_effort
 module Rbcast = Tpbs_group.Rbcast
 module Gossip = Tpbs_group.Gossip
+module Trace = Tpbs_trace.Trace
 
 (* --- A1 ----------------------------------------------------------------- *)
 
@@ -238,6 +242,8 @@ let a4 () =
   let rng = Rng.create 3 in
   let event = Workload.random_event reg rng ~cls:"StockQuote" () in
   let bytes = Obvent.serialize event in
+  let tr = Trace.create () in
+  let pct = Trace.gauge tr "a4.cow_over_shared_pct" in
   List.iter
     (fun n ->
       (* The §2.1.2 guarantee paid eagerly: one full deserialization
@@ -276,6 +282,8 @@ let a4 () =
       in
       let eager_ratio = t_eager /. Float.max 1e-9 t_shared in
       let cow_ratio = t_cow /. Float.max 1e-9 t_shared in
+      (* the level is the last row's: 64 subs/node *)
+      Trace.Gauge.set pct (int_of_float (Float.ceil (100. *. cow_ratio)));
       Fmt.pr "%9d  %13.2f  %11.2f  %17.2f  %14.2f  %11.1fx  %9.1fx@." n
         (t_eager *. 1e6) (t_cow *. 1e6) (t_cow_write *. 1e6)
         (t_shared *. 1e6) eager_ratio cow_ratio;
@@ -283,7 +291,8 @@ let a4 () =
         [ J_int n; J_float (t_eager *. 1e6); J_float (t_cow *. 1e6);
           J_float (t_cow_write *. 1e6); J_float (t_shared *. 1e6);
           J_float eager_ratio; J_float cow_ratio ])
-    [ 1; 4; 16; 64 ]
+    [ 1; 4; 16; 64 ];
+  Trace.write_file tr (Workload.trace_path ())
 
 let run () =
   a1 ();

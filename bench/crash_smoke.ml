@@ -7,8 +7,8 @@
    re-attach + resume, retransmission catch-up. The run fails hard
    unless every published message was delivered exactly once, and
    exports its trace to $TPBS_TRACE_FILE so CI can additionally assert
-   (via `tpbs_report --require`) that the recovery counters actually
-   moved. *)
+   (via `tpbs_report --require "store.recovered_records:value>=1"` and
+   the like) that the recovery counters actually moved. *)
 
 module Log = Tpbs_store.Log
 module Stable = Tpbs_sim.Stable
@@ -37,8 +37,7 @@ let msgs = 24
 let run () =
   let engine = Engine.create ~seed:2718 () in
   let tr = Trace.create ~clock:(fun () -> Engine.now engine) () in
-  let buf = Buffer.create (1 lsl 14) in
-  Trace.set_sink tr (Some buf);
+  Trace.set_sink tr (Some (Buffer.create (1 lsl 14)));
   Trace.set_detailed tr true;
   Trace.set_ambient tr;
   let net = Net.create engine in
@@ -87,16 +86,9 @@ let run () =
   let st = Log.stats !log in
   Log.close !log;
   rm_rf dir;
-  Trace.metrics_to_jsonl tr buf;
+  let path = Workload.trace_path () in
+  Trace.write_file tr path;
   Trace.set_ambient (Trace.create ());
-  let path =
-    match Sys.getenv_opt "TPBS_TRACE_FILE" with
-    | Some p -> p
-    | None -> "tpbs_trace.jsonl"
-  in
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
   Fmt.pr "@.CRASH  certified delivery across an injected power cut@.";
   Fmt.pr
     "crashes=%d delivered=%d/%d recovered=%d torn_bytes=%d retransmits=%d@."

@@ -16,7 +16,8 @@
 
    A final fresh-trace gate run (64 subscribers, 500
    publishes) exports its metrics to $TPBS_TRACE_FILE so CI can assert
-   the counters exactly (tpbs_report --require-eq). *)
+   the counters exactly (tpbs_report --require
+   "transport.deliver_encodes:value==500" and the like). *)
 
 module Broker = Tpbs_transport.Broker
 module Conn = Tpbs_transport.Conn
@@ -194,15 +195,7 @@ let run () =
   let tr = Trace.create () in
   Trace.set_ambient tr;
   let delivered, _, _ = run_one ~subs:64 ~pubs:500 in
-  let buf = Buffer.create 4096 in
-  Trace.metrics_to_jsonl tr buf;
+  let path = Workload.trace_path () in
+  Trace.write_file tr path;
   Trace.set_ambient (Trace.create ());
-  let path =
-    match Sys.getenv_opt "TPBS_TRACE_FILE" with
-    | Some p -> p
-    | None -> "tpbs_trace.jsonl"
-  in
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
   Fmt.pr "e13 gate run: %d deliveries, trace -> %s@." delivered path

@@ -13,7 +13,7 @@
 
 module Engine = Tpbs_sim.Engine
 module Net = Tpbs_sim.Net
-module Metric = Tpbs_sim.Metric
+module Histogram = Tpbs_trace.Histogram
 module Pubsub = Tpbs_core.Pubsub
 module Rng = Tpbs_sim.Rng
 module Trace = Tpbs_trace.Trace
@@ -54,8 +54,8 @@ let run_rung cls =
   ( float_of_int s.Net.sent /. float_of_int events,
     float_of_int s.Net.bytes_sent /. float_of_int events,
     ratio,
-    Metric.mean latency,
-    Metric.percentile latency 0.99,
+    Histogram.mean latency,
+    Histogram.percentile latency 0.99,
     Trace.Counter.value (Trace.counter tr "group.certified.retransmits"),
     Trace.Gauge.peak (Trace.gauge tr "group.total.holdback") )
 

@@ -19,6 +19,7 @@ module Expr = Tpbs_filter.Expr
 module Factored = Tpbs_filter.Factored
 module Subsume = Tpbs_filter.Subsume
 module Obvent = Tpbs_obvent.Obvent
+module Trace = Tpbs_trace.Trace
 
 let events_n = 300
 
@@ -120,7 +121,9 @@ let run_prune_cell ~n ~dead =
    e3c_suppression — the broker install scan: filters arrive in order,
    each is suppressed iff an already-installed one covers it. Reported
    per (population, redundancy) cell, with the install time per
-   covering decision. *)
+   covering decision. The gauge e3c.suppressed_pct, the floor of the
+   last row's rate (the largest population at the highest redundancy),
+   goes to $TPBS_TRACE_FILE: CI requires level>=50. *)
 
 let conj ~k ~slack =
   let atom i =
@@ -208,6 +211,8 @@ let run_cover () =
     ~cols:
       [ "subs"; "redundancy_pct"; "installed"; "suppressed";
         "suppressed_pct"; "decision_us" ];
+  let tr = Trace.create () in
+  let pct = Trace.gauge tr "e3c.suppressed_pct" in
   List.iter
     (fun n ->
       List.iter
@@ -217,13 +222,15 @@ let run_cover () =
           in
           Fmt.pr "%5d  %6.0f%%  %9d  %10d  %4.0f%%  %11.2f@." total
             (100. *. redundancy) installed suppressed rate dec_us;
+          Trace.Gauge.set pct (int_of_float (Float.floor rate));
           Workload.json_row ~key:"e3c_suppression"
             [ Workload.J_int total;
               Workload.J_float (100. *. redundancy);
               Workload.J_int installed; Workload.J_int suppressed;
               Workload.J_float rate; Workload.J_float dec_us ])
         [ 0.0; 0.5; 0.9 ])
-    [ 100; 1000 ]
+    [ 100; 1000 ];
+  Trace.write_file tr (Workload.trace_path ())
 
 let run () =
   Workload.table_header

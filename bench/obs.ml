@@ -24,8 +24,7 @@ let run () =
   let reg = Workload.registry () in
   let engine = Engine.create ~seed:90210 () in
   let tr = Trace.create ~clock:(fun () -> Engine.now engine) () in
-  let buf = Buffer.create (1 lsl 16) in
-  Trace.set_sink tr (Some buf);
+  Trace.set_sink tr (Some (Buffer.create (1 lsl 16)));
   Trace.set_detailed tr true;
   Trace.set_ambient tr;
   let net =
@@ -80,20 +79,10 @@ let run () =
   Engine.schedule engine ~delay:25_000 (fun () ->
       Rmi.invoke rts.(1) dead_obj ~meth:"echo" ~args:[] ~k:ignore);
   Engine.run ~until:400_000 engine;
-  Trace.metrics_to_jsonl tr buf;
+  let path = Workload.trace_path () in
+  Trace.write_file tr path;
   Trace.set_ambient (Trace.create ());
-  let path =
-    match Sys.getenv_opt "TPBS_TRACE_FILE" with
-    | Some p -> p
-    | None -> "tpbs_trace.jsonl"
-  in
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  let lines =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
-  in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
   Fmt.pr "@.OBS  traced mixed run (%d nodes, %d events, crash+RMI churn)@."
     nodes events;
   Fmt.pr "trace: %d JSONL lines -> %s@." (List.length lines) path;

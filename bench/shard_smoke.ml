@@ -8,7 +8,7 @@
    The JSONL trace (metrics included) goes to $TPBS_TRACE_FILE
    (default "shard_smoke.jsonl") for
 
-     tpbs_report shard_smoke.jsonl --require-eq "pool.tasks:value==420"
+     tpbs_report shard_smoke.jsonl --require "pool.tasks:value==420"
 
    and the run itself exits 1 unless every subscription got every
    obvent published on its class. *)
@@ -31,8 +31,7 @@ let handler_bodies = (2 * events) + echoes
 let run () =
   let engine = Engine.create ~seed:41 () in
   let tr = Trace.create ~clock:(fun () -> Engine.now engine) () in
-  let buf = Buffer.create (1 lsl 14) in
-  Trace.set_sink tr (Some buf);
+  Trace.set_sink tr (Some (Buffer.create (1 lsl 14)));
   Trace.set_ambient tr;
   let reg = Registry.create () in
   List.iter
@@ -75,16 +74,9 @@ let run () =
     | Some st -> st.Pool.tasks
   in
   Pubsub.Domain.shutdown domain;
-  Trace.metrics_to_jsonl tr buf;
+  let path = Workload.trace_path ~default:"shard_smoke.jsonl" () in
+  Trace.write_file tr path;
   Trace.set_ambient (Trace.create ());
-  let path =
-    match Sys.getenv_opt "TPBS_TRACE_FILE" with
-    | Some p -> p
-    | None -> "shard_smoke.jsonl"
-  in
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
   let delivered = Pubsub.Subscription.delivered in
   Fmt.pr "@.SHARD  pool smoke (domains=%d)@." domains;
   Fmt.pr "delivered=%d+%d/%d echoes=%d/%d bodies=%d pool_tasks=%d/%d virt=%d \

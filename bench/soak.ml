@@ -15,8 +15,8 @@
    The parent aggregates everything into one JSONL metrics file
    (soak.latency_us histogram, soak.recovery_ms gauge, soak.* verdict
    counters, summed transport.* client counters, plus the broker's
-   own tpbsd.* export) for tpbs_report --require / --require-le SLO
-   gates, and exits non-zero on any lost, duplicated or out-of-order
+   own tpbsd.* export) for tpbs_report --require NAME:FIELD OP BOUND
+   SLO gates, and exits non-zero on any lost, duplicated or out-of-order
    delivery.
 
    Standalone roles for manual two-terminal runs against an external
@@ -96,13 +96,6 @@ let turn ctx ~timeout_ms =
   ignore (Client.poll ctx.client ~timeout_ms);
   Engine.run ctx.engine
 
-let dump_metrics path =
-  let buf = Buffer.create 4096 in
-  Trace.metrics_to_jsonl (Trace.ambient ()) buf;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
-
 (* --- publisher child --------------------------------------------------- *)
 
 let run_publisher ~id ~port ~events ?(pace_us = 0) ?metrics_file () =
@@ -128,7 +121,7 @@ let run_publisher ~id ~port ~events ?(pace_us = 0) ?metrics_file () =
     turn ctx ~timeout_ms:1
   done;
   let unresolved = Client.queued_count ctx.client in
-  (match metrics_file with Some p -> dump_metrics p | None -> ());
+  Option.iter (Trace.write_file (Trace.ambient ())) metrics_file;
   Printf.printf "soak[%s]: published %d, unacked at exit %d\n%!" id !sent
     unresolved;
   if unresolved = 0 then 0 else 3
@@ -200,7 +193,7 @@ let run_subscriber ~id ~port ~expect ?metrics_file ?samples_file ?ready_file
       Buffer.output_buffer oc samples;
       close_out oc
   | None -> ());
-  (match metrics_file with Some p -> dump_metrics p | None -> ());
+  Option.iter (Trace.write_file (Trace.ambient ())) metrics_file;
   Printf.printf
     "soak[%s]: delivered %d/%d (dups seen by app %d, order violations %d, \
      covered siblings saw %d/%d)\n%!"
@@ -224,7 +217,7 @@ let run_broker ~listen_fd ~ctl_r ~warmup_ms ~metrics_file =
     if Broker.poll b ~extra_fds:[ ctl_r ] ~timeout_ms:100 () then quit := true
   done;
   Broker.stop b;
-  dump_metrics metrics_file;
+  Trace.write_file (Trace.ambient ()) metrics_file;
   0
 
 (* --- the forked harness ------------------------------------------------ *)
@@ -268,17 +261,7 @@ let wait_all children ~deadline =
 
 let read_lines path =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | l -> go (l :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let lines = go [] in
-    close_in ic;
-    lines
-  end
+  else In_channel.with_open_text path In_channel.input_lines
 
 let harness ~subs ~pubs ~events ~restart ~pace_us ~out =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -423,8 +406,8 @@ let harness ~subs ~pubs ~events ~restart ~pace_us ~out =
       let total =
         List.fold_left
           (fun acc lines ->
-            match Report.counter_value lines name with
-            | Some v -> acc + v
+            match Report.metric_value lines name "value" with
+            | Some v -> acc + int_of_float v
             | None -> acc)
           0 child_metrics
       in

@@ -7,6 +7,7 @@ module Value = Tpbs_serial.Value
 module Obvent = Tpbs_obvent.Obvent
 module Expr = Tpbs_filter.Expr
 module Rng = Tpbs_sim.Rng
+module Jsonl = Tpbs_trace.Jsonl
 
 let companies =
   [| "Telco Mobiles"; "Telco Fixnet"; "Telco Cloud"; "Acme Corp";
@@ -111,12 +112,16 @@ let time_per_op f ~runs =
   done;
   (Sys.time () -. t0) /. float_of_int runs
 
+(* The file a bench writes its metrics to: $TPBS_TRACE_FILE, else
+   [default]. *)
+let trace_path ?(default = "tpbs_trace.jsonl") () =
+  Option.value (Sys.getenv_opt "TPBS_TRACE_FILE") ~default
+
 (* --- machine-readable table collection ------------------------------- *)
 
 (* Experiments register their tables here as they print them; the
-   harness dumps the collection to BENCH_<n>.json on --json and the CI
-   perf guard reads it back. Collection is always on — it is a few
-   lists per run. *)
+   harness dumps the collection to BENCH_<n>.json on --json.
+   Collection is always on — it is a few lists per run. *)
 
 type cell = J_int of int | J_float of float | J_str of string
 
@@ -135,31 +140,11 @@ let json_row ~key row =
   | None -> invalid_arg ("json_row: unregistered table " ^ key)
   | Some (_, rows) -> rows := row :: !rows
 
-let json_find key =
-  Option.map
-    (fun (cols, rows) -> cols, List.rev !rows)
-    (Hashtbl.find_opt json_tables key)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let cell_to_json = function
   | J_int i -> string_of_int i
   | J_float f ->
       if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-  | J_str s -> "\"" ^ json_escape s ^ "\""
+  | J_str s -> "\"" ^ Jsonl.escape s ^ "\""
 
 let write_json path =
   let oc = open_out path in
@@ -167,18 +152,18 @@ let write_json path =
   out "{";
   List.iteri
     (fun ti key ->
-      let cols, rows = Option.get (json_find key) in
+      let cols, rows = Hashtbl.find json_tables key in
       if ti > 0 then out ",";
       out "\n  \"%s\": {\n    \"columns\": [%s],\n    \"rows\": ["
-        (json_escape key)
+        (Jsonl.escape key)
         (String.concat ", "
-           (List.map (fun c -> "\"" ^ json_escape c ^ "\"") cols));
+           (List.map (fun c -> "\"" ^ Jsonl.escape c ^ "\"") cols));
       List.iteri
         (fun ri row ->
           if ri > 0 then out ",";
           out "\n      [%s]"
             (String.concat ", " (List.map cell_to_json row)))
-        rows;
+        (List.rev !rows);
       out "\n    ]\n  }")
     !json_order;
   out "\n}\n";

@@ -1,108 +1,39 @@
 (* Summarize (or validate with --check) a JSONL trace/metrics file
    produced by the tpbs_trace exporter. Reads stdin when no file (or
-   "-") is given. --require NAME (repeatable) fails unless counter
-   NAME was exported with a positive value — CI smoke steps use it to
-   assert a scenario actually exercised a path. *)
+   "-") is given. --require "NAME:FIELD OP BOUND" (repeatable; OP one
+   of <=, >=, ==) fails unless the final exported FIELD of metric NAME
+   satisfies the bound — CI gates use it, e.g.
+   "store.recovered_records:value>=1" to assert a scenario actually
+   exercised a path, "tpbsd.qdepth:peak<=256" for an SLO. *)
+
+module Report = Tpbs_trace.Report
 
 let usage () =
   prerr_endline
-    "usage: tpbs_report [--check] [--require COUNTER]... \
-     [--require-le NAME:FIELD<=BOUND]... [--require-ge NAME:FIELD>=BOUND]... \
-     [--require-eq NAME:FIELD==BOUND]... [FILE|-]";
+    "usage: tpbs_report [--check] [--require NAME:FIELD(<=|>=|==)BOUND]... \
+     [FILE|-]";
   exit 2
-
-(* "soak.latency_us:p99<=500000" → (name, field, bound); [op] is the
-   comparison glyph separating field from bound ("<=" or ">="). *)
-let parse_require ~op spec =
-  match String.index_opt spec ':' with
-  | None -> None
-  | Some i -> (
-      let name = String.sub spec 0 i in
-      let rest = String.sub spec (i + 1) (String.length spec - i - 1) in
-      let split_on sub =
-        let sl = String.length sub in
-        let rec go j =
-          if j + sl > String.length rest then None
-          else if String.sub rest j sl = sub then
-            Some
-              ( String.sub rest 0 j,
-                String.sub rest (j + sl) (String.length rest - j - sl) )
-          else go (j + 1)
-        in
-        go 0
-      in
-      match split_on op with
-      | None -> None
-      | Some (field, bound) -> (
-          match float_of_string_opt (String.trim bound) with
-          | None -> None
-          | Some b -> Some (name, String.trim field, b)))
-
-let read_lines ic =
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  go []
 
 let () =
   let check_mode = ref false in
   let required = ref [] in
-  let required_le = ref [] in
-  let required_ge = ref [] in
-  let required_eq = ref [] in
   let file = ref None in
   let rec parse = function
     | [] -> ()
     | "--check" :: rest ->
         check_mode := true;
         parse rest
-    | "--require" :: name :: rest ->
-        required := name :: !required;
-        parse rest
-    | [ "--require" ] ->
-        prerr_endline "tpbs_report: --require expects a counter name";
-        exit 2
-    | "--require-le" :: spec :: rest -> (
-        match parse_require ~op:"<=" spec with
+    | "--require" :: spec :: rest -> (
+        match Report.parse_requirement spec with
         | Some r ->
-            required_le := r :: !required_le;
+            required := r :: !required;
             parse rest
         | None ->
             Printf.eprintf
-              "tpbs_report: bad --require-le spec %S (want NAME:FIELD<=BOUND)\n"
+              "tpbs_report: bad --require spec %S (want NAME:FIELD OP BOUND, \
+               OP one of <= >= ==)\n"
               spec;
             exit 2)
-    | [ "--require-le" ] ->
-        prerr_endline "tpbs_report: --require-le expects NAME:FIELD<=BOUND";
-        exit 2
-    | "--require-ge" :: spec :: rest -> (
-        match parse_require ~op:">=" spec with
-        | Some r ->
-            required_ge := r :: !required_ge;
-            parse rest
-        | None ->
-            Printf.eprintf
-              "tpbs_report: bad --require-ge spec %S (want NAME:FIELD>=BOUND)\n"
-              spec;
-            exit 2)
-    | [ "--require-ge" ] ->
-        prerr_endline "tpbs_report: --require-ge expects NAME:FIELD>=BOUND";
-        exit 2
-    | "--require-eq" :: spec :: rest -> (
-        match parse_require ~op:"==" spec with
-        | Some r ->
-            required_eq := r :: !required_eq;
-            parse rest
-        | None ->
-            Printf.eprintf
-              "tpbs_report: bad --require-eq spec %S (want NAME:FIELD==BOUND)\n"
-              spec;
-            exit 2)
-    | [ "--require-eq" ] ->
-        prerr_endline "tpbs_report: --require-eq expects NAME:FIELD==BOUND";
-        exit 2
     | "-" :: rest ->
         file := None;
         parse rest
@@ -114,95 +45,26 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let lines =
     match !file with
-    | None -> read_lines stdin
+    | None -> In_channel.input_lines stdin
     | Some path ->
         if not (Sys.file_exists path) then begin
           Printf.eprintf "tpbs_report: no such file: %s\n" path;
           exit 2
         end;
-        let ic = open_in path in
-        let lines = read_lines ic in
-        close_in ic;
-        lines
+        In_channel.with_open_text path In_channel.input_lines
   in
-  match Tpbs_trace.Report.check lines with
+  match Report.check lines with
   | Error (lineno, msg) ->
       Printf.eprintf "tpbs_report: line %d: %s\n" lineno msg;
       exit 1
-  | Ok n ->
-      let failed =
-        List.filter
-          (fun name ->
-            match Tpbs_trace.Report.counter_value lines name with
-            | Some v when v > 0 -> false
-            | _ -> true)
-          (List.rev !required)
-      in
-      List.iter
-        (fun name ->
-          Printf.eprintf "tpbs_report: required counter %s %s\n" name
-            (match Tpbs_trace.Report.counter_value lines name with
-            | None -> "was never exported"
-            | Some v -> Printf.sprintf "is %d, want > 0" v))
-        failed;
-      if failed <> [] then exit 1;
-      let failed_le =
-        List.filter
-          (fun (name, field, bound) ->
-            match Tpbs_trace.Report.metric_value lines name field with
-            | Some v when v <= bound -> false
-            | _ -> true)
-          (List.rev !required_le)
-      in
-      List.iter
-        (fun (name, field, bound) ->
-          Printf.eprintf "tpbs_report: SLO %s:%s %s (bound %g)\n" name field
-            (match Tpbs_trace.Report.metric_value lines name field with
-            | None -> "was never exported"
-            | Some v -> Printf.sprintf "is %g, want <= %g" v bound)
-            bound)
-        failed_le;
-      if failed_le <> [] then exit 1;
-      let failed_ge =
-        List.filter
-          (fun (name, field, bound) ->
-            match Tpbs_trace.Report.metric_value lines name field with
-            | Some v when v >= bound -> false
-            | _ -> true)
-          (List.rev !required_ge)
-      in
-      List.iter
-        (fun (name, field, bound) ->
-          Printf.eprintf "tpbs_report: floor %s:%s %s (bound %g)\n" name field
-            (match Tpbs_trace.Report.metric_value lines name field with
-            | None -> "was never exported"
-            | Some v -> Printf.sprintf "is %g, want >= %g" v bound)
-            bound)
-        failed_ge;
-      if failed_ge <> [] then exit 1;
-      let failed_eq =
-        List.filter
-          (fun (name, field, bound) ->
-            match Tpbs_trace.Report.metric_value lines name field with
-            | Some v when v = bound -> false
-            | _ -> true)
-          (List.rev !required_eq)
-      in
-      List.iter
-        (fun (name, field, bound) ->
-          Printf.eprintf "tpbs_report: exact %s:%s %s (bound %g)\n" name field
-            (match Tpbs_trace.Report.metric_value lines name field with
-            | None -> "was never exported"
-            | Some v -> Printf.sprintf "is %g, want == %g" v bound)
-            bound)
-        failed_eq;
-      if failed_eq <> [] then exit 1;
-      if !check_mode then Printf.printf "ok: %d valid lines\n" n
-      else if
-        !required = [] && !required_le = [] && !required_ge = []
-        && !required_eq = []
-      then print_string (Tpbs_trace.Report.summarize lines)
-      else
-        Printf.printf "ok: %d requirements satisfied\n"
-          (List.length !required + List.length !required_le
-         + List.length !required_ge + List.length !required_eq)
+  | Ok n -> (
+      match Report.unmet lines (List.rev !required) with
+      | _ :: _ as failed ->
+          List.iter (Printf.eprintf "tpbs_report: required %s\n") failed;
+          exit 1
+      | [] ->
+          if !check_mode then Printf.printf "ok: %d valid lines\n" n
+          else if !required = [] then print_string (Report.summarize lines)
+          else
+            Printf.printf "ok: %d requirements satisfied\n"
+              (List.length !required))

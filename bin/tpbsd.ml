@@ -60,10 +60,6 @@ let () =
   (match !metrics with
   | None -> ()
   | Some path ->
-      let buf = Buffer.create 4096 in
-      Tpbs_trace.Trace.metrics_to_jsonl (Tpbs_trace.Trace.ambient ()) buf;
-      let oc = open_out path in
-      Buffer.output_buffer oc buf;
-      close_out oc;
+      Tpbs_trace.Trace.write_file (Tpbs_trace.Trace.ambient ()) path;
       Printf.printf "tpbsd: metrics written to %s\n%!" path);
   prerr_endline "tpbsd: bye"

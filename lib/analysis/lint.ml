@@ -6,6 +6,7 @@ module Rfilter = Tpbs_filter.Rfilter
 module Mobility = Tpbs_filter.Mobility
 module Subsume = Tpbs_filter.Subsume
 module Compile = Tpbs_psc.Compile
+module Jsonl = Tpbs_trace.Jsonl
 
 type severity = Info | Warning | Error
 
@@ -622,22 +623,6 @@ let pp_report ppf diags =
     diags (List.length diags)
     (if List.length diags = 1 then "" else "s")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Witness obvents rendered as JSON: nested objects carry their class
    under a "class" key so the counterexample is reconstructible. *)
 let rec json_of_value (v : Value.t) =
@@ -649,18 +634,18 @@ let rec json_of_value (v : Value.t) =
       if Float.is_integer f && Float.abs f < 1e15 then
         Printf.sprintf "%.1f" f
       else Printf.sprintf "%.12g" f
-  | Value.Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Value.Str s -> Printf.sprintf "\"%s\"" (Jsonl.escape s)
   | Value.List vs ->
       Printf.sprintf "[%s]" (String.concat "," (List.map json_of_value vs))
   | Value.Obj { cls; fields } ->
-      Printf.sprintf "{\"class\":\"%s\"%s}" (json_escape cls)
+      Printf.sprintf "{\"class\":\"%s\"%s}" (Jsonl.escape cls)
         (String.concat ""
            (List.map
               (fun (k, fv) ->
-                Printf.sprintf ",\"%s\":%s" (json_escape k) (json_of_value fv))
+                Printf.sprintf ",\"%s\":%s" (Jsonl.escape k) (json_of_value fv))
               fields))
   | Value.Remote { iface; _ } ->
-      Printf.sprintf "{\"remote\":\"%s\"}" (json_escape iface)
+      Printf.sprintf "{\"remote\":\"%s\"}" (Jsonl.escape iface)
 
 let to_json diags =
   let buf = Buffer.create 1024 in
@@ -685,7 +670,7 @@ let to_json diags =
         (fun j (k, v) ->
           let rendered =
             match v with
-            | `Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+            | `Str s -> Printf.sprintf "\"%s\"" (Jsonl.escape s)
             | `Raw s -> s
           in
           Buffer.add_string buf

@@ -114,10 +114,19 @@ let rec start t obvent =
     Hashtbl.replace t.active_classes cls (class_active t cls + 1);
   t.executed <- t.executed + 1;
   if active t > t.max_overlap then t.max_overlap <- active t;
-  (match (t.executor, t.policy) with
-  | Some run, Multi _ -> run (fun () -> t.handler obvent)
-  | _ -> t.handler obvent);
-  Engine.schedule t.engine ~delay:t.service_time (fun () -> finish t cls)
+  (* A raising inline handler still finishes: otherwise its slot stays
+     in [running] and a Single subscription never runs again. *)
+  match
+    match (t.executor, t.policy) with
+    | Some run, Multi _ -> run (fun () -> t.handler obvent)
+    | _ -> t.handler obvent
+  with
+  | () ->
+      Engine.schedule t.engine ~delay:t.service_time (fun () -> finish t cls)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Engine.schedule t.engine ~delay:t.service_time (fun () -> finish t cls);
+      Printexc.raise_with_backtrace e bt
 
 and finish t cls =
   remove_running t cls;

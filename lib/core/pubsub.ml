@@ -8,7 +8,6 @@ module Cursor = Tpbs_serial.Cursor
 module Net = Tpbs_sim.Net
 module Engine = Tpbs_sim.Engine
 module Stable = Tpbs_sim.Stable
-module Metric = Tpbs_sim.Metric
 module Rng = Tpbs_sim.Rng
 module Membership = Tpbs_group.Membership
 module Gossip = Tpbs_group.Gossip
@@ -22,6 +21,7 @@ module Factored = Tpbs_filter.Factored
 module Mobility = Tpbs_filter.Mobility
 module Typecheck = Tpbs_filter.Typecheck
 module Trace = Tpbs_trace.Trace
+module Histogram = Tpbs_trace.Histogram
 
 let pub_port = "psb:pub"
 let ctl_port = "psb:ctl"
@@ -162,7 +162,7 @@ and domain = {
   mutable next_sid : int;
   mutable next_eid : int;  (* per-domain publish sequence for event ids *)
   obs : obs;
-  latency : Metric.t;
+  latency : Histogram.t;
 }
 
 (* Registration prepends (constant-time); every ordered consumer goes
@@ -325,7 +325,7 @@ module Domain = struct
            c_replayed = Trace.counter tr "core.replayed";
            c_channel_misses = Trace.counter tr "core.channel_misses";
          });
-      latency = Metric.create ();
+      latency = Histogram.create ();
       }
     in
     Trace.register_histogram d.obs.tr "core.latency" d.latency;
@@ -443,7 +443,12 @@ let deliver_clone p ~publish_time ~eid s obvent =
   s.delivered <- s.delivered + 1;
   d.st.deliveries <- d.st.deliveries + 1;
   Trace.Counter.incr d.obs.c_deliveries;
-  Metric.record d.latency (float_of_int (now_of d - publish_time));
+  (* Under [Remote.connect] [publish_time] is another process's
+     virtual clock: no comparable sample. *)
+  (match d.remote with
+  | None ->
+      Histogram.record d.latency (float_of_int (now_of d - publish_time))
+  | Some _ -> ());
   if Trace.emitting d.obs.tr then
     Trace.emit d.obs.tr ~layer:"core" ~kind:"deliver" ~node:p.node ~id:eid
       ~data:[ ("sid", Trace.I s.sid) ] ();

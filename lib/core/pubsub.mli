@@ -146,8 +146,10 @@ module Domain : sig
       thread. Re-raises a pooled handler's exception not yet seen by a
       tick barrier. *)
 
-  val latency : t -> Tpbs_sim.Metric.t
-  (** Publish-to-handler latency samples, virtual ticks. *)
+  val latency : t -> Tpbs_trace.Histogram.t
+  (** Publish-to-handler latency samples, virtual ticks. Empty for a
+      domain under {!Remote.connect}: a remote publish time is another
+      process's clock. *)
 
   val reset_stats : t -> unit
   (** Zero the tallies behind {!stats}. *)

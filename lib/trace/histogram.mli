@@ -1,6 +1,6 @@
 (** Numeric summaries: Welford online mean/variance plus nearest-rank
     percentiles over the retained samples. This is the histogram type of
-    the observability layer; [Tpbs_sim.Metric] is an alias for it. *)
+    the observability layer. *)
 
 type t
 

@@ -128,30 +128,10 @@ let summarize lines =
   end;
   Buffer.contents buf
 
-(* Counters are exported cumulatively; the last record for a name is
-   its final value. *)
-let counter_value lines name =
-  List.fold_left
-    (fun acc line ->
-      if String.trim line = "" then acc
-      else
-        match Jsonl.parse line with
-        | Error _ -> acc
-        | Ok json -> (
-            match
-              (Jsonl.member "metric" json, Jsonl.member "name" json)
-            with
-            | Some (Jsonl.Str "counter"), Some (Jsonl.Str n) when n = name -> (
-                match Jsonl.member "value" json with
-                | Some (Jsonl.Num v) -> Some (int_of_float v)
-                | _ -> acc)
-            | _ -> acc))
-    None lines
-
-(* Generic lookup for SLO gates: any metric kind, any numeric field
-   ("value" for counters, "level"/"peak" for gauges, "count"/"mean"/
-   "p50"/"p99"/"max"/"stddev" for histograms). Last record wins, as
-   above. *)
+(* Any metric kind, any numeric field ("value" for counters,
+   "level"/"peak" for gauges, "count"/"mean"/"p50"/"p99"/"max"/"stddev"
+   for histograms). Metrics are exported cumulatively, so the last
+   record for a name is its final value. *)
 let metric_value lines name field =
   List.fold_left
     (fun acc line ->
@@ -169,3 +149,52 @@ let metric_value lines name field =
                 | _ -> acc)
             | _ -> acc))
     None lines
+
+type op = Le | Ge | Eq
+type requirement = { name : string; field : string; op : op; bound : float }
+
+(* "NAME:FIELD OP BOUND": the first colon ends NAME, the first of '<',
+   '>' or '=' starts OP, which must be one of "<=", ">=", "==". *)
+let parse_requirement spec =
+  let len = String.length spec in
+  let rec op_at j =
+    if j + 1 >= len then None
+    else
+      match (spec.[j], spec.[j + 1]) with
+      | '<', '=' -> Some (j, Le)
+      | '>', '=' -> Some (j, Ge)
+      | '=', '=' -> Some (j, Eq)
+      | ('<' | '>' | '='), _ -> None
+      | _ -> op_at (j + 1)
+  in
+  let trim a b = String.trim (String.sub spec a (b - a)) in
+  match String.index_opt spec ':' with
+  | None -> None
+  | Some colon -> (
+      match op_at colon with
+      | None -> None
+      | Some (j, op) -> (
+          let name = trim 0 colon and field = trim (colon + 1) j in
+          match float_of_string_opt (trim (j + 2) len) with
+          | Some bound when name <> "" && field <> "" ->
+              Some { name; field; op; bound }
+          | _ -> None))
+
+let unmet lines requirements =
+  List.filter_map
+    (fun { name; field; op; bound } ->
+      let want =
+        Printf.sprintf "want %s %g"
+          (match op with Le -> "<=" | Ge -> ">=" | Eq -> "==")
+          bound
+      in
+      match metric_value lines name field with
+      | None ->
+          Some (Printf.sprintf "%s:%s was never exported, %s" name field want)
+      | Some v ->
+          let holds =
+            match op with Le -> v <= bound | Ge -> v >= bound | Eq -> v = bound
+          in
+          if holds then None
+          else Some (Printf.sprintf "%s:%s is %g, %s" name field v want))
+    requirements

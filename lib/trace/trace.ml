@@ -99,20 +99,6 @@ let detailed t = t.detailed
 
 type field = I of int | S of string | F of float
 
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_float buf x =
   (* %.12g is precise enough for our summaries and never prints the
      locale-dependent forms JSON forbids. *)
@@ -127,9 +113,9 @@ let emit t ~layer ~kind ?node ?id ?(data = []) () =
       Buffer.add_string buf "{\"t\":";
       Buffer.add_string buf (string_of_int (t.clock ()));
       Buffer.add_string buf ",\"layer\":\"";
-      escape_into buf layer;
+      Jsonl.escape_into buf layer;
       Buffer.add_string buf "\",\"kind\":\"";
-      escape_into buf kind;
+      Jsonl.escape_into buf kind;
       Buffer.add_char buf '"';
       (match node with
       | Some n ->
@@ -147,14 +133,14 @@ let emit t ~layer ~kind ?node ?id ?(data = []) () =
       List.iter
         (fun (k, v) ->
           Buffer.add_string buf ",\"";
-          escape_into buf k;
+          Jsonl.escape_into buf k;
           Buffer.add_string buf "\":";
           match v with
           | I i -> Buffer.add_string buf (string_of_int i)
           | F x -> add_float buf x
           | S s ->
               Buffer.add_char buf '"';
-              escape_into buf s;
+              Jsonl.escape_into buf s;
               Buffer.add_char buf '"')
         data;
       Buffer.add_string buf "}\n"
@@ -167,7 +153,7 @@ let metrics_to_jsonl t buf =
     (fun name ->
       let c = Hashtbl.find t.counters name in
       Buffer.add_string buf "{\"metric\":\"counter\",\"name\":\"";
-      escape_into buf name;
+      Jsonl.escape_into buf name;
       Buffer.add_string buf "\",\"value\":";
       Buffer.add_string buf (string_of_int (Counter.value c));
       Buffer.add_string buf "}\n")
@@ -176,7 +162,7 @@ let metrics_to_jsonl t buf =
     (fun name ->
       let g = Hashtbl.find t.gauges name in
       Buffer.add_string buf "{\"metric\":\"gauge\",\"name\":\"";
-      escape_into buf name;
+      Jsonl.escape_into buf name;
       Buffer.add_string buf "\",\"level\":";
       Buffer.add_string buf (string_of_int (Gauge.value g));
       Buffer.add_string buf ",\"peak\":";
@@ -187,7 +173,7 @@ let metrics_to_jsonl t buf =
     (fun name ->
       let h = Hashtbl.find t.histograms name in
       Buffer.add_string buf "{\"metric\":\"histogram\",\"name\":\"";
-      escape_into buf name;
+      Jsonl.escape_into buf name;
       Buffer.add_string buf "\",\"count\":";
       Buffer.add_string buf (string_of_int (Histogram.count h));
       Buffer.add_string buf ",\"mean\":";
@@ -202,6 +188,13 @@ let metrics_to_jsonl t buf =
       add_float buf (Histogram.stddev h);
       Buffer.add_string buf "}\n")
     (sorted_names t.histograms)
+
+let write_file t path =
+  let metrics = Buffer.create 4096 in
+  metrics_to_jsonl t metrics;
+  Out_channel.with_open_text path (fun oc ->
+      Option.iter (Buffer.output_buffer oc) t.sink;
+      Buffer.output_buffer oc metrics)
 
 let reset t =
   Hashtbl.iter (fun _ c -> Atomic.set c.Counter.count 0) t.counters;

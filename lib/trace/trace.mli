@@ -101,6 +101,11 @@ val metrics_to_jsonl : t -> Buffer.t -> unit
 (** Append one JSONL line per counter/gauge/histogram, sorted by name
     (deterministic). *)
 
+val write_file : t -> string -> unit
+(** [write_file t path] writes the sink's buffered events (if a sink is
+    installed), then {!metrics_to_jsonl}, to [path], replacing it. The
+    one way a bench or [tpbsd] writes its metrics file. *)
+
 val reset : t -> unit
 (** Zero every registered counter/gauge/histogram in place (handles
     held by instrumented modules stay valid). *)

@@ -763,9 +763,33 @@ let test_latency_metric () =
   Engine.run engine;
   let m = Domain.latency domain in
   Alcotest.(check bool) "latency samples recorded" true
-    (Tpbs_sim.Metric.count m >= 10);
+    (Tpbs_trace.Histogram.count m >= 10);
   Alcotest.(check bool) "latency near configured link latency" true
-    (Tpbs_sim.Metric.mean m > 500. && Tpbs_sim.Metric.mean m < 2000.)
+    (Tpbs_trace.Histogram.mean m > 500. && Tpbs_trace.Histogram.mean m < 2000.)
+
+(* Under [Remote.connect] an envelope's publish time is another
+   process's virtual clock, so deliveries record no latency sample. *)
+let test_latency_skipped_under_remote () =
+  let reg, engine, _net, domain, procs = setup ~n:1 () in
+  let inject =
+    Pubsub.Remote.connect domain procs.(0)
+      { Pubsub.Remote.r_publish = (fun ~cls:_ _ -> ());
+        r_subscribe = (fun ~sid:_ ~param:_ ~filter:_ -> ());
+        r_unsubscribe = (fun ~sid:_ -> ()) }
+  in
+  let s = Process.subscribe procs.(0) ~param:"StockQuote" (fun _ -> ()) in
+  Subscription.activate s;
+  for seq = 1 to 10 do
+    let env =
+      Pubsub.Remote.encode_envelope ~publish_time:(1000 * seq) ~eid:(1, seq)
+        (quote_of reg "StockQuote" ())
+    in
+    inject ~cls:"StockQuote" env ~off:0 ~len:(String.length env)
+  done;
+  Engine.run engine;
+  Alcotest.(check int) "delivered" 10 (Subscription.delivered s);
+  Alcotest.(check int) "no latency samples" 0
+    (Tpbs_trace.Histogram.count (Domain.latency domain))
 
 let test_certified_prioritary_combination () =
   (* "obvents can be certified and have some notion of priority"
@@ -1526,6 +1550,8 @@ let suite =
       Alcotest.test_case "RMI hand in hand (§5.4, Fig. 8)" `Quick
         test_rmi_proxies_adopted_and_pinned;
       Alcotest.test_case "latency accounting" `Quick test_latency_metric;
+      Alcotest.test_case "no latency samples under Remote.connect" `Quick
+        test_latency_skipped_under_remote;
       Alcotest.test_case "certified + prioritary compose" `Quick
         test_certified_prioritary_combination;
       Alcotest.test_case "filter runtime error = no match" `Quick

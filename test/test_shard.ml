@@ -249,6 +249,32 @@ let test_handler_exception_propagates () =
       Domain.shutdown domain)
     [ 1; 2 ]
 
+(* A Single handler that raised still releases its slot: once the
+   caller has caught the exception, the next obvent runs the handler. *)
+let test_single_runs_after_raise () =
+  List.iter
+    (fun domains ->
+      let reg, engine, _net, domain, procs = setup ~domains () in
+      let calls = ref 0 in
+      let s =
+        Process.subscribe procs.(1) ~param:"StockQuote" (fun _ ->
+            incr calls;
+            if !calls = 1 then failwith "boom")
+      in
+      Subscription.set_single_threading s;
+      Subscription.activate s;
+      let label what = Printf.sprintf "domains=%d %s" domains what in
+      Process.publish procs.(0) (quote_of reg "StockQuote" ());
+      (match Engine.run engine with
+      | () -> Alcotest.fail (label "the first handler call did not raise")
+      | exception Failure _ -> ());
+      Process.publish procs.(0) (quote_of reg "StockQuote" ());
+      Engine.run engine;
+      Alcotest.(check int) (label "delivered") 2 (Subscription.delivered s);
+      Alcotest.(check int) (label "handler calls") 2 !calls;
+      Domain.shutdown domain)
+    [ 1; 2 ]
+
 (* After [shutdown] the domain stays usable: Multi handler bodies run
    inline instead of being dropped on a stopped pool. *)
 let test_shutdown_runs_inline () =
@@ -281,5 +307,7 @@ let suite =
         test_multi_domain_end_to_end;
       Alcotest.test_case "a raising handler fails the run at 1 and 2 domains"
         `Quick test_handler_exception_propagates;
+      Alcotest.test_case "a Single handler runs again after it raised"
+        `Quick test_single_runs_after_raise;
       Alcotest.test_case "after shutdown, Multi handlers run inline" `Quick
         test_shutdown_runs_inline ] )

@@ -1,7 +1,7 @@
 module Engine = Tpbs_sim.Engine
 module Net = Tpbs_sim.Net
 module Rng = Tpbs_sim.Rng
-module Metric = Tpbs_sim.Metric
+module Histogram = Tpbs_trace.Histogram
 module Stable = Tpbs_sim.Stable
 
 let test_engine_time_order () =
@@ -245,29 +245,29 @@ let test_net_stats_balance () =
 
 let test_rng_exponential_and_stddev () =
   let r = Rng.create 6 in
-  let m = Metric.create () in
+  let m = Histogram.create () in
   for _ = 1 to 2000 do
     let x = Rng.exponential r 50. in
     if x < 0. then Alcotest.fail "negative exponential";
-    Metric.record m x
+    Histogram.record m x
   done;
   Alcotest.(check bool) "mean near 50" true
-    (Metric.mean m > 35. && Metric.mean m < 65.);
-  Alcotest.(check bool) "stddev positive" true (Metric.stddev m > 10.)
+    (Histogram.mean m > 35. && Histogram.mean m < 65.);
+  Alcotest.(check bool) "stddev positive" true (Histogram.stddev m > 10.)
 
 let test_metric () =
-  let m = Metric.create () in
-  List.iter (Metric.record m) [ 5.; 1.; 3.; 2.; 4. ];
-  Alcotest.(check int) "count" 5 (Metric.count m);
-  Alcotest.(check (float 1e-9)) "mean" 3. (Metric.mean m);
-  Alcotest.(check (float 1e-9)) "min" 1. (Metric.min m);
-  Alcotest.(check (float 1e-9)) "max" 5. (Metric.max m);
-  Alcotest.(check (float 1e-9)) "median" 3. (Metric.percentile m 0.5);
-  Alcotest.(check (float 1e-9)) "p99 = max here" 5. (Metric.percentile m 0.99);
-  Metric.record m 100.;
-  Alcotest.(check (float 1e-9)) "still sorted after insert" 100. (Metric.max m);
-  let empty = Metric.create () in
-  Alcotest.(check (float 0.)) "empty mean" 0. (Metric.mean empty)
+  let m = Histogram.create () in
+  List.iter (Histogram.record m) [ 5.; 1.; 3.; 2.; 4. ];
+  Alcotest.(check int) "count" 5 (Histogram.count m);
+  Alcotest.(check (float 1e-9)) "mean" 3. (Histogram.mean m);
+  Alcotest.(check (float 1e-9)) "min" 1. (Histogram.min m);
+  Alcotest.(check (float 1e-9)) "max" 5. (Histogram.max m);
+  Alcotest.(check (float 1e-9)) "median" 3. (Histogram.percentile m 0.5);
+  Alcotest.(check (float 1e-9)) "p99 = max here" 5. (Histogram.percentile m 0.99);
+  Histogram.record m 100.;
+  Alcotest.(check (float 1e-9)) "still sorted after insert" 100. (Histogram.max m);
+  let empty = Histogram.create () in
+  Alcotest.(check (float 0.)) "empty mean" 0. (Histogram.mean empty)
 
 let test_stable () =
   let s = Stable.create () in

@@ -1,7 +1,6 @@
 open Helpers
 module Engine = Tpbs_sim.Engine
 module Net = Tpbs_sim.Net
-module Metric = Tpbs_sim.Metric
 module Trace = Tpbs_trace.Trace
 module Histogram = Tpbs_trace.Histogram
 module Jsonl = Tpbs_trace.Jsonl
@@ -24,29 +23,29 @@ let test_stddev_large_offset_oracle () =
      value off by orders of magnitude); Welford stays exact. The
      oracle is the population stddev of 0..999, invariant under
      shifts. *)
-  let m = Metric.create () in
+  let m = Histogram.create () in
   let offset = 1e12 in
   for i = 0 to 999 do
-    Metric.record m (offset +. float_of_int i)
+    Histogram.record m (offset +. float_of_int i)
   done;
   let oracle = sqrt ((1000. ** 2. -. 1.) /. 12.) in
-  let got = Metric.stddev m in
+  let got = Histogram.stddev m in
   Alcotest.(check bool)
     (Printf.sprintf "stddev %.6f within 1e-6 of oracle %.6f" got oracle)
     true
     (abs_float (got -. oracle) /. oracle < 1e-6);
   Alcotest.(check bool)
     "mean survives the offset" true
-    (abs_float (Metric.mean m -. (offset +. 499.5)) < 1e-3)
+    (abs_float (Histogram.mean m -. (offset +. 499.5)) < 1e-3)
 
 let test_stddev_small_samples () =
-  let m = Metric.create () in
-  Alcotest.(check (float 0.)) "empty" 0. (Metric.stddev m);
-  Metric.record m 5.;
-  Alcotest.(check (float 0.)) "single sample" 0. (Metric.stddev m);
-  Metric.record m 9.;
+  let m = Histogram.create () in
+  Alcotest.(check (float 0.)) "empty" 0. (Histogram.stddev m);
+  Histogram.record m 5.;
+  Alcotest.(check (float 0.)) "single sample" 0. (Histogram.stddev m);
+  Histogram.record m 9.;
   (* population stddev of {5, 9} = 2 *)
-  Alcotest.(check (float 1e-9)) "pair" 2. (Metric.stddev m)
+  Alcotest.(check (float 1e-9)) "pair" 2. (Histogram.stddev m)
 
 let test_histogram_summary () =
   let h = Histogram.create () in
@@ -154,6 +153,90 @@ let test_summarize_mentions_everything () =
   Alcotest.(check bool) "counter row" true (has "net.sent");
   Alcotest.(check bool) "gauge row" true (has "group.total.seq_seen")
 
+(* --- the one gate: --require NAME:FIELD OP BOUND ----------------------- *)
+
+let test_requirement_parse () =
+  let parsed spec =
+    match Report.parse_requirement spec with
+    | Some r -> (r.Report.name, r.field, r.op, r.bound)
+    | None -> Alcotest.failf "rejected %S" spec
+  in
+  let same spec expected =
+    Alcotest.(check bool) spec true (parsed spec = expected)
+  in
+  same "tpbsd.qdepth:peak<=256" ("tpbsd.qdepth", "peak", Report.Le, 256.);
+  same " tpbsd.qdepth : peak <= 256 " ("tpbsd.qdepth", "peak", Report.Le, 256.);
+  same "a.b:value >= 1" ("a.b", "value", Report.Ge, 1.);
+  same "pool.tasks:value == 420" ("pool.tasks", "value", Report.Eq, 420.);
+  same "lat:p99<=5e6" ("lat", "p99", Report.Le, 5e6);
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rejects %S" spec)
+        true
+        (Report.parse_requirement spec = None))
+    [ "a:b"; "a:b<=x"; "a<=1"; "a:b<1"; "a:b>1"; "a:b=1"; ":b<=1";
+      "a:<=1"; "a:b<=" ]
+
+let test_requirement_unmet () =
+  let tr = Trace.create () in
+  let buf = Buffer.create 256 in
+  let c = Trace.counter tr "c.count" in
+  let g = Trace.gauge tr "g.depth" in
+  let h = Trace.histogram tr "h.lat" in
+  Trace.Counter.add c 3;
+  Trace.Gauge.set g 9;
+  Trace.Gauge.set g 4;
+  List.iter (fun x -> Histogram.record h (float_of_int x)) [ 1; 2; 3; 100 ];
+  Trace.metrics_to_jsonl tr buf;
+  (* a later export of the same registry: its records are final *)
+  Trace.Counter.add c 2;
+  Trace.metrics_to_jsonl tr buf;
+  let lines = lines_of buf in
+  let unmet specs =
+    List.length
+      (Report.unmet lines
+         (List.map (fun s -> Option.get (Report.parse_requirement s)) specs))
+  in
+  let holds spec = Alcotest.(check int) (spec ^ " holds") 0 (unmet [ spec ]) in
+  let fails spec = Alcotest.(check int) (spec ^ " fails") 1 (unmet [ spec ]) in
+  holds "c.count:value==5";
+  fails "c.count:value==3";
+  holds "c.count:value>=1";
+  holds "c.count:value <= 5";
+  fails "c.count:value>=6";
+  holds "g.depth:level==4";
+  holds "g.depth:peak>=9";
+  fails "g.depth:peak<=8";
+  holds "h.lat:p99<=100";
+  fails "h.lat:p99<=99";
+  fails "missing.metric:value>=0";
+  fails "c.count:level>=0";
+  Alcotest.(check int) "one message per unmet requirement" 2
+    (unmet [ "c.count:value==5"; "g.depth:level>=5"; "nope:value==0" ])
+
+let test_write_file () =
+  let tr = Trace.create () in
+  Trace.Counter.incr (Trace.counter tr "x.count");
+  let path = Filename.temp_file "tpbs_trace" ".jsonl" in
+  let read () = In_channel.with_open_text path In_channel.input_all in
+  let metrics = Buffer.create 64 in
+  Trace.metrics_to_jsonl tr metrics;
+  Trace.write_file tr path;
+  Alcotest.(check string) "no sink: metrics only" (Buffer.contents metrics)
+    (read ());
+  let sink = Buffer.create 64 in
+  Trace.set_sink tr (Some sink);
+  Trace.emit tr ~layer:"core" ~kind:"deliver" ();
+  let events = Buffer.contents sink in
+  Trace.write_file tr path;
+  Alcotest.(check string) "events, then metrics"
+    (events ^ Buffer.contents metrics)
+    (read ());
+  Alcotest.(check string) "the sink is left as it was" events
+    (Buffer.contents sink);
+  Sys.remove path
+
 (* --- determinism -------------------------------------------------------- *)
 
 (* One traced end-to-end run: mixed QoS pub/sub over a lossy net with a
@@ -237,6 +320,12 @@ let suite =
         test_check_rejects_malformed;
       Alcotest.test_case "summarize covers events/counters/gauges" `Quick
         test_summarize_mentions_everything;
+      Alcotest.test_case "requirement specs parse or are rejected" `Quick
+        test_requirement_parse;
+      Alcotest.test_case "requirements over every metric kind" `Quick
+        test_requirement_unmet;
+      Alcotest.test_case "write_file: sink events then metrics" `Quick
+        test_write_file;
       Alcotest.test_case "JSONL byte-identical under fixed seed" `Quick
         test_trace_determinism_fixed_seed;
       Alcotest.test_case "different seed produces different trace" `Quick
