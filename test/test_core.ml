@@ -1550,8 +1550,6 @@ let suite =
       Alcotest.test_case "RMI hand in hand (§5.4, Fig. 8)" `Quick
         test_rmi_proxies_adopted_and_pinned;
       Alcotest.test_case "latency accounting" `Quick test_latency_metric;
-      Alcotest.test_case "no latency samples under Remote.connect" `Quick
-        test_latency_skipped_under_remote;
       Alcotest.test_case "certified + prioritary compose" `Quick
         test_certified_prioritary_combination;
       Alcotest.test_case "filter runtime error = no match" `Quick
@@ -1584,4 +1582,6 @@ let suite =
     @ [ Alcotest.test_case "words per delivered event do not grow with the read batch"
           `Quick test_words_per_event_flat;
         Alcotest.test_case "opening an envelope allocates only its result" `Quick
-          test_open_envelope_allocates_only_result ] )
+          test_open_envelope_allocates_only_result;
+        Alcotest.test_case "no latency samples under Remote.connect" `Quick
+          test_latency_skipped_under_remote ] )
