@@ -29,20 +29,12 @@ module Trace = Tpbs_trace.Trace
 let cls = "bench/Fanout"
 let pad_bytes = 8192
 
-(* The envelope the engine would ship: [publish_time; origin; eseq;
-   obvent_bytes] with a padded obvent — realistic shape, fixed size. *)
-let envelope ~eseq =
-  let obvent =
-    Codec.encode
-      (Value.Obj
-         {
-           cls;
-           fields =
-             [ ("seq", Value.Int eseq); ("pad", Value.Str (String.make pad_bytes 'x')) ];
-         })
-  in
-  Codec.encode
-    (Value.List [ Value.Int 0; Value.Int 1; Value.Int eseq; Value.Str obvent ])
+(* The obvent each publish carries: a padded one — realistic shape,
+   fixed size. The pad is the application's string, made once. *)
+let pad = String.make pad_bytes 'x'
+
+let obvent ~eseq =
+  Value.Obj { cls; fields = [ ("seq", Value.Int eseq); ("pad", Value.Str pad) ] }
 
 type client = { conn : Conn.t; mutable credit : int }
 
@@ -105,8 +97,12 @@ let run_one ~subs ~pubs =
   in
   let pump_pub () =
     while pub.credit > 0 && !sent < pubs do
-      Conn.send pub.conn
-        (Proto.Pub { pseq = !sent; cls; envelope = envelope ~eseq:!sent });
+      (* framed as the client frames a publish: envelope
+         [publish_time; origin; eseq; obvent] written into the frame,
+         the pad by reference *)
+      Conn.send_gathered pub.conn
+        (Proto.pub_frame ~pseq:!sent ~cls ~publish_time:0 ~eid:(1, !sent)
+           (obvent ~eseq:!sent));
       incr sent;
       pub.credit <- pub.credit - 1
     done;

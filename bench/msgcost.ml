@@ -20,16 +20,20 @@
    The [path] row is the real thing: [Remote.connect]'s injection
    function, then [Engine.run], once per batch.
 
-   Publisher stages: [Obvent.make], the envelope encode and the Pub
-   frame the client writes, plus [Process.publish] into a remote
-   endpoint that drops the envelope.
+   Publisher stages: [Obvent.make], then publish → frame:
+   [Process.publish] into a remote endpoint that frames the obvent as
+   [Client.publish] does ([Proto.pub_frame]: the envelope written into
+   the frame, never a string of its own) and drops the frame. Each
+   row has, per event, the words allocated straight on the major heap
+   (blocks too large for the minor heap, which the minor words miss)
+   and the CRC and copy bytes that [transport.crc_bytes] and
+   [transport.copy_bytes] count.
 
    A last table takes perfbench's large_payload shape, one class with
-   an 8 KiB string: the publisher's envelope encode and Pub frame (head
-   plus envelope by reference, as [Conn.send] builds a large Pub), and
-   the subscriber's frame verify, [Proto.decode_view], envelope open
-   and obvent decode, each with the CRC bytes per event that
-   [transport.crc_bytes] counts.
+   an 8 KiB string: the publisher's publish → frame (the string left
+   out of the frame's head, by reference), and the subscriber's frame
+   verify, [Proto.decode_view], envelope open and obvent decode, with
+   the same byte counts.
 
    The broker hop is an in-process [Transport.Broker] on loopback, fed
    recorded [Pub] frames of the small_typed and broker_filtered shapes
@@ -148,7 +152,7 @@ let measure ~n f =
 
 let noop_endpoint =
   {
-    Pubsub.Remote.r_publish = (fun ~cls:_ _ -> ());
+    Pubsub.Remote.r_publish = (fun ~cls:_ ~publish_time:_ ~eid:_ _ -> ());
     r_subscribe = (fun ~sid:_ ~param:_ ~filter:_ -> ());
     r_unsubscribe = (fun ~sid:_ -> ());
   }
@@ -316,50 +320,69 @@ let stage_costs reg envs ~batch =
 
 (* --- publisher -------------------------------------------------------- *)
 
-let publisher_costs reg =
-  let fields = Array.init events gen in
-  let obvents = Array.map (fun (cls, f) -> Obvent.make reg cls f) fields in
-  let envs =
-    Array.mapi
-      (fun seq o -> Pubsub.Remote.encode_envelope ~publish_time:0 ~eid:(1, seq) o)
-      obvents
-  in
-  let make () =
-    Array.iter (fun (cls, f) -> ignore (Sys.opaque_identity (Obvent.make reg cls f))) fields
-  in
-  let encode () =
-    Array.iteri
-      (fun seq o ->
-        ignore
-          (Sys.opaque_identity
-             (Pubsub.Remote.encode_envelope ~publish_time:0 ~eid:(1, seq) o)))
-      obvents
-  in
-  let frame () =
-    Array.iteri
-      (fun pseq envelope ->
-        let cls = Obvent.cls obvents.(pseq) in
-        ignore (Sys.opaque_identity (Proto.frame (Proto.Pub { pseq; cls; envelope }))))
-      envs
-  in
+(* [f]'s (ns, minor words) per event with, per event, the words it
+   allocated straight on the major heap (a block too large for the
+   minor heap: an 8 KiB string is one of 1025 words) and the
+   [transport.crc_bytes] and [transport.copy_bytes] it adds, over [n]
+   events a repetition. *)
+let with_bytes ~n f =
+  let tr = Trace.ambient () in
+  let crc = Trace.counter tr "transport.crc_bytes"
+  and copy = Trace.counter tr "transport.copy_bytes" in
+  let c0 = Trace.Counter.value crc and k0 = Trace.Counter.value copy in
+  let _, promoted0, major0 = Gc.counters () in
+  let ns, words = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  let per c = c /. float_of_int (reps * n) in
+  ( ns,
+    words,
+    per (major1 -. major0 -. (promoted1 -. promoted0)),
+    per (float_of_int (Trace.Counter.value crc - c0)),
+    per (float_of_int (Trace.Counter.value copy - k0)) )
+
+(* A publishing domain whose remote endpoint frames every publish as
+   [Client.publish] does ([Proto.pub_frame]) and drops the frame: the
+   publisher's whole path, obvent to the frame the socket queue holds. *)
+let framing_publisher reg =
   let engine = Engine.create ~seed:1 () in
   let net = Net.create engine in
   let dom = Pubsub.Domain.create reg net in
   let proc = Pubsub.Process.create dom (Net.add_node net) in
-  let _inject = Pubsub.Remote.connect dom proc noop_endpoint in
+  let pseq = ref 0 in
+  let endpoint =
+    { noop_endpoint with
+      Pubsub.Remote.r_publish =
+        (fun ~cls ~publish_time ~eid obvent ->
+          incr pseq;
+          ignore
+            (Sys.opaque_identity
+               (Proto.pub_frame ~pseq:!pseq ~cls ~publish_time ~eid obvent))) }
+  in
+  let _inject = Pubsub.Remote.connect dom proc endpoint in
+  proc
+
+let publish_to_frame reg obvents =
+  let proc = framing_publisher reg in
   let publish () = Array.iter (fun o -> Pubsub.Process.publish proc o) obvents in
   publish ();
-  [ ("make", measure ~n:events make);
-    ("envelope", measure ~n:events encode);
-    ("pub frame", measure ~n:events frame);
-    ("publish", measure ~n:events publish) ]
+  let n = Array.length obvents in
+  with_bytes ~n (fun () -> measure ~n publish)
+
+let publisher_costs reg =
+  let fields = Array.init events gen in
+  let obvents = Array.map (fun (cls, f) -> Obvent.make reg cls f) fields in
+  let make () =
+    Array.iter (fun (cls, f) -> ignore (Sys.opaque_identity (Obvent.make reg cls f))) fields
+  in
+  [ ("make", with_bytes ~n:events (fun () -> measure ~n:events make));
+    ("publish → frame", publish_to_frame reg obvents) ]
 
 (* --- large_payload: an 8 KiB Blob --------------------------------------- *)
 
 let blob_events = 2048
 let blob_batch = 16
 
-(* (ns, words, CRC bytes) per event, publisher then subscriber. *)
+(* [with_bytes]'s figures per event, publisher then subscriber. *)
 let blob_costs () =
   let reg = Registry.create () in
   Registry.declare_class reg ~name:"Blob" ~implements:[ "Obvent" ]
@@ -371,21 +394,7 @@ let blob_costs () =
         Obvent.make reg "Blob" [ ("seq", Value.Int seq); ("data", Value.Str data) ])
   in
   let envelope seq = Pubsub.Remote.encode_envelope ~publish_time:0 ~eid:(1, seq) obvents.(seq) in
-  let crc = Trace.counter (Trace.ambient ()) "transport.crc_bytes" in
-  let with_crc f =
-    let c0 = Trace.Counter.value crc in
-    let ns, words = f () in
-    let passes = Trace.Counter.value crc - c0 in
-    (ns, words, float_of_int passes /. float_of_int (reps * blob_events))
-  in
-  let publish () =
-    for seq = 0 to blob_events - 1 do
-      let env = envelope seq in
-      ignore (Sys.opaque_identity (Proto.pub_head ~pseq:seq ~cls:"Blob" env))
-    done
-  in
-  publish ();
-  let pub = with_crc (fun () -> measure ~n:blob_events publish) in
+  let pub = publish_to_frame reg obvents in
   let frames =
     Array.init blob_events (fun seq ->
         Frame.preframed_bytes
@@ -429,7 +438,7 @@ let blob_costs () =
   in
   receive ();
   let sub =
-    with_crc (fun () ->
+    with_bytes ~n:blob_events (fun () ->
         let runs =
           Array.init reps (fun _ ->
               ns := 0.;
@@ -440,7 +449,7 @@ let blob_costs () =
         Array.sort compare runs;
         runs.(reps / 2))
   in
-  [ ("publisher: envelope + frame", pub); ("subscriber: verify + open + decode", sub) ]
+  [ ("publisher: publish → frame", pub); ("subscriber: verify + open + decode", sub) ]
 
 (* --- the broker hop -------------------------------------------------------- *)
 
@@ -653,27 +662,33 @@ let run () =
             Workload.[ J_int batch; J_str stage; J_float ns; J_float w ])
         (stages @ [ ("path", (p_ns, p_words)) ]))
     batches;
-  Workload.table_header
-    "MSGCOST  publisher, per event"
-    [ "stage     "; "    ns"; "  words" ];
-  Workload.json_table ~key:"msgcost_pub" ~cols:[ "stage"; "ns_per_event"; "words_per_event" ];
-  List.iter
-    (fun (stage, (ns, w)) ->
-      Fmt.pr "%-10s  %6.0f  %7.1f@." stage ns w;
-      Workload.json_row ~key:"msgcost_pub" Workload.[ J_str stage; J_float ns; J_float w ])
+  let bytes_table ~key ~title ~width rows =
+    Workload.table_header title
+      [ "stage" ^ String.make width ' '; "    ns"; "  words"; " major words"; " crc bytes";
+        " copy bytes" ];
+    Workload.json_table ~key
+      ~cols:
+        [ "stage"; "ns_per_event"; "words_per_event"; "major_words_per_event";
+          "crc_bytes_per_event"; "copy_bytes_per_event" ];
+    List.iter
+      (fun (stage, (ns, w, m, c, k)) ->
+        (* pad by characters, not bytes: a stage name may hold an arrow *)
+        let chars = ref 0 in
+        String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr chars) stage;
+        let pad = width + 5 - !chars in
+        Fmt.pr "%s%s  %6.0f  %7.1f  %12.1f  %10.0f  %11.0f@." stage
+          (String.make (max 0 pad) ' ') ns w m c k;
+        Workload.json_row ~key
+          Workload.[ J_str stage; J_float ns; J_float w; J_float m; J_float c; J_float k ])
+      rows
+  in
+  bytes_table ~key:"msgcost_pub" ~title:"MSGCOST  publisher, per event" ~width:10
     (publisher_costs reg);
-  Workload.table_header
-    (Printf.sprintf "MSGCOST  large_payload (8 KiB Blob), per event, %d events"
-       blob_events)
-    [ "stage                             "; "    ns"; "  words"; " crc bytes" ];
-  Workload.json_table ~key:"msgcost_blob"
-    ~cols:[ "stage"; "ns_per_event"; "words_per_event"; "crc_bytes_per_event" ];
-  List.iter
-    (fun (stage, (ns, w, c)) ->
-      Fmt.pr "%-34s  %6.0f  %7.1f  %10.0f@." stage ns w c;
-      Workload.json_row ~key:"msgcost_blob"
-        Workload.[ J_str stage; J_float ns; J_float w; J_float c ])
-    (blob_costs ());
+  bytes_table ~key:"msgcost_blob"
+    ~title:
+      (Printf.sprintf "MSGCOST  large_payload (8 KiB Blob), per event, %d events"
+         blob_events)
+    ~width:29 (blob_costs ());
   Workload.table_header
     (Printf.sprintf
        "MSGCOST  broker hop (in-process tpbsd, loopback), per publish, %d publishes \

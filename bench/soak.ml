@@ -21,7 +21,7 @@
 
    Standalone roles for manual two-terminal runs against an external
    tpbsd:   soak.exe pub --port P --id a --events 100
-            soak.exe sub --port P --expect 100                      *)
+            soak.exe sub --port P --expect 100 [--events 100]      *)
 
 module Engine = Tpbs_sim.Engine
 module Net = Tpbs_sim.Net
@@ -128,8 +128,8 @@ let run_publisher ~id ~port ~events ?(pace_us = 0) ?metrics_file () =
 
 (* --- subscriber child -------------------------------------------------- *)
 
-let run_subscriber ~id ~port ~expect ?metrics_file ?samples_file ?ready_file
-    () =
+let run_subscriber ~id ~port ~expect ~events ?metrics_file ?samples_file
+    ?ready_file () =
   let ctx = fresh_ctx ~id ~port in
   let samples = Buffer.create 8192 in
   let seen = Hashtbl.create 1024 in (* (origin, seq) → () *)
@@ -137,11 +137,16 @@ let run_subscriber ~id ~port ~expect ?metrics_file ?samples_file ?ready_file
   let delivered = ref 0 in
   let dups = ref 0 in
   let reorders = ref 0 in
+  (* [seq] counts per publisher: the narrow sibling below takes the
+     second half of every publisher's run *)
+  let tail_from = max 1 (events / 2) in
+  let tail = ref 0 in
   let handler ob =
     match (Obvent.get ob "seq", Obvent.get ob "origin", Obvent.get ob "sentUs")
     with
     | Value.Int seq, Value.Str origin, Value.Int sent_us ->
         incr delivered;
+        if seq >= tail_from then incr tail;
         let lat = now_us () - sent_us in
         Buffer.add_string samples
           (Printf.sprintf "%d %d\n" (now_ms ()) (max 0 lat));
@@ -174,7 +179,7 @@ let run_subscriber ~id ~port ~expect ?metrics_file ?samples_file ?ready_file
   let ge k = Tpbs_filter.Expr.(Binop (Ge, getter [ "getSeq" ], int k)) in
   covered_sub (ge 0) covered_all;
   let covered_tail = ref 0 in
-  covered_sub (ge (max 1 (expect / 2))) covered_tail;
+  covered_sub (ge tail_from) covered_tail;
   (* push the Sub registrations out before declaring readiness *)
   ignore (Client.poll ctx.client ~timeout_ms:10);
   (match ready_file with
@@ -196,12 +201,14 @@ let run_subscriber ~id ~port ~expect ?metrics_file ?samples_file ?ready_file
   Option.iter (Trace.write_file (Trace.ambient ())) metrics_file;
   Printf.printf
     "soak[%s]: delivered %d/%d (dups seen by app %d, order violations %d, \
-     covered siblings saw %d/%d)\n%!"
-    id !delivered expect !dups !reorders !covered_all !covered_tail;
+     covered siblings saw %d/%d, tail %d/%d)\n%!"
+    id !delivered expect !dups !reorders !covered_all !delivered !covered_tail
+    !tail;
   if !dups > 0 then 4
   else if !reorders > 0 then 5
   else if !delivered < expect then 6
   else if !covered_all <> !delivered then 7
+  else if !covered_tail <> !tail then 8
   else 0
 
 (* --- broker child ------------------------------------------------------ *)
@@ -307,7 +314,7 @@ let harness ~subs ~pubs ~events ~restart ~pace_us ~out =
         fork_child id (fun () ->
             Unix.close listen_fd;
             Unix.close ctl0;
-            run_subscriber ~id ~port ~expect:(pubs * events)
+            run_subscriber ~id ~port ~expect:(pubs * events) ~events
               ~metrics_file:(path ("metrics-" ^ id ^ ".jsonl"))
               ~samples_file:(path ("samples-" ^ id ^ ".txt"))
               ~ready_file:(path ("ready-" ^ id)) ()))
@@ -459,7 +466,7 @@ let usage () =
   prerr_endline
     "usage: soak [--subs N] [--pubs N] [--events N] [--restart] [--out FILE]\n\
     \       soak pub --port P [--id ID] [--events N]\n\
-    \       soak sub --port P [--id ID] [--expect N]";
+    \       soak sub --port P [--id ID] [--expect N] [--events N]";
   exit 2
 
 let () =
@@ -483,17 +490,21 @@ let () =
         (run_publisher ~id:!id ~port:!port ~events:!events ~pace_us:!pace ())
   | "sub" :: rest ->
       let port = ref 0 and id = ref "sub" and expect = ref 100 in
+      let events = ref 0 in
       let rec parse = function
         | [] -> ()
         | "--port" :: v :: r -> port := get_int v; parse r
         | "--id" :: v :: r -> id := v; parse r
         | "--expect" :: v :: r -> expect := get_int v; parse r
+        | "--events" :: v :: r -> events := get_int v; parse r
         | _ -> usage ()
       in
       parse rest;
       if !port = 0 then usage ();
+      (* one publisher unless told otherwise *)
+      let events = if !events > 0 then !events else !expect in
       Stdlib.exit
-        (run_subscriber ~id:!id ~port:!port ~expect:!expect ())
+        (run_subscriber ~id:!id ~port:!port ~expect:!expect ~events ())
   | rest ->
       let subs = ref 2 and pubs = ref 2 and events = ref 150 in
       let restart = ref false in

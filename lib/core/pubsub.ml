@@ -30,16 +30,29 @@ let del_port = "psb:del"
 (* A remote broker endpoint: the function-record seam a real
    transport connector (e.g. Tpbs_transport.Client over TCP) fills
    in. lib/core stays socket-free; the connector owns framing,
-   credit, reconnection and certified retransmission. *)
+   credit, reconnection and certified retransmission. A publish hands
+   it what the envelope holds, not the envelope: the connector writes
+   the envelope straight into its frame ({!envelope_length},
+   {!write_envelope}). *)
 type remote = {
-  r_publish : cls:string -> string -> unit;
+  r_publish :
+    cls:string -> publish_time:int -> eid:int * int -> Value.t -> unit;
   r_subscribe : sid:int -> param:string -> filter:Value.t -> unit;
   r_unsubscribe : sid:int -> unit;
 }
 
+(* What a publish hands on to transmission: the envelope's bytes, for
+   the channel's stack on the simulated net; or, in a domain joined to
+   a broker with [Remote.connect], the obvent's value — its field
+   spine at publish, which a later [Obvent.set] rebinds, not
+   changes — for the connector to frame. *)
+type outgoing =
+  | Envelope of string
+  | Remote_obvent of { publish_time : int; eid : int * int; obvent : Value.t }
+
 type tx_entry = {
   tx_cls : string;
-  tx_envelope : string;
+  tx_out : outgoing;
   tx_prio : int;
   tx_birth : int option;
   tx_ttl : int option;
@@ -216,24 +229,34 @@ let install_barrier d =
 (* The envelope carries the event id (origin node, per-domain publish
    seq) so every hop of an event's life — publish, route, filter,
    deliver, expire — can be correlated across nodes in the trace.
-   The obvent is encoded straight into its string field: sized first,
-   so the envelope is one exact-size buffer and the obvent bytes are
-   never a string of their own. Byte-identical to
-   [Codec.encode (List [ ...; Str (Obvent.serialize obvent) ])]. *)
-let encode_envelope ~publish_time ~eid:(origin, eseq) obvent =
-  let ov = Obvent.to_value obvent in
-  let olen = Codec.encoded_size ov in
-  let len =
-    Codec.list_header_size 4 + Codec.int_size publish_time
-    + Codec.int_size origin + Codec.int_size eseq + Codec.str_size olen
-  in
-  let w = Tpbs_serial.Wire.Writer.create ~capacity:len () in
+   The obvent is encoded straight into its string field, so its bytes
+   are never a string of their own: byte-identical to
+   [Codec.encode (List [ ...; Str (Obvent.serialize obvent) ])].
+
+   This is the one envelope walk. Its length follows from the
+   obvent's, [olen] (one sizing walk, [Codec.gathered_size]); the
+   bytes are written by [write_envelope], flat here, or with long
+   strings left out by a connector that frames the envelope itself. *)
+let envelope_length ~publish_time ~eid:(origin, eseq) olen =
+  Codec.list_header_size 4 + Codec.int_size publish_time
+  + Codec.int_size origin + Codec.int_size eseq + Codec.str_size olen
+
+let write_envelope g w ~publish_time ~eid:(origin, eseq) ov ~olen =
   Codec.encode_list_header w 4;
   Codec.encode_int w publish_time;
   Codec.encode_int w origin;
   Codec.encode_int w eseq;
   Codec.encode_str_header w olen;
-  Codec.encode_into w ov;
+  Codec.encode_gathered g w ov
+
+let encode_envelope ~publish_time ~eid obvent =
+  let ov = Obvent.to_value obvent in
+  let olen = Codec.encoded_size ov in
+  let w =
+    Tpbs_serial.Wire.Writer.create
+      ~capacity:(envelope_length ~publish_time ~eid olen) ()
+  in
+  write_envelope Codec.flat w ~publish_time ~eid ov ~olen;
   Tpbs_serial.Wire.Writer.contents w
 
 let decode_envelope bytes =
@@ -688,16 +711,17 @@ let broker_transport p cls =
     ~set_deliver:(fun _ -> ())
     ()
 
-(* Channels of a remotely-connected domain all bottom out here: the
-   connector ships the envelope to the broker, deliveries come back
-   through the injection function of [Remote.connect], outside the
-   stack. The TCP substrate is reliable and per-origin FIFO, and the
-   connector layers certified acks/retransmission on top, so the
-   stack above stays bare — QoS is provided by the transport, not
-   recomposed over it. *)
-let remote_transport r cls =
+(* Channels of a remotely-connected domain all bottom out here, and
+   nothing is sent through it: [transmit] hands a publish's obvent to
+   the connector, which frames it (envelope included) and ships it to
+   the broker; deliveries come back through the injection function of
+   [Remote.connect], outside the stack. The TCP substrate is reliable
+   and per-origin FIFO, and the connector layers certified
+   acks/retransmission on top, so the stack above stays bare — QoS is
+   provided by the transport, not recomposed over it. *)
+let remote_transport =
   Layer.make ~name:"transport:remote"
-    ~send:(fun ?self:_ ?except:_ envelope -> r.r_publish ~cls envelope)
+    ~send:(fun ?self:_ ?except:_ _ -> ())
     ~set_deliver:(fun _ -> ())
     ()
 
@@ -713,7 +737,7 @@ let attach_channel p cls (meta : channel_meta) =
     in
     let transport =
       match p.dom.remote with
-      | Some r -> Stack.Custom (remote_transport r cls)
+      | Some _ -> Stack.Custom remote_transport
       | None ->
       match meta.gossip_config with
       | Some config when not profile.Qos.certified ->
@@ -775,7 +799,7 @@ let ensure_channel d cls =
 
 (* --- transmission ----------------------------------------------------------- *)
 
-let transmit p cls envelope =
+let transmit p cls out =
   let meta = ensure_channel p.dom cls in
   attach_channel p cls meta;
   match Hashtbl.find_opt p.channels cls with
@@ -792,6 +816,12 @@ let transmit p cls envelope =
         Trace.emit d.obs.tr ~layer:"core" ~kind:"channel_miss" ~node:p.node
           ~data:[ ("cls", Trace.S cls) ] ()
   | Some stack -> (
+  match out with
+  | Remote_obvent { publish_time; eid; obvent } -> (
+      match p.dom.remote with
+      | Some r -> r.r_publish ~cls ~publish_time ~eid obvent
+      | None -> ())
+  | Envelope envelope -> (
   match Stack.targeted stack with
   | Some send_to
     when p.dom.targeted
@@ -810,7 +840,7 @@ let transmit p cls envelope =
       Hashtbl.fold (fun node () acc -> node :: acc) targets []
       |> List.sort Int.compare
       |> List.iter (fun node -> send_to ~dst:node envelope)
-  | Some _ | None -> Stack.bcast stack envelope)
+  | Some _ | None -> Stack.bcast stack envelope))
 
 (* Egress queue for Prioritary/Timely traffic: one message per drain
    slot; higher priority overtakes, later-born timely obvents are
@@ -850,7 +880,7 @@ let rec drain_tx p =
           (List.hd entries) (List.tl entries)
       in
       p.txq <- List.filter (fun e -> e.tx_seq <> best.tx_seq) p.txq;
-      transmit p best.tx_cls best.tx_envelope;
+      transmit p best.tx_cls best.tx_out;
       arm_tx p
 
 and arm_tx p =
@@ -1196,14 +1226,17 @@ module Process = struct
     if Trace.emitting d.obs.tr then
       Trace.emit d.obs.tr ~layer:"core" ~kind:"publish" ~node:p.node ~id:eid
         ~data:[ ("cls", Trace.S cls) ] ();
-    let envelope =
-      encode_envelope ~publish_time:(now_of d) ~eid obvent
+    let publish_time = now_of d in
+    let out =
+      match d.remote with
+      | Some _ -> Remote_obvent { publish_time; eid; obvent = Obvent.to_value obvent }
+      | None -> Envelope (encode_envelope ~publish_time ~eid obvent)
     in
     if meta.profile.Qos.prioritary || meta.profile.Qos.timely then begin
       let entry =
         {
           tx_cls = cls;
-          tx_envelope = envelope;
+          tx_out = out;
           tx_prio = Obvent.priority d.registry obvent;
           tx_birth = Obvent.birth d.registry obvent;
           tx_ttl = Obvent.time_to_live d.registry obvent;
@@ -1214,7 +1247,7 @@ module Process = struct
       p.txq <- entry :: p.txq;
       arm_tx p
     end
-    else transmit p cls envelope
+    else transmit p cls out
 
   (* Hand-off: a handler running on a pool worker must not
      mutate engine state (channel tables, the event heap) from its
@@ -1251,11 +1284,14 @@ let () =
 
 module Remote = struct
   let encode_envelope = encode_envelope
+  let envelope_length = envelope_length
+  let write_envelope = write_envelope
   let decode_envelope = decode_envelope
   let decode_envelope_sub = decode_envelope_sub
 
   type t = remote = {
-    r_publish : cls:string -> string -> unit;
+    r_publish :
+      cls:string -> publish_time:int -> eid:int * int -> Value.t -> unit;
     r_subscribe : sid:int -> param:string -> filter:Value.t -> unit;
     r_unsubscribe : sid:int -> unit;
   }

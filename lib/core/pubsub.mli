@@ -276,7 +276,27 @@ module Remote : sig
       obvent encoded straight into it (one exact-size buffer):
       byte-identical to the {!Tpbs_serial.Codec.encode} of
       [List [Int publish_time; Int origin; Int eseq;
-      Str (Obvent.serialize obvent)]]. *)
+      Str (Obvent.serialize obvent)]]. Written by {!write_envelope}
+      into a flat writer. *)
+
+  val envelope_length : publish_time:int -> eid:int * int -> int -> int
+  (** [envelope_length ~publish_time ~eid olen]: the bytes of the
+      envelope around an obvent whose encoding is [olen] bytes long
+      ({!Tpbs_serial.Codec.gathered_size} of its value). *)
+
+  val write_envelope :
+    Tpbs_serial.Codec.gather ->
+    Tpbs_serial.Wire.Writer.t ->
+    publish_time:int ->
+    eid:int * int ->
+    Tpbs_serial.Value.t ->
+    olen:int ->
+    unit
+  (** The one envelope walk: write the envelope of the obvent value
+      (encoded [olen] bytes long) through the gathering, so a
+      connector can build a frame around it in one pass and leave the
+      obvent's long strings where they lie
+      ({!Tpbs_serial.Codec.encode_gathered}). *)
 
   val decode_envelope : string -> (int * (int * int) * string) option
   (** [decode_envelope bytes] opens the event envelope the engine
@@ -298,8 +318,18 @@ module Remote : sig
       copy. *)
 
   type t = {
-    r_publish : cls:string -> string -> unit;
-        (** ship one encoded event envelope of class [cls] *)
+    r_publish :
+      cls:string ->
+      publish_time:int ->
+      eid:int * int ->
+      Tpbs_serial.Value.t ->
+      unit;
+        (** ship one event of class [cls]: the parts of its envelope,
+            the obvent as a value (its field spine at publish, which a
+            later {!Tpbs_obvent.Obvent.set} does not change). The
+            connector encodes the envelope into its own frame
+            ({!write_envelope}), so a publish never builds the
+            envelope as a string of its own. *)
     r_subscribe :
       sid:int -> param:string -> filter:Tpbs_serial.Value.t -> unit;
         (** register subscription [sid] to type [param]; [filter] is a

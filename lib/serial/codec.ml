@@ -11,7 +11,27 @@ let tag_list = 6
 let tag_obj = 7
 let tag_remote = 8
 
-let rec encode_into w (v : Value.t) =
+(* A string value of at least [ref_min] bytes can be left out of the
+   buffer an encoding is written into: the walk writes its tag and
+   length, then records the string with the offset its bytes belong
+   at, for a writer ([writev]) that takes them from where they already
+   lie. [flat] leaves nothing out: it is the plain encoding, and the
+   one walk below serves both. *)
+type gather = {
+  ref_min : int;
+  mutable ref_bytes : int;  (* content bytes of the strings sized as left out *)
+  mutable refs : (int * string) list;  (* written so far, newest first *)
+}
+
+let gather ~ref_min = { ref_min; ref_bytes = 0; refs = [] }
+
+(* Never written: no string reaches [max_int] bytes. *)
+let flat = { ref_min = max_int; ref_bytes = 0; refs = [] }
+
+let ref_bytes g = g.ref_bytes
+let refs g = List.rev g.refs
+
+let rec encode_gathered g w (v : Value.t) =
   let open Wire.Writer in
   match v with
   | Null -> byte w tag_null
@@ -25,52 +45,76 @@ let rec encode_into w (v : Value.t) =
       f64 w f
   | Str s ->
       byte w tag_str;
-      string w s
+      if String.length s >= g.ref_min then begin
+        varint w (String.length s);
+        g.refs <- (length w, s) :: g.refs
+      end
+      else string w s
   | List vs ->
       byte w tag_list;
       varint w (List.length vs);
-      List.iter (encode_into w) vs
+      encode_items g w vs
   | Obj o ->
       byte w tag_obj;
       string w o.cls;
       varint w (List.length o.fields);
-      List.iter
-        (fun (name, v) ->
-          string w name;
-          encode_into w v)
-        o.fields
+      encode_fields g w o.fields
   | Remote r ->
       byte w tag_remote;
       string w r.iface;
       varint w r.node_id;
       varint w r.object_id
 
+and encode_items g w = function
+  | [] -> ()
+  | v :: vs ->
+      encode_gathered g w v;
+      encode_items g w vs
+
+and encode_fields g w = function
+  | [] -> ()
+  | (name, v) :: fields ->
+      Wire.Writer.string w name;
+      encode_gathered g w v;
+      encode_fields g w fields
+
+let encode_into w v = encode_gathered flat w v
+
 (* Exactly the bytes [encode_into] writes, without writing them: one
-   walk over the value, O(1) per string however long. *)
+   walk over the value, O(1) per string however long. The strings
+   [g] leaves out are added up on the way. *)
 let str_size len = 1 + Wire.Writer.uvarint_size len + len
 let list_header_size n = 1 + Wire.Writer.uvarint_size n
 let name_size s = Wire.Writer.uvarint_size (String.length s) + String.length s
 
-let rec encoded_size (v : Value.t) =
+let rec gathered_size g (v : Value.t) =
   match v with
   | Null | Bool _ -> 1
   | Int i -> 1 + Wire.Writer.zigzag_size i
   | Float _ -> 9
-  | Str s -> str_size (String.length s)
-  | List vs ->
-      List.fold_left
-        (fun acc v -> acc + encoded_size v)
-        (list_header_size (List.length vs))
-        vs
+  | Str s ->
+      let n = String.length s in
+      if n >= g.ref_min then g.ref_bytes <- g.ref_bytes + n;
+      str_size n
+  | List vs -> items_size g (list_header_size (List.length vs)) vs
   | Obj o ->
-      List.fold_left
-        (fun acc (name, v) -> acc + name_size name + encoded_size v)
+      fields_size g
         (1 + name_size o.cls + Wire.Writer.uvarint_size (List.length o.fields))
         o.fields
   | Remote r ->
       1 + name_size r.iface
       + Wire.Writer.uvarint_size r.node_id
       + Wire.Writer.uvarint_size r.object_id
+
+and items_size g acc = function
+  | [] -> acc
+  | v :: vs -> items_size g (acc + gathered_size g v) vs
+
+and fields_size g acc = function
+  | [] -> acc
+  | (name, v) :: fields -> fields_size g (acc + name_size name + gathered_size g v) fields
+
+let encoded_size v = gathered_size flat v
 
 (* Sized up front, the writer fills its buffer to the last byte and
    hands it over: no doubling, no trailing copy. *)

@@ -27,6 +27,39 @@ val decode_prefix : Wire.Reader.t -> Value.t
     the reader positioned after it (for framed transports). *)
 
 val encode_into : Wire.Writer.t -> Value.t -> unit
+(** [encode_into w v] writes {!encode}[ v] at the end of [w]. *)
+
+(** {1 Gathered encoding}
+
+    The same walk, with long strings left where they lie: a string
+    value of at least [ref_min] bytes gets its tag and length written,
+    and is recorded, with the offset its bytes belong at, instead of
+    being copied. The writer's bytes with each recorded string put
+    back at its offset are exactly {!encode}'s bytes; a [writev] over
+    the pieces sends them without joining them. *)
+
+type gather
+
+val gather : ref_min:int -> gather
+(** A fresh gathering for one encoding (sizing walk, then writing
+    walk). *)
+
+val flat : gather
+(** Leaves nothing out: [encode_gathered flat] is {!encode_into}. *)
+
+val gathered_size : gather -> Value.t -> int
+(** {!encoded_size}, adding the length of every string the gathering
+    leaves out to {!ref_bytes}. *)
+
+val ref_bytes : gather -> int
+(** Content bytes of the left-out strings met by {!gathered_size}. *)
+
+val encode_gathered : gather -> Wire.Writer.t -> Value.t -> unit
+(** {!encode_into}, leaving out and recording the long strings. *)
+
+val refs : gather -> (int * string) list
+(** The strings {!encode_gathered} left out, in order, each with the
+    writer offset its bytes belong at. *)
 
 val skip_prefix : Wire.Reader.t -> unit
 (** Advance the reader past one encoded value without materializing

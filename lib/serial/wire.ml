@@ -26,9 +26,12 @@ let crc32_sub s ~pos ~len =
 
 let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
 
-let crc32_continue crc s =
-  Int32.of_int
-    (crc32_update (Int32.to_int crc land 0xFFFFFFFF) s 0 (String.length s))
+let crc32_continue_sub crc s ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Wire.crc32_continue_sub";
+  Int32.of_int (crc32_update (Int32.to_int crc land 0xFFFFFFFF) s pos len)
+
+let crc32_continue crc s = crc32_continue_sub crc s ~pos:0 ~len:(String.length s)
 
 module Writer = struct
   (* [cap] is how much of [buf] this writer may still write into: the
@@ -128,10 +131,10 @@ module Writer = struct
     end
     else Bytes.sub_string w.buf 0 w.len
 
-  let crc32_sub w ~pos ~len =
+  let crc32_continue_sub w crc ~pos ~len =
     if pos < 0 || len < 0 || pos + len > w.len then
-      invalid_arg "Wire.Writer.crc32_sub";
-    crc32_sub (Bytes.unsafe_to_string w.buf) ~pos ~len
+      invalid_arg "Wire.Writer.crc32_continue_sub";
+    crc32_continue_sub crc (Bytes.unsafe_to_string w.buf) ~pos ~len
 
   let rec uvarint_size_from n k =
     if n >= 0 && n < 0x80 then k else uvarint_size_from (n lsr 7) (k + 1)

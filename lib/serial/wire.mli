@@ -31,8 +31,12 @@ val crc32_sub : string -> pos:int -> len:int -> int32
 val crc32_continue : int32 -> string -> int32
 (** [crc32_continue (crc32 a) b = crc32 (a ^ b)]: carries a checksum
     over bytes that live in another buffer, so a frame whose payload
-    is a short prefix plus a large string held by reference is
-    checked without joining the two. *)
+    is a short head plus large strings held by reference is checked
+    without joining them. [crc32_continue 0l b = crc32 b]. *)
+
+val crc32_continue_sub : int32 -> string -> pos:int -> len:int -> int32
+(** {!crc32_continue} over [s.[pos .. pos+len-1]], in place.
+    @raise Invalid_argument on an out-of-bounds slice. *)
 
 (** {1 Writers} *)
 
@@ -85,8 +89,8 @@ module Writer : sig
       [pos] with [x], little endian.
       @raise Invalid_argument if [pos .. pos+3] is not written yet. *)
 
-  val crc32_sub : t -> pos:int -> len:int -> int32
-  (** {!Wire.crc32_sub} over already-written bytes, in place.
+  val crc32_continue_sub : t -> int32 -> pos:int -> len:int -> int32
+  (** {!Wire.crc32_continue_sub} over already-written bytes, in place.
       @raise Invalid_argument if the range is not written yet. *)
 
   val contents : t -> string

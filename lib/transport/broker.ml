@@ -99,6 +99,12 @@ type t = {
   core : session Broker_core.t;
   mutable sessions : session array;  (* live ones in [0, n_sessions) *)
   mutable n_sessions : int;
+  (* What a poll waits on, kept from one poll to the next: the
+     listener at 0, session slot [i] at [1 + i] (a drop moves the last
+     one down with it), then the caller's extra fds. Only the event
+     bits are refilled before a wait. *)
+  mutable wait_fds : Unix.file_descr array;
+  mutable wait_events : int array;
   mutable hellos : int;  (* live sessions that said Hello *)
   mutable next_bsid : int;
   pub_frontier : (string, int) Hashtbl.t;  (* client id → routed frontier *)
@@ -160,6 +166,8 @@ let create ?(config = default_config) ?(host = "127.0.0.1") ?listen_fd
     core = Broker_core.create ~covering:config.covering ~equal:( == ) registry;
     sessions = [||];
     n_sessions = 0;
+    wait_fds = Array.make 16 listen_fd;
+    wait_events = Array.make 16 0;
     hellos = 0;
     next_bsid = 0;
     pub_frontier = Hashtbl.create 16;
@@ -369,6 +377,8 @@ let drop_session t s reason =
   let last = t.n_sessions - 1 in
   let moved = t.sessions.(last) in
   t.sessions.(s.s_slot) <- moved;
+  t.wait_fds.(1 + s.s_slot) <- t.wait_fds.(1 + last);
+  t.wait_events.(1 + s.s_slot) <- t.wait_events.(1 + last);
   moved.s_slot <- s.s_slot;
   t.sessions.(last) <- t.sessions.(0);
   t.n_sessions <- last;
@@ -501,6 +511,18 @@ let on_msg t s (m : Proto.msg) =
       mark t s
   | Bye -> drop_session t s "bye"
 
+(* The wait arrays hold at least [n] entries. *)
+let wait_room t n =
+  let cap = Array.length t.wait_fds in
+  if cap < n then begin
+    let cap = max n (2 * cap) in
+    let fds = Array.make cap t.listen_fd and events = Array.make cap 0 in
+    Array.blit t.wait_fds 0 fds 0 (Array.length t.wait_fds);
+    Array.blit t.wait_events 0 events 0 (Array.length t.wait_events);
+    t.wait_fds <- fds;
+    t.wait_events <- events
+  end
+
 let accept_all t =
   let continue = ref true in
   while !continue && not t.stopped do
@@ -532,6 +554,9 @@ let accept_all t =
           t.sessions <- a
         end;
         t.sessions.(t.n_sessions) <- s;
+        wait_room t (2 + t.n_sessions);
+        t.wait_fds.(1 + t.n_sessions) <- fd;
+        t.wait_events.(1 + t.n_sessions) <- 0;
         t.n_sessions <- t.n_sessions + 1;
         Trace.Gauge.set t.g_sessions t.n_sessions
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
@@ -577,44 +602,60 @@ let read_session t s =
     | `Closed reason -> drop_session t s reason
   end
 
+let rec put_extra t i = function
+  | [] -> ()
+  | fd :: fds ->
+      t.wait_fds.(i) <- fd;
+      t.wait_events.(i) <- Conn.readable;
+      put_extra t (i + 1) fds
+
+let rec any_ready t i n =
+  i < n && (t.wait_events.(i) land Conn.readable <> 0 || any_ready t (i + 1) n)
+
 (* One engine turn: accept, read and route (pumping every [slice]
    routed pubs), pump. [timeout_ms < 0] blocks until any fd is
-   ready. *)
+   ready. An idle turn allocates nothing that grows with the
+   sessions: the wait arrays are kept, and only their event bits are
+   refilled. *)
 let poll t ?(extra_fds = []) ~timeout_ms () =
   if t.stopped then false
   else begin
-    (* slot 0 is the listener, then the sessions as they stand now
-       (reads may drop some), then [extra_fds] *)
+    (* the sessions as they stand now: reads may drop some, accepts
+       add more at higher slots *)
     let n_sessions = t.n_sessions in
-    let sessions = Array.sub t.sessions 0 n_sessions in
     let n = 1 + n_sessions + List.length extra_fds in
-    let fds = Array.make n t.listen_fd and events = Array.make n Conn.readable in
-    Array.iteri
-      (fun i s ->
-        fds.(1 + i) <- Conn.fd s.s_conn;
-        if Conn.pending_bytes s.s_conn > 0 then
-          events.(1 + i) <- Conn.readable lor Conn.writable)
-      sessions;
-    List.iteri (fun i fd -> fds.(1 + n_sessions + i) <- fd) extra_fds;
-    ignore (Conn.poll_fds fds events timeout_ms);
-    let ready i = events.(i) land Conn.readable <> 0 in
-    if ready 0 then accept_all t;
+    wait_room t n;
+    t.wait_events.(0) <- Conn.readable;
+    for i = 0 to n_sessions - 1 do
+      t.wait_events.(1 + i) <-
+        (if Conn.pending_bytes t.sessions.(i).s_conn > 0 then
+           Conn.readable lor Conn.writable
+         else Conn.readable)
+    done;
+    put_extra t (1 + n_sessions) extra_fds;
+    ignore (Conn.poll_fds t.wait_fds t.wait_events n timeout_ms);
+    (* read before accepts take over those entries *)
+    let extra = any_ready t (1 + n_sessions) n in
+    if t.wait_events.(0) land Conn.readable <> 0 then accept_all t;
     (* the withheld windows go out with the next pump *)
     if t.warming && warmed_up t then t.warming <- false;
     (* highest slot first, the newest session unless a drop moved one
        down: a subscriber that connected after a publisher has its Subs
        installed before that publisher's Pubs of the same turn are
-       routed *)
+       routed. Each entry is cleared as it is visited, so a session a
+       drop moves down into a lower slot (with its entry) is not
+       visited twice. *)
     for i = n_sessions - 1 downto 0 do
-      let s = sessions.(i) in
-      if not s.s_dropped then begin
-        if events.(1 + i) land Conn.writable <> 0 then mark t s;
-        if ready (1 + i) then read_session t s
+      if i < t.n_sessions then begin
+        let ev = t.wait_events.(1 + i) in
+        t.wait_events.(1 + i) <- 0;
+        let s = t.sessions.(i) in
+        if ev land Conn.writable <> 0 then mark t s;
+        if ev land Conn.readable <> 0 then read_session t s
       end
     done;
     pump t;
-    let rec extra_ready i = i < n && (ready i || extra_ready (i + 1)) in
-    extra_ready (1 + n_sessions)
+    extra
   end
 
 let stop ?(keep_listener = false) t =

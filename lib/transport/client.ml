@@ -60,6 +60,12 @@ end
 
 type sub = { sb_sid : int; sb_param : string; sb_filter : Value.t }
 
+(* One publish, framed when it was made ({!Proto.pub_frame}): the
+   frame is a snapshot of the obvent at that moment, it is what the
+   socket gets, and it is what a reconnect retransmits, byte for
+   byte. *)
+type pending = { p_pseq : int; p_cls : string; p_frame : Frame.gathered }
+
 (* One publishing peer's dedup frontier, updated in place so that a
    delivery from a known peer allocates nothing. *)
 type origin = { mutable o_seen : int  (* highest pseq *) }
@@ -73,8 +79,8 @@ type t = {
   mutable conn : Conn.t option;
   mutable pub_credit : int;
   mutable next_pseq : int;
-  sendq : (int * string * string) Queue.t;  (* pseq, cls, envelope *)
-  unacked : (int * string * string) Queue.t;
+  sendq : pending Queue.t;
+  unacked : pending Queue.t;
   mutable subs : sub list;  (* replayed on reconnect, newest first *)
   advertised : (string, unit) Hashtbl.t;  (* this connection only *)
   frontier : (string, origin) Hashtbl.t;  (* keyed by peer name *)
@@ -147,9 +153,9 @@ let pump_send t =
   | None -> ()
   | Some conn ->
       while t.pub_credit > 0 && not (Queue.is_empty t.sendq) do
-        let ((pseq, cls, envelope) as entry) = Queue.pop t.sendq in
-        ensure_advertised t conn cls;
-        Conn.send conn (Proto.Pub { pseq; cls; envelope });
+        let entry = Queue.pop t.sendq in
+        ensure_advertised t conn entry.p_cls;
+        Conn.send_gathered conn entry.p_frame;
         Trace.Counter.incr t.c_pubs;
         Queue.push entry t.unacked;
         t.pub_credit <- t.pub_credit - 1
@@ -159,8 +165,7 @@ let pump_send t =
 let on_ack t pseq =
   let continue = ref true in
   while !continue && not (Queue.is_empty t.unacked) do
-    let p, _, _ = Queue.peek t.unacked in
-    if p <= pseq then begin
+    if (Queue.peek t.unacked).p_pseq <= pseq then begin
       ignore (Queue.pop t.unacked);
       Trace.Counter.incr t.c_acked
     end
@@ -454,10 +459,11 @@ let connect ?(window = 64) ?(max_frame = Frame.default_max_frame)
 
 (* --- the Pubsub.Remote endpoint ----------------------------------------- *)
 
-let publish t ~cls envelope =
+let publish t ~cls ~publish_time ~eid obvent =
   let pseq = t.next_pseq in
   t.next_pseq <- t.next_pseq + 1;
-  Queue.push (pseq, cls, envelope) t.sendq;
+  let p_frame = Proto.pub_frame ~pseq ~cls ~publish_time ~eid obvent in
+  Queue.push { p_pseq = pseq; p_cls = cls; p_frame } t.sendq;
   pump_send t
 
 let subscribe t ~sid ~param ~filter =
@@ -476,7 +482,8 @@ let unsubscribe t ~sid =
 
 let endpoint t =
   {
-    Pubsub.Remote.r_publish = (fun ~cls envelope -> publish t ~cls envelope);
+    Pubsub.Remote.r_publish =
+      (fun ~cls ~publish_time ~eid obvent -> publish t ~cls ~publish_time ~eid obvent);
     r_subscribe =
       (fun ~sid ~param ~filter -> subscribe t ~sid ~param ~filter);
     r_unsubscribe = (fun ~sid -> unsubscribe t ~sid);

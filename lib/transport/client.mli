@@ -101,9 +101,17 @@ val reconnect_with_backoff :
     [rand] (default a self-seeded PRNG) are injectable for tests.
     [false] once the retry budget is exhausted. *)
 
-val publish : t -> cls:string -> string -> unit
-(** Low-level publish (bypassing a domain): queue one encoded envelope
-    of class [cls]. Normally reached via {!attach}. *)
+val publish :
+  t ->
+  cls:string ->
+  publish_time:int ->
+  eid:int * int ->
+  Tpbs_serial.Value.t ->
+  unit
+(** Low-level publish (bypassing a domain): assign the next pseq and
+    queue the [Pub] frame of one obvent value of class [cls], built
+    now ({!Proto.pub_frame}) — the frame the socket gets, and the one
+    a reconnect retransmits. Normally reached via {!attach}. *)
 
 val unacked_count : t -> int
 (** Publishes sent but not yet covered by a cumulative ack. *)

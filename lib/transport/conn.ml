@@ -4,19 +4,21 @@ module Trace = Tpbs_trace.Trace
 
    The write side batches: [send] only queues the encoded frame, and
    [flush] hands everything queued to the kernel in one [writev]. A
-   pump that sends a burst of envelopes and then flushes once pays a
+   pump that sends a burst of frames and then flushes once pays a
    single syscall (and usually a single TCP segment) for the lot — the
    batching factor shows up as [transport.frames_sent] /
    [transport.write_syscalls].
 
-   Pending bytes live in a chunk queue rather than one flat buffer:
-   small frames coalesce into a shared accumulator chunk, but a large
-   frame is queued by reference — a {!Frame.preframed} fan-out frame
-   is the same immutable string queued on every subscriber session,
-   and a large [Pub] is queued as a short head (frame header and
-   message prefix) followed by the caller's envelope string itself.
-   The [writev] stub (conn_stubs.c) reads those strings in place, so
-   from queue to kernel a large payload is never copied in userland.
+   There is one write path and no accumulator: every frame is an
+   immutable string, or a list of string pieces ({!Frame.gathered}),
+   and it is queued by reference as [writev] entries — a control
+   frame, a [Pub] whose head leaves the obvent's long strings where
+   the application put them, and a {!Frame.preframed} fan-out
+   [Deliver], the same string queued on every subscriber session. The
+   [writev] stub (conn_stubs.c) reads those strings in place, so from
+   queue to kernel no frame byte is copied in userland. A publisher's
+   retransmit store keeps each frame until its ack anyway, so the
+   frame itself is the write buffer.
 
    The read side is symmetric: [recv] has the kernel [read] straight
    into the free tail of the incremental {!Frame.Decoder}, and
@@ -31,19 +33,11 @@ module Trace = Tpbs_trace.Trace
 type verdict = [ `Ok | `Blocked | `Closed of string ]
 
 external writev :
-  Unix.file_descr -> string array -> int array -> int -> int -> int
-  = "tpbs_conn_writev"
+  Unix.file_descr -> string array -> int array -> int array -> int -> int -> int
+  = "tpbs_conn_writev_byte" "tpbs_conn_writev"
 
 external read_into : Unix.file_descr -> Bytes.t -> int -> int -> int
   = "tpbs_conn_read"
-
-(* Frames at or below this size are coalesced (copied) into the
-   accumulator; larger ones are queued by reference. [writev] gathers
-   any number of chunks per syscall either way, so the threshold only
-   bounds the iovec count: a burst of control frames rides in one
-   chunk instead of one each, which is worth a small memcpy, while a
-   large payload would pay a copy per byte for nothing. *)
-let coalesce_limit = 4096
 
 (* Each read offers the kernel at least this much room at the
    decoder's tail. *)
@@ -52,15 +46,16 @@ let read_room = 65536
 type t = {
   fd : Unix.file_descr;
   dec : Frame.Decoder.t;
-  wbuf : Buffer.t;  (* small frames accumulating for the next write *)
-  (* The sealed chunks, in send order, are [bufs.(i).[offs.(i) ..]]
-     for [head <= i < tail]: the queue is laid out as [writev]'s
-     iovec, so a flush builds nothing. *)
+  (* The queued pieces, in send order, are
+     [bufs.(i).[offs.(i) .. ends.(i) - 1]] for [head <= i < tail]: the
+     queue is laid out as [writev]'s iovec, so a flush builds
+     nothing. *)
   mutable bufs : string array;
   mutable offs : int array;
+  mutable ends : int array;
   mutable head : int;
   mutable tail : int;
-  mutable chunk_bytes : int;  (* unwritten bytes across the chunks *)
+  mutable queued : int;  (* unwritten bytes across the pieces *)
   mutable closed : bool;
   mutable frames_sent : int;
   mutable frames_recv : int;
@@ -82,7 +77,6 @@ type ctrs = {
   c_read_sys : Trace.Counter.t;
   c_corrupt : Trace.Counter.t;
   c_fanout_shared : Trace.Counter.t;
-  c_payload_copies : Trace.Counter.t;
 }
 
 let counters =
@@ -96,7 +90,6 @@ let counters =
         c_read_sys = Trace.counter tr "transport.read_syscalls";
         c_corrupt = Trace.counter tr "transport.corrupt_frames";
         c_fanout_shared = Trace.counter tr "transport.fanout_shared";
-        c_payload_copies = Trace.counter tr "transport.payload_copies";
       })
 
 let create ?max_frame fd =
@@ -106,12 +99,12 @@ let create ?max_frame fd =
   {
     fd;
     dec = Frame.Decoder.create ?max_frame ();
-    wbuf = Buffer.create 4096;
     bufs = Array.make 16 "";
     offs = Array.make 16 0;
+    ends = Array.make 16 0;
     head = 0;
     tail = 0;
-    chunk_bytes = 0;
+    queued = 0;
     closed = false;
     frames_sent = 0;
     frames_recv = 0;
@@ -122,101 +115,89 @@ let create ?max_frame fd =
   }
 
 let fd t = t.fd
-let pending_bytes t = t.chunk_bytes + Buffer.length t.wbuf
+let pending_bytes t = t.queued
 
-(* Append a chunk. A full array is compacted when at most half of it
-   is live, doubled otherwise, so each push is amortized O(1). *)
-let push t s =
+(* Append the piece [s.[off .. stop - 1]]. A full queue is compacted
+   when at most half of it is live, doubled otherwise, so each push is
+   amortized O(1). *)
+let push t s off stop =
   let cap = Array.length t.bufs in
   if t.tail = cap then begin
     let live = t.tail - t.head in
-    let bufs, offs =
-      if 2 * live > cap then (Array.make (2 * cap) "", Array.make (2 * cap) 0)
-      else (t.bufs, t.offs)
-    in
+    let fresh = 2 * live > cap in
+    let bufs = if fresh then Array.make (2 * cap) "" else t.bufs in
+    let offs = if fresh then Array.make (2 * cap) 0 else t.offs in
+    let ends = if fresh then Array.make (2 * cap) 0 else t.ends in
     Array.blit t.bufs t.head bufs 0 live;
     Array.blit t.offs t.head offs 0 live;
+    Array.blit t.ends t.head ends 0 live;
     (* compacted in place: drop the moved-from references *)
-    if bufs == t.bufs then Array.fill bufs live (cap - live) "";
+    if not fresh then Array.fill bufs live (cap - live) "";
     t.bufs <- bufs;
     t.offs <- offs;
+    t.ends <- ends;
     t.head <- 0;
     t.tail <- live
   end;
   t.bufs.(t.tail) <- s;
-  t.offs.(t.tail) <- 0;
+  t.offs.(t.tail) <- off;
+  t.ends.(t.tail) <- stop;
   t.tail <- t.tail + 1;
-  t.chunk_bytes <- t.chunk_bytes + String.length s
+  t.queued <- t.queued + stop - off
 
-(* Move the accumulator's contents to the back of the chunk queue, so
-   later chunks (and later accumulated frames) stay in send order. *)
-let seal t =
-  if Buffer.length t.wbuf > 0 then begin
-    push t (Buffer.contents t.wbuf);
-    Buffer.clear t.wbuf
-  end
+let push_string t s = push t s 0 (String.length s)
 
-(* [n] bytes left: retire the chunks they finished and move the first
-   unfinished one's offset. Finished slots let go of their strings. *)
+(* [n] bytes left: retire the pieces they finished and move the first
+   unfinished one's offset. Finished slots let go of their strings.
+   [true] when the write stopped inside a piece. *)
 let rec advance t n =
   if n > 0 then begin
-    let rest = String.length t.bufs.(t.head) - t.offs.(t.head) in
+    let rest = t.ends.(t.head) - t.offs.(t.head) in
     if n >= rest then begin
       t.bufs.(t.head) <- "";
       t.head <- t.head + 1;
       advance t (n - rest)
     end
-    else t.offs.(t.head) <- t.offs.(t.head) + n
+    else begin
+      t.offs.(t.head) <- t.offs.(t.head) + n;
+      true
+    end
   end
-  else if t.head = t.tail then begin
-    t.head <- 0;
-    t.tail <- 0
+  else begin
+    if t.head = t.tail then begin
+      t.head <- 0;
+      t.tail <- 0
+    end;
+    false
   end
 
 let count_sent t =
   t.frames_sent <- t.frames_sent + 1;
   Trace.Counter.incr (counters ()).c_frames_sent
 
-(* Small frames are copied into the accumulator; a large one is held
-   by reference as its own chunk. [true] when the frame was copied. *)
-let enqueue t s =
-  if String.length s <= coalesce_limit then begin
-    Buffer.add_string t.wbuf s;
-    true
-  end
-  else begin
-    seal t;
-    push t s;
-    false
-  end
-
-(* A large Pub is never joined into one frame: its head
-   ({!Proto.pub_head}: header, CRC and message prefix) and the
-   envelope string itself go out back to back, so the envelope the
-   caller keeps for retransmission is also the one [writev] reads. Any
-   other message is encoded straight into its own exactly-sized frame
-   ({!Proto.frame}). *)
 let send t msg =
-  (match msg with
-  | Proto.Pub { pseq; cls; envelope }
-    when String.length envelope > coalesce_limit ->
-      seal t;
-      push t (Proto.pub_head ~pseq ~cls envelope);
-      push t envelope
-  | _ -> ignore (enqueue t (Frame.preframed_bytes (Proto.frame msg))));
+  push_string t (Frame.preframed_bytes (Proto.frame msg));
   count_sent t
 
-(* Enqueue an already-framed string. The string itself is immutable
-   and may be simultaneously queued on any number of connections —
-   that sharing is the whole point: the frame was encoded and CRC'd
-   once for the lot. Small frames still coalesce (one counted copy
-   into the accumulator) so fan-out of tiny envelopes keeps the
-   syscall batching; large frames ride by reference, copy-free. *)
+(* The head's bytes from [pos] on, with each left-out string queued in
+   its place. *)
+let rec push_pieces t head pos = function
+  | [] -> if pos < String.length head then push t head pos (String.length head)
+  | (at, s) :: refs ->
+      push t head pos at;
+      push_string t s;
+      push_pieces t head at refs
+
+let send_gathered t (f : Frame.gathered) =
+  push_pieces t f.head 0 f.refs;
+  count_sent t
+
+(* The string is immutable and may be queued on any number of
+   connections at once — that sharing is the point: the frame was
+   encoded and CRC'd once for the lot. *)
 let send_preframed t pf =
-  let c = counters () in
-  Trace.Counter.incr c.c_fanout_shared;
-  if enqueue t (Frame.preframed_bytes pf) then
-    Trace.Counter.incr c.c_payload_copies;
+  Trace.Counter.incr (counters ()).c_fanout_shared;
+  push_string t (Frame.preframed_bytes pf);
   count_sent t
 
 let close t =
@@ -225,39 +206,36 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-(* Hand every pending chunk to the kernel, one [writev] at a time,
-   until it blocks or we drain. A write that stops inside a chunk
-   means the socket buffer is full; one that stops on a chunk
-   boundary may only have hit the stub's IOV_MAX, so try again. *)
+(* Hand every queued piece to the kernel, one [writev] at a time,
+   until it blocks or we drain. A write that stops inside a piece
+   means the socket buffer is full; one that stops on a piece boundary
+   may only have hit the stub's IOV_MAX, so try again. *)
 let flush t : verdict =
   if t.closed then `Closed "closed"
   else begin
-    seal t;
     let rec drain () =
       if t.head = t.tail then `Ok
       else
-        match writev t.fd t.bufs t.offs t.head (t.tail - t.head) with
+        match writev t.fd t.bufs t.offs t.ends t.head (t.tail - t.head) with
         | -1 | 0 -> `Blocked
         | n ->
             t.write_syscalls <- t.write_syscalls + 1;
             t.bytes_sent <- t.bytes_sent + n;
-            t.chunk_bytes <- t.chunk_bytes - n;
+            t.queued <- t.queued - n;
             let c = counters () in
             Trace.Counter.incr c.c_write_sys;
             Trace.Counter.add c.c_bytes_sent n;
-            advance t n;
-            if t.head < t.tail && t.offs.(t.head) > 0 then `Blocked
-            else drain ()
+            if advance t n then `Blocked else drain ()
         | exception Unix.Unix_error (e, _, _) -> `Closed (Unix.error_message e)
     in
     drain ()
   end
 
 (* poll(2) (poll_stubs.c) in place of select, which cannot watch a
-   descriptor past FD_SETSIZE (1024). [events.(i)] asks for readable
-   (1) and/or writable (2) on [fds.(i)] and comes back holding what it
-   is ready for. *)
-external poll_fds : Unix.file_descr array -> int array -> int -> int
+   descriptor past FD_SETSIZE (1024). For [i < n], [events.(i)] asks
+   for readable (1) and/or writable (2) on [fds.(i)] and comes back
+   holding what it is ready for. *)
+external poll_fds : Unix.file_descr array -> int array -> int -> int -> int
   = "tpbs_poll"
 
 let readable = 1
@@ -267,7 +245,7 @@ let wait t ~timeout_ms =
   let events =
     [| (if pending_bytes t > 0 then readable lor writable else readable) |]
   in
-  ignore (poll_fds [| t.fd |] events timeout_ms);
+  ignore (poll_fds [| t.fd |] events 1 timeout_ms);
   events.(0) land readable <> 0
 
 (* One read syscall, straight into the decoder's tail. *)

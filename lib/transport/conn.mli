@@ -4,8 +4,11 @@
     Writes batch: {!send} only queues; {!flush} hands everything
     queued since the last flush to the kernel in one [writev] (more
     only when the kernel's buffer or [IOV_MAX] forces it), so a pump
-    that sends a burst of envelopes pays one syscall for the lot (watch
-    [transport.frames_sent] / [transport.write_syscalls]). Reads go
+    that sends a burst of frames pays one syscall for the lot (watch
+    [transport.frames_sent] / [transport.write_syscalls]). There is
+    one write path: every frame — a string, or the pieces of a
+    {!Frame.gathered} — is queued by reference as [writev] entries,
+    never copied into an accumulator. Reads go
     straight into the {!Frame.Decoder}'s buffer and tolerate
     arbitrarily short and partial delivery — the decoder does the
     reassembly.
@@ -21,11 +24,6 @@ type t
 
 type verdict = [ `Ok | `Blocked | `Closed of string ]
 
-val coalesce_limit : int
-(** Frames up to this many bytes are copied into a shared accumulator
-    chunk; larger ones — and the envelope of a larger [Pub] — are
-    queued by reference. *)
-
 val create : ?max_frame:int -> Unix.file_descr -> t
 (** Take ownership of [fd]: set non-blocking (and [TCP_NODELAY] when
     applicable). The fd must stay non-blocking for as long as the
@@ -35,22 +33,21 @@ val create : ?max_frame:int -> Unix.file_descr -> t
 val fd : t -> Unix.file_descr
 
 val send : t -> Proto.msg -> unit
-(** Queue a message. No I/O happens until {!flush}. A [Pub] whose
-    envelope is over {!coalesce_limit} is queued as its
-    {!Proto.pub_head} followed by the envelope string itself, by
-    reference: the frame costs no payload-sized allocation or copy.
-    Any other message is encoded into its own frame buffer
-    ({!Proto.frame}), held by reference if it is over the limit,
-    coalesced into the accumulator otherwise. *)
+(** Queue a message, encoded into its own exactly-sized frame
+    ({!Proto.frame}) and held by reference. No I/O happens until
+    {!flush}. *)
+
+val send_gathered : t -> Frame.gathered -> unit
+(** Queue a frame in pieces ({!Proto.pub_frame}): its head and each
+    left-out string, by reference, in order. Nothing is copied; the
+    frame must stay unchanged until flushed, which its immutable
+    strings guarantee. *)
 
 val send_preframed : t -> Frame.preframed -> unit
 (** Queue an already-framed string without re-encoding or re-CRCing.
     The same {!Frame.preframed} may be queued on any number of
     connections simultaneously — fan-out costs one encode for the lot
-    (each enqueue bumps [transport.fanout_shared]). Frames larger than
-    the coalescing threshold are held by reference and written to the
-    socket with no userland copy; smaller ones are coalesced into the
-    accumulator (one counted copy) to keep the iovec short. *)
+    (each enqueue bumps [transport.fanout_shared]) and no copy. *)
 
 val flush : t -> verdict
 (** Write queued bytes until drained ([`Ok]), the kernel blocks
@@ -59,14 +56,17 @@ val flush : t -> verdict
 
 val pending_bytes : t -> int
 
-val poll_fds : Unix.file_descr array -> int array -> int -> int
-(** [poll_fds fds events timeout_ms] waits in poll(2) (any descriptor
-    number, unlike select's 1024) up to [timeout_ms] (forever when
-    negative) until some [fds.(i)] is ready for what [events.(i)] asks
-    ({!readable} and/or {!writable}); on return [events.(i)] holds
-    what it is ready for, a hung-up or failed descriptor reading as
-    readable. Returns the number of ready descriptors; a signal that
-    interrupts the wait reports nothing ready. *)
+val poll_fds : Unix.file_descr array -> int array -> int -> int -> int
+(** [poll_fds fds events n timeout_ms] waits in poll(2) (any
+    descriptor number, unlike select's 1024) up to [timeout_ms]
+    (forever when negative) until some [fds.(i)], [i < n], is ready
+    for what [events.(i)] asks ({!readable} and/or {!writable}); on
+    return [events.(i)] holds what it is ready for, a hung-up or
+    failed descriptor reading as readable. The arrays may be longer
+    than [n] (a caller keeps them across waits). Returns the number of
+    ready descriptors; a signal that interrupts the wait reports
+    nothing ready.
+    @raise Invalid_argument if an array is shorter than [n]. *)
 
 val readable : int
 val writable : int

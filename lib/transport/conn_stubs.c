@@ -32,24 +32,31 @@ static value would_block_or_raise(const char *call)
   caml_uerror(call, Nothing);
 }
 
-/* Write [bufs.(i).[offs.(i) ..]] for [first <= i < first + count]
-   (at most IOV_MAX of them) in one writev; the byte count written. */
-value tpbs_conn_writev(value fd, value bufs, value offs, value first,
-                       value count)
+/* Write [bufs.(i).[offs.(i) .. ends.(i) - 1]] for
+   [first <= i < first + count] (at most IOV_MAX of them) in one
+   writev; the byte count written. */
+value tpbs_conn_writev(value fd, value bufs, value offs, value ends,
+                       value first, value count)
 {
   struct iovec iov[IOV_MAX];
   intnat base = Long_val(first);
   intnat n = Long_val(count);
   if (n > IOV_MAX) n = IOV_MAX;
   for (intnat i = 0; i < n; i++) {
-    value s = Field(bufs, base + i);
     intnat off = Long_val(Field(offs, base + i));
-    iov[i].iov_base = (char *)String_val(s) + off;
-    iov[i].iov_len = caml_string_length(s) - off;
+    iov[i].iov_base = (char *)String_val(Field(bufs, base + i)) + off;
+    iov[i].iov_len = Long_val(Field(ends, base + i)) - off;
   }
   ssize_t w = writev(Int_val(fd), iov, (int)n);
   if (w < 0) return would_block_or_raise("writev");
   return Val_long(w);
+}
+
+value tpbs_conn_writev_byte(value *argv, int argn)
+{
+  (void)argn;
+  return tpbs_conn_writev(argv[0], argv[1], argv[2], argv[3], argv[4],
+                          argv[5]);
 }
 
 /* Read up to [len] bytes into [buf] at [off]; 0 is end of file. */

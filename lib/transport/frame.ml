@@ -1,4 +1,5 @@
 module Wire = Tpbs_serial.Wire
+module Codec = Tpbs_serial.Codec
 module Trace = Tpbs_trace.Trace
 
 (* Stream framing for the real transport:
@@ -29,6 +30,14 @@ let crc_counter = Trace.ambient_cached (fun tr -> Trace.counter tr "transport.cr
 
 let count_crc n = Trace.Counter.add (crc_counter ()) n
 
+(* [transport.copy_bytes]: bytes of already-encoded payload copied
+   again in userland — a decoder's compaction and growth, a Deliver
+   encoded around an envelope, a payload view materialized. Writing a
+   frame is not a copy: its bytes are encoded once, into the frame. *)
+let copy_counter = Trace.ambient_cached (fun tr -> Trace.counter tr "transport.copy_bytes")
+
+let count_copy n = if n > 0 then Trace.Counter.add (copy_counter ()) n
+
 (* A frame built once and shared by reference across any number of
    connections: header + CRC are computed at construction, so fanning
    an event out to N subscribers costs one encode and one CRC no
@@ -39,25 +48,41 @@ type preframed = string
 (* The header is reserved, [fill] encodes the payload straight after
    it, and length and CRC are patched over the reservation: the frame
    is never assembled from a separately encoded payload. With [len]
-   exact, the buffer is allocated once and handed over whole.
-
-   The payload may go on past what [fill] writes, with [tail]: only
-   the header and that prefix are built, and the CRC runs over the
-   prefix in the buffer and carries on over [tail] where it lies, so
-   the caller can write the two pieces out back to back without ever
-   joining them. *)
-let build_head ~len ~tail fill =
+   exact, the buffer is allocated once and handed over whole. *)
+let start ~len =
   let w = Wire.Writer.create ~capacity:(header_bytes + len) () in
   Wire.Writer.reserve w header_bytes;
-  fill w;
-  let n = Wire.Writer.length w - header_bytes in
-  count_crc (n + String.length tail);
-  Wire.Writer.set_int32_le w 0 (Int32.of_int (n + String.length tail));
-  Wire.Writer.set_int32_le w 4
-    (Wire.crc32_continue (Wire.Writer.crc32_sub w ~pos:header_bytes ~len:n) tail);
+  w
+
+let finish w ~len crc =
+  count_crc len;
+  Wire.Writer.set_int32_le w 0 (Int32.of_int len);
+  Wire.Writer.set_int32_le w 4 crc;
   Wire.Writer.contents w
 
-let build ~len fill = build_head ~len ~tail:"" fill
+let build ~len fill =
+  let w = start ~len in
+  fill w;
+  let len = Wire.Writer.length w - header_bytes in
+  finish w ~len (Wire.Writer.crc32_continue_sub w 0l ~pos:header_bytes ~len)
+
+type gathered = { head : string; refs : (int * string) list }
+
+(* The CRC of the head's bytes from [pos] on, with each left-out
+   string in its place. *)
+let rec crc_gathered w crc pos = function
+  | [] -> Wire.Writer.crc32_continue_sub w crc ~pos ~len:(Wire.Writer.length w - pos)
+  | (at, s) :: refs ->
+      let crc = Wire.Writer.crc32_continue_sub w crc ~pos ~len:(at - pos) in
+      crc_gathered w (Wire.crc32_continue crc s) at refs
+
+let gathered g ~len fill =
+  let w = start ~len:(len - Codec.ref_bytes g) in
+  fill w;
+  let refs = Codec.refs g in
+  let len = Wire.Writer.length w - header_bytes + Codec.ref_bytes g in
+  let head = finish w ~len (crc_gathered w 0l header_bytes refs) in
+  { head; refs }
 
 let frame payload =
   build ~len:(String.length payload) (fun w -> Wire.Writer.raw w payload)
@@ -96,6 +121,7 @@ module Decoder = struct
     if t.start + t.len + extra > cap then
       if t.len + extra <= cap then begin
         (* compacting the consumed prefix is enough *)
+        count_copy t.len;
         Bytes.blit t.buf t.start t.buf 0 t.len;
         t.start <- 0
       end
@@ -105,6 +131,7 @@ module Decoder = struct
           cap' := 2 * !cap'
         done;
         let fresh = Bytes.create !cap' in
+        count_copy t.len;
         Bytes.blit t.buf t.start fresh 0 t.len;
         t.buf <- fresh;
         t.start <- 0

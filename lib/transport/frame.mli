@@ -11,6 +11,11 @@
 val header_bytes : int
 val default_max_frame : int
 
+val count_copy : int -> unit
+(** Add to [transport.copy_bytes]: bytes of already-encoded payload
+    copied again in userland (decoder compaction and growth, a Deliver
+    encoded around an envelope, a payload view materialized). *)
+
 type preframed
 (** A frame built once and shared by reference across any number of
     connections: the fan-out currency of the encode-once delivery
@@ -28,15 +33,31 @@ val frame : string -> string
 (** Wrap a payload in a frame header:
     [preframed_bytes (build ~len (fun w -> Writer.raw w payload))]. *)
 
-val build_head :
-  len:int -> tail:string -> (Tpbs_serial.Wire.Writer.t -> unit) -> string
-(** [build_head ~len ~tail fill] is the start of the frame whose
-    payload is what [fill] writes followed by [tail]: the header and
-    that prefix only. Length and CRC cover the whole payload, so
-    [build_head ~len ~tail fill ^ tail] is the frame
-    [build ~len:(len + String.length tail)] would make, but [tail] is
-    neither copied nor joined — it can follow the head onto the
-    socket by reference. [len] sizes the prefix, as for {!build}. *)
+type gathered = private {
+  head : string;
+      (** header, CRC and every payload byte but the left-out strings' *)
+  refs : (int * string) list;
+      (** the left-out strings, in order, each with the offset in
+          [head] its bytes belong at *)
+}
+(** A frame in pieces: [head] with each of [refs] put back at its
+    offset. Length and CRC cover the whole payload, so the pieces
+    written back to back ({!Conn} queues them as [writev] entries,
+    by reference) are the frame; the long strings are never copied
+    or joined. *)
+
+val gathered :
+  Tpbs_serial.Codec.gather ->
+  len:int ->
+  (Tpbs_serial.Wire.Writer.t -> unit) ->
+  gathered
+(** [gathered g ~len fill] is {!build} for a [fill] that writes
+    through the gathering [g] ({!Tpbs_serial.Codec.encode_gathered}):
+    [len] is the whole payload's size, left-out strings included, as
+    {!Tpbs_serial.Codec.gathered_size} found it, so the head is
+    allocated once at its exact size. The CRC runs over the head and
+    carries on over each left-out string where it lies
+    ([transport.crc_bytes] counts the payload once). *)
 
 val preframed_bytes : preframed -> string
 (** The raw framed bytes (header included), ready for the socket. *)

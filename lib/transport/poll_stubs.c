@@ -25,14 +25,16 @@
 #define TPBS_WRITE 2
 
 /* Wait up to [timeout_ms] (forever when negative) until one of
-   [fds.(i)] is ready for what [events.(i)] asks. On return
+   [fds.(i)], [i < n], is ready for what [events.(i)] asks. On return
    [events.(i)] holds what it is ready for: a descriptor in error or
    hung up reads as readable, so its reader finds out. The result is
    the number of ready descriptors, 0 on timeout or EINTR. */
-value tpbs_poll(value fds, value events, value timeout_ms)
+value tpbs_poll(value fds, value events, value count, value timeout_ms)
 {
   CAMLparam2(fds, events);
-  mlsize_t n = Wosize_val(fds);
+  mlsize_t n = Long_val(count);
+  if (n > Wosize_val(fds) || n > Wosize_val(events))
+    caml_invalid_argument("Conn.poll_fds");
   struct pollfd stack[64];
   struct pollfd *pfd = stack;
   if (n > 64) {

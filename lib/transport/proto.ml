@@ -2,6 +2,7 @@ module Value = Tpbs_serial.Value
 module Codec = Tpbs_serial.Codec
 module Wire = Tpbs_serial.Wire
 module Trace = Tpbs_trace.Trace
+module Pubsub = Tpbs_core.Pubsub
 
 (* The broker protocol. One message per frame, encoded as an ordinary
    [Value] through [Codec] — the transport speaks the same wire
@@ -123,6 +124,26 @@ let encode_pub_head w ~pseq ~cls el =
   Codec.encode_str_sub w cls ~pos:0 ~len:(String.length cls);
   Codec.encode_str_header w el
 
+(* A string value at least this long is written to the socket by
+   reference, where it lies, instead of being copied into a frame: the
+   cut-off above which a copy costs more than the [writev] entry that
+   saves it. *)
+let ref_min = 4096
+
+(* A Pub straight from the obvent: the envelope is written into the
+   frame by the one envelope walk ([Pubsub.Remote.write_envelope]),
+   after one sizing walk over the obvent, and never exists as a string
+   of its own; the obvent's strings of [ref_min] bytes or more are left
+   where they lie. Byte for byte [frame (Pub {pseq; cls; envelope})]
+   with the envelope [Pubsub.Remote.encode_envelope] makes. *)
+let pub_frame ~pseq ~cls ~publish_time ~eid obvent =
+  let g = Codec.gather ~ref_min in
+  let olen = Codec.gathered_size g obvent in
+  let el = Pubsub.Remote.envelope_length ~publish_time ~eid olen in
+  Frame.gathered g ~len:(pub_head_size ~pseq ~cls el + el) (fun w ->
+      encode_pub_head w ~pseq ~cls el;
+      Pubsub.Remote.write_envelope g w ~publish_time ~eid obvent ~olen)
+
 let frame m =
   count_encode m;
   match m with
@@ -150,6 +171,7 @@ let slice_to_string sl =
   if sl.sl_off = 0 && sl.sl_len = String.length sl.sl_buf then sl.sl_buf
   else begin
     count_payload_copy ();
+    Frame.count_copy sl.sl_len;
     String.sub sl.sl_buf sl.sl_off sl.sl_len
   end
 
@@ -168,19 +190,12 @@ let encode_deliver ~origin ~pseq ~cls (envelope : slice) =
       (Codec.list_header_size 5 + Codec.str_size envelope.sl_len)
       head
   in
+  Frame.count_copy envelope.sl_len;
   Frame.build ~len (fun w ->
       Codec.encode_list_header w 5;
       List.iter (Codec.encode_into w) head;
       Codec.encode_str_sub w envelope.sl_buf ~pos:envelope.sl_off
         ~len:envelope.sl_len)
-
-(* The head of [frame (Pub {pseq; cls; envelope})]: header, CRC and
-   every payload byte before the envelope's content. Followed by the
-   envelope itself it is that frame, byte for byte. *)
-let pub_head ~pseq ~cls envelope =
-  let el = String.length envelope in
-  Frame.build_head ~len:(pub_head_size ~pseq ~cls el) ~tail:envelope (fun w ->
-      encode_pub_head w ~pseq ~cls el)
 
 type view =
   | V_pub of { pseq : int; cls : string; envelope : slice }

@@ -40,6 +40,26 @@ val frame : msg -> Frame.preframed
     message is encoded straight behind the reserved header. Counts a
     Deliver encode like {!encode}. *)
 
+val ref_min : int
+(** String values of at least this many bytes (4096) go to the socket
+    by reference: {!pub_frame} leaves them out of its head. *)
+
+val pub_frame :
+  pseq:int ->
+  cls:string ->
+  publish_time:int ->
+  eid:int * int ->
+  Tpbs_serial.Value.t ->
+  Frame.gathered
+(** The [Pub] frame of an obvent value, written in one walk straight
+    from the value: its pieces, joined, are
+    [frame (Pub {pseq; cls; envelope})] with
+    [envelope = Pubsub.Remote.encode_envelope ~publish_time ~eid o],
+    but that envelope is never built. String values of {!ref_min}
+    bytes or more are left out of the head, by reference. The frame
+    copies no payload byte that already exists ([transport.copy_bytes]
+    stays put). *)
+
 val decode : string -> msg option
 (** [None] on undecodable bytes or an unknown message shape. *)
 
@@ -61,22 +81,18 @@ type slice = { sl_buf : string; sl_off : int; sl_len : int }
 val slice_of_string : string -> slice
 val slice_to_string : slice -> string
 (** Materialize the slice. A proper sub-slice costs one copy and bumps
-    the ambient [transport.payload_copies] counter; a whole-buffer
-    slice is returned as-is for free. *)
+    the ambient [transport.payload_copies] counter (and
+    [transport.copy_bytes] by its length); a whole-buffer slice is
+    returned as-is for free. *)
 
 val encode_deliver :
   origin:string -> pseq:int -> cls:string -> slice -> Frame.preframed
 (** One encode + one CRC, byte-identical to
     [Frame.frame (encode (Deliver ...))] with the slice contents as
     envelope. The Deliver wire shape carries no per-session field, so
-    the result serves every subscriber of the publish. *)
+    the result serves every subscriber of the publish. The envelope is
+    copied once, into the frame ([transport.copy_bytes]). *)
 
-val pub_head : pseq:int -> cls:string -> string -> string
-(** [pub_head ~pseq ~cls envelope ^ envelope] is
-    [Frame.preframed_bytes (frame (Pub {pseq; cls; envelope}))], but
-    only the short head is built ({!Frame.build_head}): the envelope
-    is neither copied nor joined, and can follow the head onto the
-    socket by reference. *)
 
 type view =
   | V_pub of { pseq : int; cls : string; envelope : slice }

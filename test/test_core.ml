@@ -773,7 +773,7 @@ let test_latency_skipped_under_remote () =
   let reg, engine, _net, domain, procs = setup ~n:1 () in
   let inject =
     Pubsub.Remote.connect domain procs.(0)
-      { Pubsub.Remote.r_publish = (fun ~cls:_ _ -> ());
+      { Pubsub.Remote.r_publish = (fun ~cls:_ ~publish_time:_ ~eid:_ _ -> ());
         r_subscribe = (fun ~sid:_ ~param:_ ~filter:_ -> ());
         r_unsubscribe = (fun ~sid:_ -> ()) }
   in
@@ -790,6 +790,36 @@ let test_latency_skipped_under_remote () =
   Alcotest.(check int) "delivered" 10 (Subscription.delivered s);
   Alcotest.(check int) "no latency samples" 0
     (Tpbs_trace.Histogram.count (Domain.latency domain))
+
+(* A Prioritary publish of a remote domain waits in the egress queue
+   as its obvent's field spine at publish: a write through the obvent
+   before the queue drains rebinds the obvent's spine, and what the
+   connector gets is the obvent as it was published. *)
+let test_remote_txq_snapshots_obvent () =
+  let reg, engine, _net, domain, procs = setup ~n:1 () in
+  let sent = ref [] in
+  let _inject =
+    Pubsub.Remote.connect domain procs.(0)
+      { Pubsub.Remote.r_publish =
+          (fun ~cls ~publish_time:_ ~eid:_ v -> sent := (cls, v) :: !sent);
+        r_subscribe = (fun ~sid:_ ~param:_ ~filter:_ -> ());
+        r_unsubscribe = (fun ~sid:_ -> ()) }
+  in
+  let alarm =
+    Obvent.make reg "Alarm" [ ("source", Value.Str "pump-1"); ("priority", Value.Int 3) ]
+  in
+  let published = Obvent.to_value alarm in
+  Process.publish procs.(0) alarm;
+  Obvent.set reg alarm "source" (Value.Str "rewritten");
+  Alcotest.(check int) "queued, not yet sent" 0 (List.length !sent);
+  Engine.run engine;
+  match !sent with
+  | [ (cls, v) ] ->
+      Alcotest.(check string) "class" "Alarm" cls;
+      Alcotest.(check bool) "the obvent as published" true (Value.equal published v);
+      Alcotest.(check bool) "the write is not sent" false
+        (Value.equal (Obvent.to_value alarm) v)
+  | l -> Alcotest.failf "%d publishes reached the connector" (List.length l)
 
 let test_certified_prioritary_combination () =
   (* "obvents can be certified and have some notion of priority"
@@ -1429,7 +1459,7 @@ let small_typed_words ~batch =
   let p = Process.create d (Net.add_node net) in
   let inject =
     Pubsub.Remote.connect d p
-      { Pubsub.Remote.r_publish = (fun ~cls:_ _ -> ());
+      { Pubsub.Remote.r_publish = (fun ~cls:_ ~publish_time:_ ~eid:_ _ -> ());
         r_subscribe = (fun ~sid:_ ~param:_ ~filter:_ -> ());
         r_unsubscribe = (fun ~sid:_ -> ()) }
   in
@@ -1584,4 +1614,6 @@ let suite =
         Alcotest.test_case "opening an envelope allocates only its result" `Quick
           test_open_envelope_allocates_only_result;
         Alcotest.test_case "no latency samples under Remote.connect" `Quick
-          test_latency_skipped_under_remote ] )
+          test_latency_skipped_under_remote;
+        Alcotest.test_case "remote egress queue sends the obvent as published" `Quick
+          test_remote_txq_snapshots_obvent ] )

@@ -712,30 +712,85 @@ let test_decoder_reserve_agrees_with_feed =
          || List.filter_map (function `F s -> Some s | _ -> None) (List.rev !got_fill)
             = payloads))
 
-(* A gathered Pub — the head built alone, then the envelope by
-   reference — is byte for byte the frame Proto.frame builds, for
-   envelopes on both sides of the coalescing threshold and class
-   names long enough to need a two-byte length. *)
-let test_pub_head_oracle =
-  let lim = Conn.coalesce_limit in
+(* A gathered frame's pieces, joined: the head with each left-out
+   string put back at its offset. *)
+let joined (f : Frame.gathered) =
+  let b = Buffer.create 256 in
+  let pos =
+    List.fold_left
+      (fun pos (at, s) ->
+        Buffer.add_substring b f.head pos (at - pos);
+        Buffer.add_string b s;
+        at)
+      0 f.refs
+  in
+  Buffer.add_substring b f.head pos (String.length f.head - pos);
+  Buffer.contents b
+
+(* Obvent classes for gathered frames: string fields first, last and
+   in the middle, and a class name long enough to need a two-byte
+   length. *)
+let gather_registry () =
+  let reg = Registry.create () in
+  Registry.declare_class reg ~name:"Blob" ~implements:[ "Obvent" ]
+    ~attrs:[ ("seq", Vtype.Tint); ("data", Vtype.Tstring) ] ();
+  Registry.declare_class reg ~name:"Pair" ~implements:[ "Obvent" ]
+    ~attrs:[ ("a", Vtype.Tstring); ("n", Vtype.Tint); ("b", Vtype.Tstring) ] ();
+  Registry.declare_class reg ~name:(String.make 200 'C') ~extends:"Blob"
+    ~attrs:[ ("tag", Vtype.Tstring) ] ();
+  reg
+
+(* A Pub frame written straight from the obvent is, pieces joined,
+   byte for byte the frame Proto.frame builds around the envelope
+   Remote.encode_envelope makes; exactly the strings of at least
+   [Proto.ref_min] bytes are left out, and those are the obvent's own
+   strings, not copies. *)
+let prop_gathered_pub_frame =
+  let reg = gather_registry () in
+  let lim = Proto.ref_min in
+  let str =
+    QCheck.Gen.(
+      oneof [ int_range 0 300; oneofl [ lim - 1; lim; lim + 1; 8192 ] ]
+      >>= fun n -> map (fun c -> String.make n c) printable)
+  in
   let gen =
     QCheck.Gen.(
-      triple int (string_size (int_range 0 300))
-        (oneof
-           [ int_range 0 (3 * lim);
-             oneofl [ 0; 127; 128; lim - 1; lim; lim + 1; 3 * lim ] ]
-        >>= fun n -> string_size (return n)))
+      pair (triple small_nat int (pair small_nat small_nat))
+        (int_range 0 2 >>= fun k ->
+         map3
+           (fun s1 s2 n ->
+             match k with
+             | 0 -> ("Blob", [ ("seq", Value.Int n); ("data", Value.Str s1) ])
+             | 1 -> ("Pair", [ ("a", Value.Str s1); ("n", Value.Int n); ("b", Value.Str s2) ])
+             | _ ->
+                 ( String.make 200 'C',
+                   [ ("seq", Value.Int n); ("data", Value.Str s1); ("tag", Value.Str s2) ] ))
+           str str int))
   in
-  QCheck.Test.make ~name:"pub_head ^ envelope = Proto.frame (Pub ...)"
-    ~count:300
+  QCheck.Test.make ~name:"gathered Pub frame = Proto.frame (Pub ...)" ~count:300
     (QCheck.make
-       ~print:(fun (pseq, cls, env) ->
-         Printf.sprintf "pseq=%d cls=%d bytes envelope=%d bytes" pseq
-           (String.length cls) (String.length env))
+       ~print:(fun ((pseq, _, _), (cls, fields)) ->
+         Printf.sprintf "pseq=%d cls=%d bytes fields=[%s]" pseq (String.length cls)
+           (String.concat "; "
+              (List.map
+                 (fun (n, v) ->
+                   match v with
+                   | Value.Str s -> Printf.sprintf "%s: %d bytes" n (String.length s)
+                   | v -> n ^ ": " ^ Value.to_string v)
+                 fields)))
        gen)
-    (fun (pseq, cls, envelope) ->
-      Proto.pub_head ~pseq ~cls envelope ^ envelope
-      = Frame.preframed_bytes (Proto.frame (Pub { pseq; cls; envelope })))
+    (fun ((pseq, publish_time, eid), (cls, fields)) ->
+      let o = Obvent.make reg cls fields in
+      let f = Proto.pub_frame ~pseq ~cls ~publish_time ~eid (Obvent.to_value o) in
+      let envelope = Pubsub.Remote.encode_envelope ~publish_time ~eid o in
+      let long =
+        List.filter_map
+          (function _, Value.Str s when String.length s >= lim -> Some s | _ -> None)
+          fields
+      in
+      joined f = Frame.preframed_bytes (Proto.frame (Pub { pseq; cls; envelope }))
+      && List.length f.refs = List.length long
+      && List.for_all2 (fun (_, r) s -> r == s) f.refs long)
 
 let test_decoder_view_corrupt_matches_pop () =
   (* A flipped payload byte condemns both forms identically, and both
@@ -834,19 +889,21 @@ let test_decode_view_agrees_with_decode () =
       huge_name "dlv" 5 ignore ]
 
 let test_chunk_queue_order_under_partial_writes () =
-  (* Interleave small coalesced messages, large by-reference shared
-     frames and Pubs on both sides of the coalescing threshold (the
-     large ones gathered as head + envelope) through a socketpair
+  (* Interleave small control frames, large shared frames and Pubs
+     on both sides of the by-reference threshold — as one string, or
+     gathered from an obvent with long strings at the end and in the
+     middle, which splits the head around them — through a socketpair
      whose send buffer is clamped small, so every writev hits partial
-     writes and blocked chunks. The peer reads with Conn.recv, straight
+     writes and blocked pieces. The peer reads with Conn.recv, straight
      into its decoder, and must see every frame, in enqueue order,
      bit-exact. *)
+  let reg = gather_registry () in
   Trace.set_ambient (Trace.create ());
   let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Unix.setsockopt_int a SO_SNDBUF 4096;
   let conn = Conn.create ~max_frame:(1 lsl 20) a in
   let peer = Conn.create ~max_frame:(1 lsl 20) b in
-  let lim = Conn.coalesce_limit in
+  let lim = Proto.ref_min in
   let pub_sizes = [| lim; lim + 1; 1; 3 * lim; lim - 1; 9000 |] in
   let expected = ref [] and frame_bytes = ref 0 in
   let expect payload =
@@ -867,10 +924,22 @@ let test_chunk_queue_order_under_partial_writes () =
         expect (String.sub s Frame.header_bytes (Frame.preframed_length pf))
     | 1 ->
         let n = pub_sizes.(i / 3 mod Array.length pub_sizes) in
-        let envelope = String.init n (fun j -> Char.chr ((7 * i + j) land 0xff)) in
-        let m = Proto.Pub { pseq = i; cls = "TQuote"; envelope } in
-        Conn.send conn m;
-        expect (Proto.encode m)
+        let bytes k = String.init n (fun j -> Char.chr ((k * i + j) land 0xff)) in
+        if i mod 2 = 0 then begin
+          let m = Proto.Pub { pseq = i; cls = "TQuote"; envelope = bytes 7 } in
+          Conn.send conn m;
+          expect (Proto.encode m)
+        end
+        else begin
+          let o =
+            Obvent.make reg "Pair"
+              [ ("a", Value.Str (bytes 5)); ("n", Value.Int i); ("b", Value.Str (bytes 3)) ]
+          in
+          let f = Proto.pub_frame ~pseq:i ~cls:"Pair" ~publish_time:i ~eid:(1, i) (Obvent.to_value o) in
+          Conn.send_gathered conn f;
+          let s = joined f in
+          expect (String.sub s Frame.header_bytes (String.length s - Frame.header_bytes))
+        end
     | _ ->
         let m = Proto.Credit { n = i } in
         Conn.send conn m;
@@ -1153,15 +1222,13 @@ let raw_pair broker =
   in
   (sub, pub, publish)
 
+let blob_value seq =
+  Value.obj "TQuote" [ ("seq", Value.Int seq); ("data", Value.Str (String.make 8192 'x')) ]
+
 let blob_envelope seq =
   Codec.encode
     (Value.List
-       [ Value.Int 0; Value.Int 1; Value.Int seq;
-         Value.Str
-           (Codec.encode
-              (Value.obj "TQuote"
-                 [ ("seq", Value.Int seq); ("data", Value.Str (String.make 8192 'x')) ]))
-       ])
+       [ Value.Int 0; Value.Int 1; Value.Int seq; Value.Str (Codec.encode (blob_value seq)) ])
 
 (* [transport.crc_bytes] grows by a frame's payload once when the frame
    is built and once when it is verified: over a Pub -> Deliver round
@@ -1448,6 +1515,264 @@ let test_broker_poll_interrupted () =
       Alcotest.(check bool) "idle pipe not ready" false
         (Broker.poll broker ~extra_fds:[ r ] ~timeout_ms:1000 ()))
 
+(* [transport.copy_bytes] over a large Pub -> Deliver round trip with
+   every peer in this process: writing the gathered Pub copies nothing,
+   and the broker copies the envelope once, into the Deliver it
+   encodes for its subscribers. *)
+let test_copy_bytes_large_round_trip () =
+  Trace.set_ambient (Trace.create ());
+  let broker = Broker.create ~config:instant_config ~port:0 () in
+  let sub, pub, publish = raw_pair broker in
+  let copies () = Trace.Counter.value (Trace.counter (Trace.ambient ()) "transport.copy_bytes") in
+  (* settle the first credit round and the decoders' buffers *)
+  ignore (publish (blob_envelope 0));
+  for _ = 1 to 5 do
+    ignore (Conn.flush sub);
+    ignore (Broker.poll broker ~timeout_ms:1 ());
+    raw_drain "publisher" pub ignore
+  done;
+  let c0 = copies () in
+  let f = Proto.pub_frame ~pseq:1 ~cls:"TQuote" ~publish_time:0 ~eid:(1, 1) (blob_value 1) in
+  Conn.send_gathered pub f;
+  Alcotest.(check bool) "the Pub is written" true (Conn.flush pub = `Ok);
+  let c1 = copies () in
+  Alcotest.(check int) "publisher: no copy" 0 (c1 - c0);
+  (* the whole frame reaches the broker's socket before it reads *)
+  Unix.sleepf 0.02;
+  let sub_readable () =
+    match Unix.select [ Conn.fd sub ] [] [] 0.0 with [], _, _ -> false | _ -> true
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (sub_readable ())) && Unix.gettimeofday () < deadline do
+    ignore (Broker.poll broker ~timeout_ms:1 ())
+  done;
+  let env = blob_envelope 1 in
+  Alcotest.(check int) "broker: the envelope, once" (String.length env) (copies () - c1);
+  let got = ref None in
+  while !got = None && Unix.gettimeofday () < deadline do
+    raw_drain "subscriber" sub (function
+      | Proto.Deliver { envelope; _ } -> got := Some envelope
+      | _ -> ())
+  done;
+  Alcotest.(check (option string)) "delivered intact" (Some env) !got;
+  Conn.close sub;
+  Conn.close pub;
+  Broker.stop broker
+
+(* A stand-in broker for one connection, in a child: it welcomes the
+   client, then sends the payload of the first Pub frame it reads up
+   [out] and hangs up without acking — a broker that dies with the
+   publish unacknowledged. *)
+let fork_recorder ~listen_fd out =
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        try
+          let fd, _ = Unix.accept listen_fd in
+          let dec = Frame.Decoder.create () in
+          let buf = Bytes.create 65536 in
+          let rec loop () =
+            match Frame.Decoder.pop dec with
+            | Frame.Decoder.Frame payload -> (
+                match Proto.decode payload with
+                | Some (Proto.Hello _) ->
+                    let w = Frame.preframed_bytes (Proto.frame (Proto.Welcome { window = 64 })) in
+                    ignore (Unix.write_substring fd w 0 (String.length w));
+                    loop ()
+                | Some (Proto.Pub _) ->
+                    ignore (Unix.write_substring out payload 0 (String.length payload));
+                    0
+                | _ -> loop ())
+            | Frame.Decoder.Await ->
+                let n = Unix.read fd buf 0 (Bytes.length buf) in
+                if n = 0 then 2
+                else begin
+                  Frame.Decoder.feed dec (Bytes.unsafe_to_string buf) 0 n;
+                  loop ()
+                end
+            | Frame.Decoder.Corrupt _ -> 3
+          in
+          let code = loop () in
+          Unix.close fd;
+          code
+        with _ -> 4
+      in
+      Unix._exit code
+  | pid -> pid
+
+let read_all fd =
+  let b = Buffer.create 9000 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents b
+    | n ->
+        Buffer.add_subbytes b chunk 0 n;
+        go ()
+  in
+  go ()
+
+(* A large Pub whose broker dies unacked is retransmitted, after each
+   reconnect, with exactly the bytes of its first send — the frame built
+   at publish, by reference — and reaches the subscriber of a real
+   broker exactly once, intact. *)
+let test_large_pub_retransmitted_verbatim () =
+  Trace.set_ambient (Trace.create ());
+  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
+  let port = bound_port listen_fd in
+  let record connect =
+    let r, w = Unix.pipe () in
+    let pid = fork_recorder ~listen_fd w in
+    Unix.close w;
+    let x = connect () in
+    x, (fun pump ->
+        (* pump the publisher until the recorder has what it wants *)
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        while
+          (match Unix.select [ r ] [] [] 0.0 with [], _, _ -> true | _ -> false)
+          && Unix.gettimeofday () < deadline
+        do
+          pump ()
+        done;
+        let payload = read_all r in
+        Unix.close r;
+        let _, status = Unix.waitpid [] pid in
+        Alcotest.(check bool) "the recorder got a Pub" true (status = Unix.WEXITED 0);
+        payload)
+  in
+  let big = String.init 8192 (fun i -> Char.chr (32 + (i mod 90))) in
+  let pub, first =
+    record (fun () ->
+        let pub = fresh_ctx ~id:"pub" ~port in
+        Pubsub.Process.publish pub.proc
+          (Obvent.make pub.reg "TQuote" [ ("seq", Value.Int 0); ("origin", Value.Str big) ]);
+        Engine.run pub.engine;
+        pub)
+  in
+  let first = first (fun () -> ignore (Client.poll pub.client ~timeout_ms:5)) in
+  let (), second =
+    record (fun () ->
+        Alcotest.(check bool) "reconnects to the second recorder" true
+          (Client.reconnect ~timeout_ms:2000 pub.client))
+  in
+  let second = second (fun () -> ignore (Client.poll pub.client ~timeout_ms:5)) in
+  Alcotest.(check int) "the first send is a large Pub" 1
+    (match Proto.decode first with
+    | Some (Proto.Pub { envelope; _ }) when String.length envelope > 8192 -> 1
+    | _ -> 0);
+  Alcotest.(check bool) "retransmitted byte for byte" true (String.equal first second);
+  let bp = fork_broker ~listen_fd () in
+  Fun.protect ~finally:(fun () -> quit_broker bp; Unix.close listen_fd)
+  @@ fun () ->
+  let sub = fresh_ctx ~id:"sub" ~port in
+  let got, dups, _ = collector sub in
+  Alcotest.(check bool) "reconnects to the broker" true
+    (Client.reconnect ~timeout_ms:2000 pub.client);
+  let ctxs = [ sub; pub ] in
+  Alcotest.(check bool) "delivered and acknowledged" true
+    (spin ~ctxs
+       ~until:(fun () -> !got <> [] && Client.queued_count pub.client = 0)
+       ~for_ms:10000 ());
+  ignore (spin ~ctxs ~until:(fun () -> false) ~for_ms:100 ());
+  Alcotest.(check (list (pair string int))) "exactly once, intact" [ (big, 0) ] !got;
+  Alcotest.(check int) "no duplicates" 0 !dups;
+  Alcotest.(check int) "sent three times: two retransmits" 2
+    (Trace.Counter.value (Trace.counter (Trace.ambient ()) "transport.retransmits"));
+  List.iter (fun c -> Client.close c.client) ctxs
+
+(* An empty poll allocates the same however many sessions sit idle:
+   the wait arrays persist, indexed by session slot, and only their
+   event bits are refilled. One process, plain sockets. *)
+let empty_poll_words ~idle =
+  Trace.set_ambient (Trace.create ());
+  let broker = Broker.create ~config:instant_config ~port:0 () in
+  let fds =
+    List.init idle (fun k ->
+        if k mod 16 = 0 then ignore (Broker.poll broker ~timeout_ms:0 ());
+        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
+        fd)
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Broker.session_count broker < idle && Unix.gettimeofday () < deadline do
+    ignore (Broker.poll broker ~timeout_ms:1 ())
+  done;
+  Alcotest.(check int) "every session accepted" idle (Broker.session_count broker);
+  for _ = 1 to 10 do
+    ignore (Broker.poll broker ~timeout_ms:0 ())
+  done;
+  let probe = let w = Gc.minor_words () in Gc.minor_words () -. w in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Broker.poll broker ~timeout_ms:0 ())
+  done;
+  let words = (Gc.minor_words () -. w0 -. probe) /. 100. in
+  List.iter Unix.close fds;
+  Broker.stop broker;
+  words
+
+let test_empty_poll_words_flat () =
+  let one = empty_poll_words ~idle:1 and many = empty_poll_words ~idle:128 in
+  Alcotest.(check (float 0.)) "words per empty poll: 1 vs 128 idle sessions" one many
+
+(* The publisher's allocation per [Process.publish], framing included,
+   as [Client.publish] frames it: an exact count for a small_typed
+   obvent, and for an 8 KiB Blob no allocation the size of an envelope
+   (the data string is written by reference, never copied). *)
+let publish_words reg o =
+  let engine = Engine.create ~seed:1 () in
+  let net = Net.create engine in
+  let dom = Pubsub.Domain.create reg net in
+  let proc = Pubsub.Process.create dom (Net.add_node net) in
+  let frames = ref 0 in
+  let endpoint =
+    { Pubsub.Remote.r_publish =
+        (fun ~cls ~publish_time ~eid obvent ->
+          incr frames;
+          ignore
+            (Sys.opaque_identity
+               (Proto.pub_frame ~pseq:!frames ~cls ~publish_time ~eid obvent)));
+      r_subscribe = (fun ~sid:_ ~param:_ ~filter:_ -> ());
+      r_unsubscribe = (fun ~sid:_ -> ()) }
+  in
+  let _inject = Pubsub.Remote.connect dom proc endpoint in
+  for _ = 1 to 10 do
+    Pubsub.Process.publish proc o
+  done;
+  let probe = let w = Gc.minor_words () in Gc.minor_words () -. w in
+  let n = 1000 in
+  let (_, _, major0) = Gc.counters () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Pubsub.Process.publish proc o
+  done;
+  let words = (Gc.minor_words () -. w0 -. probe) /. float_of_int n in
+  let (_, _, major1) = Gc.counters () in
+  Alcotest.(check int) "every publish framed" (n + 10) !frames;
+  (words, (major1 -. major0) /. float_of_int n)
+
+let test_publish_words () =
+  let reg = gather_registry () in
+  Registry.declare_class reg ~name:"Tick" ~implements:[ "Obvent" ]
+    ~attrs:
+      [ ("seq", Vtype.Tint); ("sym", Vtype.Tstring); ("price", Vtype.Tint);
+        ("side", Vtype.Tstring) ]
+    ();
+  let tick =
+    Obvent.make reg "Tick"
+      [ ("seq", Value.Int 4242); ("sym", Value.Str "SYM007"); ("price", Value.Int 512);
+        ("side", Value.Str "sell") ]
+  in
+  let blob =
+    Obvent.make reg "Blob" [ ("seq", Value.Int 4242); ("data", Value.Str (String.make 8192 'b')) ]
+  in
+  let tick_words, _ = publish_words reg tick in
+  let blob_words, blob_major = publish_words reg blob in
+  Alcotest.(check (float 0.)) "small_typed: minor words per publish" 60. tick_words;
+  Alcotest.(check (float 0.)) "8 KiB Blob: minor words per publish" 72. blob_words;
+  Alcotest.(check bool)
+    (Printf.sprintf "8 KiB Blob: no envelope-sized allocation (%.1f major words)" blob_major)
+    true (blob_major < 256.)
+
 let suite =
   ( "transport",
     [ Alcotest.test_case "framing roundtrip" `Quick test_frame_roundtrip;
@@ -1481,7 +1806,7 @@ let suite =
       QCheck_alcotest.to_alcotest test_frame_builder_oracle;
       QCheck_alcotest.to_alcotest test_decoder_view_agrees_with_pop;
       QCheck_alcotest.to_alcotest test_decoder_reserve_agrees_with_feed;
-      QCheck_alcotest.to_alcotest test_pub_head_oracle;
+      QCheck_alcotest.to_alcotest prop_gathered_pub_frame;
       QCheck_alcotest.to_alcotest prop_decode_view_names;
       Alcotest.test_case "decoder view corruption matches pop" `Quick
         test_decoder_view_corrupt_matches_pop;
@@ -1506,4 +1831,12 @@ let suite =
       Alcotest.test_case "pipelined turn: zero delivery credit holds acks"
         `Quick test_zero_credit_holds_acks;
       Alcotest.test_case "pipelined turn: idle sockets cost no pumps" `Quick
-        test_pumps_independent_of_idle ] )
+        test_pumps_independent_of_idle;
+      Alcotest.test_case "copy_bytes: a large Pub is copied once, by the broker"
+        `Quick test_copy_bytes_large_round_trip;
+      Alcotest.test_case "reconnect: a large Pub is retransmitted verbatim, once"
+        `Quick test_large_pub_retransmitted_verbatim;
+      Alcotest.test_case "empty poll: words flat in idle sessions" `Quick
+        test_empty_poll_words_flat;
+      Alcotest.test_case "publish: words per Process.publish, framed" `Quick
+        test_publish_words ] )
