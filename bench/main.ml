@@ -10,7 +10,7 @@
                                                   stage, at read batch 1/64/256
    dune exec bench/main.exe -- --json a4 micro -- also dump BENCH_10.json
 
-   Gates are metrics, not flags: a4, e3, crash, shard, e13 and obs
+   Gates are metrics, not flags: a4, e3, crash, pool, e13 and obs
    write a JSONL metrics file to $TPBS_TRACE_FILE, and CI checks it
    with tpbs_report --require NAME:FIELD OP BOUND, e.g.
 
@@ -26,7 +26,7 @@ let experiments =
     "e7", E7_paradigms.run; "e8", E8_dgc.run; "e9", E9_threading.run;
     "e10", E10_psc.run; "e11", E11_store.run; "ablations", A1_ablations.run;
     "a1", A1_ablations.a1; "a4", A1_ablations.a4; "micro", Micro.run; "obs", Obs.run;
-    "crash", Crash_smoke.run; "shard", Shard_smoke.run;
+    "crash", Crash_smoke.run; "pool", Pool_smoke.run;
     "e13", E13_fanout.run; "msgcost", Msgcost.run ]
 
 let json_path = "BENCH_10.json"

@@ -63,6 +63,7 @@ module Frame = Tpbs_transport.Frame
 module Conn = Tpbs_transport.Conn
 module Broker = Tpbs_transport.Broker
 module Trace = Tpbs_trace.Trace
+module Raw = Tpbs_harness.Raw
 
 let batches = [ 1; 64; 256 ]
 let events = 256 * 24
@@ -475,85 +476,55 @@ let recorded_subs reg subs =
   Engine.run engine;
   List.rev !got
 
-(* Advertise [cls], supertypes first, as the client does. *)
-let rec advertise reg seen conn cls =
-  if not (Hashtbl.mem seen cls) then begin
-    Hashtbl.replace seen cls ();
-    let supers = try (Registry.find reg cls).Registry.supers with _ -> [] in
-    List.iter (advertise reg seen conn) supers;
-    Conn.send conn (Proto.Advertise { cls; supers })
-  end
+(* Advertise [classes], supertypes first, as the client does. *)
+let advertise reg peer classes =
+  let seen = Hashtbl.create 8 in
+  let rec go cls =
+    if not (Hashtbl.mem seen cls) then begin
+      Hashtbl.replace seen cls ();
+      let supers = try (Registry.find reg cls).Registry.supers with _ -> [] in
+      List.iter go supers;
+      Raw.advertise peer ~supers cls
+    end
+  in
+  List.iter go classes
 
 (* (ns, words, write syscalls, deliveries) per publish through an
    in-process broker: [envs] are (class, envelope) pairs, [subs] the
    subscriber's (param, filter) list. Only the broker's turns are
-   timed; in between, the subscriber's bytes are read and dropped and
+   timed; in between, the subscriber's frames are read and dropped and
    the publisher reads its acks and credits. *)
 let broker_hop reg subs envs =
   let ambient = Trace.ambient () in
   let tr = Trace.create () in
   Trace.set_ambient tr;
   let window = Broker.default_config.pub_window in
-  let broker =
-    Broker.create ~config:{ Broker.default_config with warmup_ms = 0 } ~port:0 ()
-  in
-  let dial () =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
-    Conn.create fd
-  in
-  let sub = dial () and pub = dial () in
-  let advertised conn classes =
-    let seen = Hashtbl.create 8 in
-    List.iter (advertise reg seen conn) classes
-  in
-  Conn.send sub (Proto.Hello { client = "sub"; window = 1 lsl 40 });
-  advertised sub (List.map fst subs);
-  List.iter (Conn.send sub) (recorded_subs reg subs);
-  Conn.send pub (Proto.Hello { client = "pub"; window = 0 });
-  advertised pub (Array.to_list (Array.map fst envs));
-  let credit = ref 0 and acked = ref (-1) in
-  let rec pub_drain () =
-    match Conn.pop pub with
-    | Conn.Msg (Proto.Welcome { window = n }) | Conn.Msg (Proto.Credit { n }) ->
-        credit := !credit + n;
-        pub_drain ()
-    | Conn.Msg (Proto.Pub_ack { pseq }) ->
-        acked := pseq;
-        pub_drain ()
-    | Conn.Msg _ -> pub_drain ()
-    | Conn.Nothing -> ()
-    | Conn.Bad m -> failwith ("msgcost: publisher: " ^ m)
-  in
-  let sink = Bytes.create 65536 in
-  let rec sub_drain () =
-    match Unix.read (Conn.fd sub) sink 0 (Bytes.length sink) with
-    | 0 -> failwith "msgcost: broker hung up"
-    | _ -> sub_drain ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  in
+  let broker = Raw.broker () in
+  let sub = Raw.dial broker ~id:"sub" ~window:(1 lsl 40) in
+  let pub = Raw.dial broker ~id:"pub" ~window:0 in
+  advertise reg sub (List.map fst subs);
+  List.iter (Conn.send sub.conn) (recorded_subs reg subs);
+  advertise reg pub (Array.to_list (Array.map fst envs));
   let ns = ref 0. and words = ref 0. in
   let turns_until cond =
     let deadline = Unix.gettimeofday () +. 10. in
     while not (cond ()) do
       if Unix.gettimeofday () > deadline then
-        failwith (Printf.sprintf "msgcost: broker stalled (credit %d, acked %d)" !credit !acked);
+        failwith
+          (Printf.sprintf "msgcost: broker stalled (credit %d, acked %d)" pub.credit pub.acked);
       let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       ignore (Broker.poll broker ~timeout_ms:0 ());
       let t1 = Unix.gettimeofday () in
       words := !words +. (Gc.minor_words () -. w0 -. probe_words);
       ns := !ns +. ((t1 -. t0) *. 1e9);
-      ignore (Conn.flush sub);
-      ignore (Conn.flush pub);
-      sub_drain ();
-      match Conn.recv pub with
-      | `Ok -> pub_drain ()
-      | `Blocked -> ()
-      | `Closed m -> failwith ("msgcost: publisher: " ^ m)
+      ignore (Conn.flush sub.conn);
+      ignore (Conn.flush pub.conn);
+      Raw.drain sub;
+      Raw.drain pub
     done
   in
-  turns_until (fun () -> !credit = window);
+  turns_until (fun () -> pub.credit = window);
   let n = Array.length envs in
   (* repetition [r] publishes the recorded envelopes under pseqs from
      [r * n]: a pseq already routed would be re-acked, not routed *)
@@ -574,10 +545,10 @@ let broker_hop reg subs envs =
     Array.iteri
       (fun k s ->
         (* a full window in one write, as the client sends it *)
-        ignore (Unix.write_substring (Conn.fd pub) s 0 (String.length s));
+        ignore (Unix.write_substring (Conn.fd pub.conn) s 0 (String.length s));
         let last = (r * n) + min n ((k + 1) * window) - 1 in
-        credit := !credit - (last - (r * n) - (k * window) + 1);
-        turns_until (fun () -> !acked = last && !credit = window))
+        pub.credit <- pub.credit - (last - (r * n) - (k * window) + 1);
+        turns_until (fun () -> pub.acked = last && pub.credit = window))
       writes;
     let per x = float_of_int x /. float_of_int n in
     ( !ns /. float_of_int n,
@@ -587,8 +558,8 @@ let broker_hop reg subs envs =
   in
   ignore (rep 0);
   let runs = Array.init reps (fun r -> rep (r + 1)) in
-  Conn.close sub;
-  Conn.close pub;
+  Raw.close sub;
+  Raw.close pub;
   Broker.stop broker;
   Trace.set_ambient ambient;
   let median f =

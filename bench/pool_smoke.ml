@@ -1,4 +1,4 @@
-(* SHARD — traced 2-domain pool smoke for CI.
+(* POOL — traced 2-domain pool smoke for CI.
 
    One pub/sub run with the dispatch pool at two domains: [events]
    Load obvents reach two Multi-policy subscriptions, and one of them
@@ -6,9 +6,9 @@
    queue) to a third subscription. Every handler body runs on the
    pool, so the run must count exactly [handler_bodies] pool tasks.
    The JSONL trace (metrics included) goes to $TPBS_TRACE_FILE
-   (default "shard_smoke.jsonl") for
+   (default "pool_smoke.jsonl") for
 
-     tpbs_report shard_smoke.jsonl --require "pool.tasks:value==420"
+     tpbs_report pool_smoke.jsonl --require "pool.tasks:value==420"
 
    and the run itself exits 1 unless every subscription got every
    obvent published on its class. *)
@@ -74,11 +74,11 @@ let run () =
     | Some st -> st.Pool.tasks
   in
   Pubsub.Domain.shutdown domain;
-  let path = Workload.trace_path ~default:"shard_smoke.jsonl" () in
+  let path = Workload.trace_path ~default:"pool_smoke.jsonl" () in
   Trace.write_file tr path;
   Trace.set_ambient (Trace.create ());
   let delivered = Pubsub.Subscription.delivered in
-  Fmt.pr "@.SHARD  pool smoke (domains=%d)@." domains;
+  Fmt.pr "@.POOL  pool smoke (domains=%d)@." domains;
   Fmt.pr "delivered=%d+%d/%d echoes=%d/%d bodies=%d pool_tasks=%d/%d virt=%d \
           trace -> %s@."
     (delivered echo) (delivered plain) events (delivered heard) echoes
@@ -88,12 +88,12 @@ let run () =
     || delivered plain <> events
     || delivered heard <> echoes
   then begin
-    Fmt.epr "shard smoke: a subscription missed obvents@.";
+    Fmt.epr "pool smoke: a subscription missed obvents@.";
     exit 1
   end;
   if Atomic.get bodies <> handler_bodies || pool_tasks <> handler_bodies
   then begin
-    Fmt.epr "shard smoke: %d handler bodies and %d pool tasks, expected %d@."
+    Fmt.epr "pool smoke: %d handler bodies and %d pool tasks, expected %d@."
       (Atomic.get bodies) pool_tasks handler_bodies;
     exit 1
   end

@@ -10,7 +10,6 @@
      and invisible in deliveries. *)
 
 open Helpers
-module Codec = Tpbs_serial.Codec
 module Rfilter = Tpbs_filter.Rfilter
 module Broker_core = Tpbs_core.Broker_core
 module Pubsub = Tpbs_core.Pubsub
@@ -22,6 +21,7 @@ module Jsonl = Tpbs_trace.Jsonl
 module Broker = Tpbs_transport.Broker
 module Conn = Tpbs_transport.Conn
 module Proto = Tpbs_transport.Proto
+module Raw = Tpbs_harness.Raw
 
 let reg = stock_registry ()
 let params = [| "StockObvent"; "StockQuote"; "StockRequest"; "SpotPrice" |]
@@ -247,116 +247,70 @@ let sim_forwards sc =
    connection speaking the frame protocol. *)
 let tcp_forwards sc =
   Trace.set_ambient (Trace.create ());
-  let broker =
-    Broker.create ~config:{ Broker.default_config with warmup_ms = 0 } ~port:0 ()
-  in
+  let broker = Raw.broker () in
   Fun.protect ~finally:(fun () ->
       Broker.stop broker;
       Trace.set_ambient (Trace.create ()))
   @@ fun () ->
-  let pump () =
+  (* flush the peers and poll the broker four times, so what they sent
+     takes effect before anything else is sent *)
+  let settle peers =
     for _ = 1 to 4 do
-      ignore (Broker.poll broker ~timeout_ms:1 ())
+      Raw.turn broker peers
     done
   in
-  let dial id =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
-    let c = Conn.create fd in
-    Conn.send c (Proto.Hello { client = id; window = 1_000_000 });
-    ignore (Conn.flush c);
-    pump ();
-    c
-  in
-  let send c m =
-    Conn.send c m;
-    ignore (Conn.flush c);
-    pump ()
-  in
-  let pub = dial "pub" in
+  let pub = Raw.dial broker ~id:"pub" ~window:1_000_000 in
   List.iter
-    (fun (cls, supers) -> send pub (Proto.Advertise { cls; supers }))
+    (fun (cls, supers) -> Raw.advertise pub ~supers cls)
     [ ("StockObvent", []); ("StockQuote", [ "StockObvent" ]);
       ("StockRequest", [ "StockObvent" ]);
       ("SpotPrice", [ "StockRequest"; "StockObvent" ]);
       ("MarketPrice", [ "StockRequest"; "StockObvent" ]) ];
+  (* the lattice before the subscriptions, as the simulated host has it *)
+  settle [ pub ];
   let peers =
     List.mapi
       (fun k subs ->
-        let c = dial (Printf.sprintf "sub%d" k) in
+        let got = ref [] in
+        let c =
+          Raw.dial broker ~id:(Printf.sprintf "sub%d" k) ~window:1_000_000 ~on_view:(function
+            | Proto.V_deliver { pseq; _ } -> got := pseq :: !got
+            | _ -> ())
+        in
         List.iteri
           (fun sid (param, filter, _) ->
-            send c (Proto.Sub { sid; param; filter = wire_filter param filter }))
+            Raw.subscribe c ~sid ~filter:(wire_filter param filter) param)
           subs;
-        (c, subs, ref []))
+        (c, subs, got))
       sc.subscribers
   in
-  let drain () =
-    List.iter
-      (fun (c, _, got) ->
-        match Conn.recv c with
-        | `Ok ->
-            let rec loop () =
-              match Conn.pop c with
-              | Conn.Msg (Proto.Deliver { pseq; _ }) ->
-                  got := pseq :: !got;
-                  loop ()
-              | Conn.Msg _ -> loop ()
-              | Conn.Nothing -> ()
-              | Conn.Bad m -> Alcotest.failf "subscriber: %s" m
-            in
-            loop ()
-        | `Blocked -> ()
-        | `Closed m -> Alcotest.failf "subscriber closed: %s" m)
-      peers
-  in
+  let conns = pub :: List.map (fun (c, _, _) -> c) peers in
+  settle conns;
   (* publish a batch and wait for its cumulative ack: every delivery of
      the batch has then reached the subscribers' sockets *)
-  let acked = ref (-1) in
   let publish first evs =
     List.iteri
       (fun i ev ->
-        let envelope =
-          Codec.encode
-            (Value.List
-               [ Value.Int 0; Value.Int 1; Value.Int (first + i);
-                 Value.Str (Obvent.serialize ev) ])
-        in
-        Conn.send pub (Proto.Pub { pseq = first + i; cls = Obvent.cls ev; envelope }))
+        let seq = first + i in
+        Conn.send_gathered pub.conn
+          (Proto.pub_frame ~pseq:seq ~cls:(Obvent.cls ev) ~publish_time:0 ~eid:(1, seq)
+             (Obvent.to_value ev)))
       evs;
-    ignore (Conn.flush pub);
     let last = first + List.length evs - 1 in
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while !acked < last && Unix.gettimeofday () < deadline do
-      pump ();
-      (match Conn.recv pub with
-      | `Ok ->
-          let rec loop () =
-            match Conn.pop pub with
-            | Conn.Msg (Proto.Pub_ack { pseq }) ->
-                acked := max !acked pseq;
-                loop ()
-            | Conn.Msg _ -> loop ()
-            | Conn.Nothing -> ()
-            | Conn.Bad m -> Alcotest.failf "publisher: %s" m
-          in
-          loop ()
-      | `Blocked | `Closed _ -> ());
-      drain ()
-    done;
-    if !acked < last then Alcotest.fail "batch never acknowledged";
-    drain ()
+    Raw.until broker conns ~what:"the batch's ack" (fun () -> pub.acked >= last);
+    List.iter Raw.drain conns
   in
   publish 0 sc.batch_a;
   List.iter
     (fun (c, subs, _) ->
       List.iteri
-        (fun sid (_, _, gone) -> if gone then send c (Proto.Unsub { sid }))
+        (fun sid (_, _, gone) ->
+          if gone then Conn.send c.Raw.conn (Proto.Unsub { sid }))
         subs)
     peers;
+  settle conns;
   publish (List.length sc.batch_a) sc.batch_b;
-  List.iter (fun (c, _, _) -> Conn.close c) peers;
-  Conn.close pub;
+  List.iter Raw.close conns;
   List.map (fun (_, _, got) -> List.sort Int.compare !got) peers
 
 let prop_shells_agree =

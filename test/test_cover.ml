@@ -9,9 +9,10 @@
 open Helpers
 module Rfilter = Tpbs_filter.Rfilter
 module Subsume = Tpbs_filter.Subsume
-module Frame = Tpbs_transport.Frame
 module Proto = Tpbs_transport.Proto
 module Broker = Tpbs_transport.Broker
+module Conn = Tpbs_transport.Conn
+module Raw = Tpbs_harness.Raw
 module Trace = Tpbs_trace.Trace
 
 let reg = stock_registry ()
@@ -150,45 +151,33 @@ let test_covering_facts () =
 (* Drive a broker without forking: a raw TCP peer speaks the frame
    protocol directly, the test polls the broker in between, and the
    ambient trace registry exposes the suppression counters. *)
-let send fd m =
-  let s = Frame.frame (Proto.encode m) in
-  ignore (Unix.write_substring fd s 0 (String.length s))
-
 let counter tr name = Trace.Counter.value (Trace.counter tr name)
 
 let test_broker_covering_counters () =
   let tr = Trace.create () in
   Trace.set_ambient tr;
-  let b = Broker.create ~config:{ Broker.default_config with warmup_ms = 0 }
-      ~port:0 ()
-  in
-  Fun.protect ~finally:(fun () -> Broker.stop b)
+  let b = Raw.broker () in
+  let p = Raw.dial b ~id:"raw" ~window:64 in
+  Fun.protect ~finally:(fun () ->
+      Raw.close p;
+      Broker.stop b)
   @@ fun () ->
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port b));
-  (* Poll the broker until [name] reaches [expected], or for at most
-     2 s, then let the caller assert the exact value: how many polls
-     the frames need to cross the loopback socket depends on the
-     host's load. *)
+  (* Poll the broker until [name] reaches [expected], then let the
+     caller assert the exact value: how many polls the frames need to
+     cross the loopback socket depends on the host's load. *)
   let pump_until name expected =
-    let deadline = Unix.gettimeofday () +. 2.0 in
-    while counter tr name < expected && Unix.gettimeofday () < deadline do
-      ignore (Broker.poll b ~timeout_ms:5 ())
-    done
+    Raw.until b [ p ] ~what:name (fun () -> counter tr name >= expected)
   in
-  send fd (Proto.Hello { client = "raw"; window = 64 });
-  send fd (Proto.Advertise { cls = "TQuote"; supers = [] });
+  Raw.advertise p "TQuote";
   (* sid 0: subscribe-to-all; sids 1 and 2 are narrower — the broker
      must record them without indexing them *)
-  send fd (Proto.Sub { sid = 0; param = "TQuote"; filter = Value.Null });
+  Raw.subscribe p ~sid:0 "TQuote";
   let seq_ge k =
     Rfilter.to_value
       (rf (Expr.Binop (Ge, Expr.getter [ "getSeq" ], Expr.int k)))
   in
-  send fd (Proto.Sub { sid = 1; param = "TQuote"; filter = seq_ge 0 });
-  send fd (Proto.Sub { sid = 2; param = "TQuote"; filter = seq_ge 10 });
+  Raw.subscribe p ~sid:1 ~filter:(seq_ge 0) "TQuote";
+  Raw.subscribe p ~sid:2 ~filter:(seq_ge 10) "TQuote";
   pump_until "broker.subs_covered" 2;
   Alcotest.(check int) "both narrower subs suppressed" 2
     (counter tr "broker.subs_covered");
@@ -196,12 +185,12 @@ let test_broker_covering_counters () =
     (counter tr "broker.subs_restored");
   (* dropping the coverer promotes the survivors: sid 1 (seq≥0) is
      installed, and re-covers sid 2 (seq≥10) in the same sweep *)
-  send fd (Proto.Unsub { sid = 0 });
+  Conn.send p.conn (Proto.Unsub { sid = 0 });
   pump_until "broker.subs_restored" 1;
   Alcotest.(check int) "one promoted into the index" 1
     (counter tr "broker.subs_restored");
   (* dropping the promoted coverer promotes the last one *)
-  send fd (Proto.Unsub { sid = 1 });
+  Conn.send p.conn (Proto.Unsub { sid = 1 });
   pump_until "broker.subs_restored" 2;
   Alcotest.(check int) "last one promoted too" 2
     (counter tr "broker.subs_restored")

@@ -295,7 +295,7 @@ let test_shutdown_runs_inline () =
     [ 1; 2 ]
 
 let suite =
-  ( "shard",
+  ( "pool",
     [ Alcotest.test_case "engine tick barrier placement" `Quick
         test_tick_barrier;
       Alcotest.test_case "tick barrier may schedule follow-ups" `Quick

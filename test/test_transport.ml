@@ -16,6 +16,11 @@ module Engine = Tpbs_sim.Engine
 module Net = Tpbs_sim.Net
 module Pubsub = Tpbs_core.Pubsub
 module Trace = Tpbs_trace.Trace
+module Raw = Tpbs_harness.Raw
+module Child = Tpbs_harness.Child
+module Forked = Tpbs_harness.Forked
+module Ctx = Tpbs_harness.Ctx
+module Oracle = Tpbs_harness.Oracle
 
 (* --- framing: the happy path ----------------------------------------- *)
 
@@ -176,139 +181,61 @@ let test_registry () =
     ();
   reg
 
-type ctx = {
-  reg : Registry.t;
-  engine : Engine.t;
-  proc : Pubsub.Process.t;
-  client : Client.t;
-}
+let client ~port id = Ctx.connect ~reg:(test_registry ()) ~id ~port
 
-let fresh_ctx ~id ~port =
-  let reg = test_registry () in
-  let engine = Engine.create ~seed:1 () in
-  let net = Net.create engine in
-  let domain = Pubsub.Domain.create reg net in
-  let proc = Pubsub.Process.create domain (Net.add_node net) in
-  match Client.connect ~host:"127.0.0.1" ~port ~id ~timeout_ms:2000 () with
-  | None -> Alcotest.failf "client %s cannot reach broker on port %d" id port
-  | Some client ->
-      Client.attach client domain proc;
-      { reg; engine; proc; client }
+(* Run [f], then quit the forked broker [bp]: it must exit 0, which it
+   does not if it raised. *)
+let quitting bp f =
+  let code = ref 0 in
+  let r = Fun.protect ~finally:(fun () -> code := Forked.quit bp) f in
+  Alcotest.(check int) "the broker quits cleanly" 0 !code;
+  r
 
-(* The broker runs in a forked child (as under the real daemon and the
-   soak harness): [Client.connect]'s blocking handshake needs a live
-   peer. The parent keeps the pre-bound listening socket, so a crashed
-   incarnation can be replaced on the very same fd. A control pipe
-   gives the child a clean quit signal; SIGKILL gives it a crash. *)
-type broker_proc = { bpid : int; ctl : Unix.file_descr }
+(* [f port] under a fresh trace registry, against a broker in a forked
+   child (as under the real daemon and the soak): [Client.connect]'s
+   blocking handshake needs a live peer. *)
+let with_broker ?config f =
+  Trace.set_ambient (Trace.create ());
+  let listen_fd, port = Forked.listen () in
+  Fun.protect ~finally:(fun () -> Unix.close listen_fd) @@ fun () ->
+  quitting (Forked.start ?config listen_fd) (fun () -> f port)
 
-let instant_config = { Broker.default_config with warmup_ms = 0 }
-
-let fork_broker ?(config = instant_config) ~listen_fd () =
-  let ctl_r, ctl_w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close ctl_w;
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      Trace.set_ambient (Trace.create ());
-      let b = Broker.create ~config ~listen_fd ~port:0 () in
-      (try
-         let quit = ref false in
-         while not !quit do
-           if Broker.poll b ~extra_fds:[ ctl_r ] ~timeout_ms:20 () then
-             quit := true
-         done
-       with _ -> ());
-      Broker.stop b;
-      Unix._exit 0
-  | pid ->
-      Unix.close ctl_r;
-      { bpid = pid; ctl = ctl_w }
-
-let quit_broker bp =
-  (try ignore (Unix.write_substring bp.ctl "q" 0 1)
-   with Unix.Unix_error _ -> ());
-  (try Unix.close bp.ctl with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] bp.bpid)
-
-let kill_broker bp =
-  Unix.kill bp.bpid Sys.sigkill;
-  (try Unix.close bp.ctl with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] bp.bpid)
-
-let bound_port fd =
-  match Unix.getsockname fd with
-  | Unix.ADDR_INET (_, p) -> p
-  | _ -> Alcotest.fail "listening socket has no inet port"
-
-(* Drive the clients until [until ()] or timeout. *)
-let spin ~ctxs ~until ~for_ms () =
-  let deadline = Unix.gettimeofday () +. (float_of_int for_ms /. 1000.) in
-  while (not (until ())) && Unix.gettimeofday () < deadline do
-    List.iter
-      (fun c ->
-        ignore (Client.poll c.client ~timeout_ms:5);
-        Engine.run c.engine)
-      ctxs
-  done;
-  until ()
-
-let publish_quote ctx ~origin seq =
+let publish_quote (ctx : Ctx.t) ~origin seq =
   Pubsub.Process.publish ctx.proc
     (Obvent.make ctx.reg "TQuote"
        [ ("seq", Value.Int seq); ("origin", Value.Str origin) ]);
   Engine.run ctx.engine
 
-(* Subscriber bookkeeping: collect (origin, seq), flag dups/reorders. *)
+(* A subscriber of every [TQuote], checked by the oracle. *)
 let collector ctx =
-  let got = ref [] and dups = ref 0 and reorders = ref 0 in
-  let last = Hashtbl.create 4 in
-  let seen = Hashtbl.create 64 in
-  let handler ob =
-    match (Obvent.get ob "seq", Obvent.get ob "origin") with
-    | Value.Int seq, Value.Str origin ->
-        if Hashtbl.mem seen (origin, seq) then incr dups
-        else Hashtbl.replace seen (origin, seq) ();
-        (match Hashtbl.find_opt last origin with
-        | Some prev when seq <= prev -> incr reorders
-        | _ -> ());
-        Hashtbl.replace last origin seq;
-        got := (origin, seq) :: !got
-    | _ -> incr reorders
-  in
-  let sub = Pubsub.Process.subscribe ctx.proc ~param:"TQuote" handler in
-  Pubsub.Subscription.activate sub;
-  Engine.run ctx.engine;
-  ignore (Client.poll ctx.client ~timeout_ms:10);
-  (got, dups, reorders)
+  let o = Oracle.create () in
+  ignore (Ctx.subscribe ctx ~param:"TQuote" (Oracle.observe o));
+  o
+
+let close_all ctxs = List.iter (fun (c : Ctx.t) -> Client.close c.client) ctxs
 
 let test_e2e_two_clients () =
-  Trace.set_ambient (Trace.create ());
-  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
-  let port = bound_port listen_fd in
-  let bp = fork_broker ~listen_fd () in
-  Fun.protect ~finally:(fun () -> quit_broker bp; Unix.close listen_fd)
-  @@ fun () ->
-  let sub1 = fresh_ctx ~id:"sub1" ~port in
-  let sub2 = fresh_ctx ~id:"sub2" ~port in
-  let pub = fresh_ctx ~id:"pub" ~port in
+  with_broker @@ fun port ->
+  let sub1 = client ~port "sub1" in
+  let sub2 = client ~port "sub2" in
+  let pub = client ~port "pub" in
   let ctxs = [ sub1; sub2; pub ] in
-  let got1, dups1, re1 = collector sub1 in
-  let got2, dups2, re2 = collector sub2 in
-  ignore (spin ~ctxs ~until:(fun () -> false) ~for_ms:100 ());
+  let o1 = collector sub1 in
+  let o2 = collector sub2 in
+  ignore (Ctx.spin ctxs ~until:(fun () -> false) ~for_ms:100);
   let n = 30 in
   for i = 0 to n - 1 do
     publish_quote pub ~origin:"pub" i
   done;
-  let all_in () = List.length !got1 = n && List.length !got2 = n in
+  let all_in () = Oracle.delivered o1 = n && Oracle.delivered o2 = n in
   Alcotest.(check bool) "both subscribers got every event" true
-    (spin ~ctxs ~until:all_in ~for_ms:10000 ());
-  Alcotest.(check int) "no dups" 0 (!dups1 + !dups2);
-  Alcotest.(check int) "no reorders" 0 (!re1 + !re2);
+    (Ctx.spin ctxs ~until:all_in ~for_ms:10000);
+  Alcotest.(check int) "no dups" 0 (Oracle.dups o1 + Oracle.dups o2);
+  Alcotest.(check int) "no reorders" 0 (Oracle.reorders o1 + Oracle.reorders o2);
   Alcotest.(check (list (pair string int))) "in publish order"
     (List.init n (fun i -> ("pub", i)))
-    (List.rev !got1);
-  List.iter (fun c -> Client.close c.client) ctxs
+    (Oracle.sequence o1);
+  close_all ctxs
 
 let test_e2e_broker_restart_exactly_once () =
   (* The certified-delivery claim: SIGKILL-style broker death between
@@ -316,67 +243,59 @@ let test_e2e_broker_restart_exactly_once () =
      subscriber re-subscribes, the publisher retransmits whatever was
      unacknowledged — every event arrives exactly once, in order. *)
   Trace.set_ambient (Trace.create ());
-  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
-  let port = bound_port listen_fd in
-  let bp1 = fork_broker ~listen_fd () in
-  let sub = fresh_ctx ~id:"sub" ~port in
-  let pub = fresh_ctx ~id:"pub" ~port in
+  let listen_fd, port = Forked.listen () in
+  Fun.protect ~finally:(fun () -> Unix.close listen_fd) @@ fun () ->
+  let bp1 = Forked.start listen_fd in
+  let sub = client ~port "sub" in
+  let pub = client ~port "pub" in
   let ctxs = [ sub; pub ] in
-  let got, dups, reorders = collector sub in
+  let o = collector sub in
   let n1 = 10 and n2 = 10 in
   for i = 0 to n1 - 1 do
     publish_quote pub ~origin:"pub" i
   done;
-  ignore (spin ~ctxs ~until:(fun () -> List.length !got = n1) ~for_ms:5000 ());
-  Alcotest.(check int) "first batch delivered" n1 (List.length !got);
+  ignore (Ctx.spin ctxs ~until:(fun () -> Oracle.delivered o = n1) ~for_ms:5000);
+  Alcotest.(check int) "first batch delivered" n1 (Oracle.delivered o);
   (* Crash: SIGKILL — no goodbye, no flush. The parent still owns the
      listening socket. *)
-  kill_broker bp1;
+  Forked.kill bp1;
   (* Publish into the outage: everything queues client-side. *)
   for i = n1 to n1 + n2 - 1 do
     publish_quote pub ~origin:"pub" i
   done;
-  ignore (spin ~ctxs ~until:(fun () -> false) ~for_ms:100 ());
+  ignore (Ctx.spin ctxs ~until:(fun () -> false) ~for_ms:100);
   Alcotest.(check bool) "publisher holds the unacked batch" true
     (Client.queued_count pub.client >= n2);
-  let bp2 = fork_broker ~listen_fd () in
-  Fun.protect ~finally:(fun () -> quit_broker bp2; Unix.close listen_fd)
-  @@ fun () ->
+  quitting (Forked.start listen_fd) @@ fun () ->
   (* Subscriber reconnects (and re-subscribes) first, then the
      publisher — the in-process twin of the daemon's warmup window. *)
   Alcotest.(check bool) "subscriber reconnects" true
     (Client.reconnect ~timeout_ms:2000 sub.client);
-  ignore (spin ~ctxs:[ sub ] ~until:(fun () -> false) ~for_ms:100 ());
+  ignore (Ctx.spin [ sub ] ~until:(fun () -> false) ~for_ms:100);
   Alcotest.(check bool) "publisher reconnects" true
     (Client.reconnect ~timeout_ms:2000 pub.client);
   let all = n1 + n2 in
   Alcotest.(check bool) "second batch recovered" true
-    (spin ~ctxs ~until:(fun () -> List.length !got = all) ~for_ms:10000 ());
-  Alcotest.(check int) "no duplicate deliveries" 0 !dups;
-  Alcotest.(check int) "no reordering" 0 !reorders;
+    (Ctx.spin ctxs ~until:(fun () -> Oracle.delivered o = all) ~for_ms:10000);
+  Alcotest.(check int) "no duplicate deliveries" 0 (Oracle.dups o);
+  Alcotest.(check int) "no reordering" 0 (Oracle.reorders o);
   Alcotest.(check (list (pair string int))) "the full sequence, in order"
     (List.init all (fun i -> ("pub", i)))
-    (List.rev !got);
+    (Oracle.sequence o);
   (* Deliveries raced ahead of the cumulative ack — give it a beat. *)
   Alcotest.(check bool) "publisher fully acknowledged" true
-    (spin ~ctxs ~until:(fun () -> Client.queued_count pub.client = 0)
-       ~for_ms:5000 ());
-  List.iter (fun c -> Client.close c.client) ctxs
+    (Ctx.spin ctxs ~until:(fun () -> Client.queued_count pub.client = 0) ~for_ms:5000);
+  close_all ctxs
 
 let test_e2e_corrupt_bytes_condemn_connection () =
   (* A rogue peer spraying damaged frames must cost only its own
      connection: the broker condemns and drops it (observable as EOF
      on the rogue's socket) and keeps serving everyone else. *)
-  Trace.set_ambient (Trace.create ());
-  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
-  let port = bound_port listen_fd in
-  let bp = fork_broker ~listen_fd () in
-  Fun.protect ~finally:(fun () -> quit_broker bp; Unix.close listen_fd)
-  @@ fun () ->
-  let sub = fresh_ctx ~id:"sub" ~port in
-  let pub = fresh_ctx ~id:"pub" ~port in
+  with_broker @@ fun port ->
+  let sub = client ~port "sub" in
+  let pub = client ~port "pub" in
   let ctxs = [ sub; pub ] in
-  let got, _, _ = collector sub in
+  let o = collector sub in
   let rogue = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.connect rogue (ADDR_INET (Unix.inet_addr_loopback, port));
   let junk = String.make 64 '\xde' in
@@ -390,9 +309,9 @@ let test_e2e_corrupt_bytes_condemn_connection () =
   (* ...and the well-behaved pair still works end to end. *)
   publish_quote pub ~origin:"pub" 0;
   Alcotest.(check bool) "clean traffic still flows" true
-    (spin ~ctxs ~until:(fun () -> !got <> []) ~for_ms:5000 ());
+    (Ctx.spin ctxs ~until:(fun () -> Oracle.delivered o > 0) ~for_ms:5000);
   Unix.close rogue;
-  List.iter (fun c -> Client.close c.client) ctxs
+  close_all ctxs
 
 (* --- reconnect backoff ------------------------------------------------ *)
 
@@ -407,14 +326,9 @@ module Backoff = Client.Backoff
    dropped mid-run (which forces the broker to promote the suppressed
    ones back into the live index). *)
 let run_covering_scenario ~covering =
-  Trace.set_ambient (Trace.create ());
-  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
-  let port = bound_port listen_fd in
-  let bp = fork_broker ~config:{ instant_config with covering } ~listen_fd () in
-  Fun.protect ~finally:(fun () -> quit_broker bp; Unix.close listen_fd)
-  @@ fun () ->
-  let sub = fresh_ctx ~id:"sub" ~port in
-  let pub = fresh_ctx ~id:"pub" ~port in
+  with_broker ~config:{ Tpbs_harness.instant with covering } @@ fun port ->
+  let sub = client ~port "sub" in
+  let pub = client ~port "pub" in
   let ctxs = [ sub; pub ] in
   let seq_of ob =
     match Obvent.get ob "seq" with Value.Int s -> s | _ -> -1
@@ -423,19 +337,17 @@ let run_covering_scenario ~covering =
     let got = ref [] in
     let expr = Tpbs_filter.Expr.(Binop (Ge, getter [ "getSeq" ], int k)) in
     let s =
-      Pubsub.Process.subscribe sub.proc ~param:"TQuote"
-        ~filter:(Tpbs_core.Fspec.tree expr)
-        (fun ob -> got := seq_of ob :: !got)
+      Ctx.subscribe sub ~param:"TQuote" ~filter:(Tpbs_core.Fspec.tree expr) (fun ob ->
+          got := seq_of ob :: !got)
     in
-    Pubsub.Subscription.activate s;
-    Engine.run sub.engine;
-    ignore (Client.poll sub.client ~timeout_ms:10);
     (s, got)
   in
   (* the wide sub first, then two narrower siblings it entails *)
   let s_all, got_all = subscribe_ge 0 in
   let _s_mid, got_mid = subscribe_ge 10 in
   let _s_high, got_high = subscribe_ge 20 in
+  (* the subscriptions reach the broker before any publish can *)
+  ignore (Ctx.spin ctxs ~until:(fun () -> false) ~for_ms:100);
   let n1 = 25 in
   for i = 0 to n1 - 1 do
     publish_quote pub ~origin:"pub" i
@@ -446,7 +358,7 @@ let run_covering_scenario ~covering =
     && List.length !got_high = n1 - 20
   in
   Alcotest.(check bool) "first batch fully delivered" true
-    (spin ~ctxs ~until:batch1_in ~for_ms:10000 ());
+    (Ctx.spin ctxs ~until:batch1_in ~for_ms:10000);
   (* drop the coverer: the narrower subs must keep receiving, which
      under covering requires the broker-side promotion sweep *)
   Pubsub.Subscription.deactivate s_all;
@@ -460,10 +372,9 @@ let run_covering_scenario ~covering =
     List.length !got_mid = n1 - 10 + n2 && List.length !got_high = n1 - 20 + n2
   in
   Alcotest.(check bool) "promoted subs keep receiving" true
-    (spin ~ctxs ~until:batch2_in ~for_ms:10000 ());
-  let r = (List.rev !got_all, List.rev !got_mid, List.rev !got_high) in
-  List.iter (fun c -> Client.close c.client) ctxs;
-  r
+    (Ctx.spin ctxs ~until:batch2_in ~for_ms:10000);
+  close_all ctxs;
+  (List.rev !got_all, List.rev !got_mid, List.rev !got_high)
 
 let test_e2e_covering_equivalence () =
   let on = run_covering_scenario ~covering:true in
@@ -498,11 +409,10 @@ let test_reconnect_with_backoff () =
      broker returns, and — once the port is truly dead — give up after
      exactly [max_retries] waits. *)
   Trace.set_ambient (Trace.create ());
-  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
-  let port = bound_port listen_fd in
-  let bp = fork_broker ~listen_fd () in
-  let ctx = fresh_ctx ~id:"backoff" ~port in
-  kill_broker bp;
+  let listen_fd, port = Forked.listen () in
+  let bp = Forked.start listen_fd in
+  let ctx = client ~port "backoff" in
+  Forked.kill bp;
   let policy =
     { Backoff.default with base_ms = 10; max_delay_ms = 40; jitter = 0.;
       max_retries = 4 }
@@ -514,7 +424,7 @@ let test_reconnect_with_backoff () =
   let bp2 = ref None in
   let sleep ms =
     slept := ms :: !slept;
-    if List.length !slept = 2 then bp2 := Some (fork_broker ~listen_fd ())
+    if List.length !slept = 2 then bp2 := Some (Forked.start listen_fd)
   in
   Alcotest.(check bool) "recovers once the broker returns" true
     (Client.reconnect_with_backoff ~policy ~sleep ~rand:(fun () -> 0.5)
@@ -522,7 +432,9 @@ let test_reconnect_with_backoff () =
   Alcotest.(check (list int)) "two scheduled waits" [ 10; 20 ]
     (List.rev !slept);
   Alcotest.(check bool) "client is back" true (Client.connected ctx.client);
-  (match !bp2 with Some bp -> quit_broker bp | None -> ());
+  Option.iter
+    (fun bp -> Alcotest.(check int) "the broker quits cleanly" 0 (Forked.quit bp))
+    !bp2;
   Unix.close listen_fd;
   (* Phase 2: nothing listens any more — every attempt is refused, the
      loop walks the whole capped schedule and gives up. *)
@@ -1020,7 +932,6 @@ let test_syscall_stats_balance () =
   Trace.set_ambient (Trace.create ());
   let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   let ca = Conn.create a and cb = Conn.create b in
-  let wait_readable fd = ignore (Unix.select [ fd ] [] [] 2.0) in
   let pump_across src dst n =
     for i = 1 to n do
       Conn.send src (Proto.Credit { n = i })
@@ -1029,21 +940,10 @@ let test_syscall_stats_balance () =
     | `Ok -> ()
     | _ -> Alcotest.fail "flush did not drain");
     let seen = ref 0 in
+    let dst = Raw.wrap ~id:"dst" ~on_view:(fun _ -> incr seen) dst in
     while !seen < n do
-      wait_readable (Conn.fd dst);
-      (match Conn.recv dst with
-      | `Ok -> ()
-      | `Blocked -> ()
-      | `Closed m -> Alcotest.failf "peer closed: %s" m);
-      let rec drain () =
-        match Conn.pop dst with
-        | Conn.Msg _ ->
-            incr seen;
-            drain ()
-        | Conn.Nothing -> ()
-        | Conn.Bad m -> Alcotest.failf "bad frame: %s" m
-      in
-      drain ()
+      ignore (Unix.select [ Conn.fd dst.conn ] [] [] 2.0);
+      Raw.drain dst
     done
   in
   pump_across ca cb 5;
@@ -1072,155 +972,74 @@ let test_syscall_stats_balance () =
   Conn.close ca;
   Conn.close cb
 
-(* A [TQuote] envelope as a publishing client encodes it. *)
-let quote_envelope i =
-  Codec.encode
-    (Value.List
-       [ Value.Int 0; Value.Int 1; Value.Int i;
-         Value.Str (Codec.encode (Value.obj "TQuote" [ ("seq", Value.Int i) ])) ])
+let quote_value seq = Value.obj "TQuote" [ ("seq", Value.Int seq) ]
 
 (* In-process broker with raw connections: the encode-once ledger.
    K subscribers and P publishes cost exactly P Deliver encodes and
    P*K shared enqueues. *)
-let run_fanout_counters ~subs ~pubs =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
-  let port = Broker.port broker in
-  let dial id window =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-    let c = Conn.create fd in
-    Conn.send c (Proto.Hello { client = id; window });
-    c
-  in
-  let sub_conns =
-    List.init subs (fun k ->
-        ignore (Broker.poll broker ~timeout_ms:0 ());
-        let c = dial (Printf.sprintf "s%d" k) 1_000_000 in
-        Conn.send c (Proto.Sub { sid = k; param = "TQuote"; filter = Value.Null });
-        ignore (Conn.flush c);
-        c)
-  in
-  let pub = dial "pub" 0 in
-  Conn.send pub (Proto.Advertise { cls = "TQuote"; supers = [] });
-  ignore (Conn.flush pub);
-  let delivered = ref 0 in
-  let credit = ref 0 and sent = ref 0 in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while !delivered < pubs * subs && Unix.gettimeofday () < deadline do
-    ignore (Broker.poll broker ~timeout_ms:0 ());
-    while !credit > 0 && !sent < pubs do
-      Conn.send pub (Proto.Pub { pseq = !sent; cls = "TQuote"; envelope = quote_envelope !sent });
-      incr sent;
-      decr credit
-    done;
-    ignore (Conn.flush pub);
-    (match Conn.recv pub with
-    | `Ok ->
-        let rec drain () =
-          match Conn.pop pub with
-          | Conn.Msg (Proto.Welcome { window }) ->
-              credit := window;
-              drain ()
-          | Conn.Msg (Proto.Credit { n }) ->
-              credit := !credit + n;
-              drain ()
-          | Conn.Msg _ -> drain ()
-          | Conn.Nothing -> ()
-          | Conn.Bad m -> Alcotest.failf "publisher: %s" m
-        in
-        drain ()
-    | `Blocked -> ()
-    | `Closed m -> Alcotest.failf "publisher closed: %s" m);
-    List.iter
-      (fun c ->
-        match Conn.recv c with
-        | `Ok ->
-            let rec drain () =
-              match Conn.pop c with
-              | Conn.Msg (Proto.Deliver _) ->
-                  incr delivered;
-                  drain ()
-              | Conn.Msg _ -> drain ()
-              | Conn.Nothing -> ()
-              | Conn.Bad m -> Alcotest.failf "subscriber: %s" m
-            in
-            drain ()
-        | `Blocked -> ()
-        | `Closed m -> Alcotest.failf "subscriber closed: %s" m)
-      sub_conns
-  done;
-  Alcotest.(check int) "all deliveries arrived" (pubs * subs) !delivered;
-  List.iter Conn.close sub_conns;
-  Conn.close pub;
-  Broker.stop broker;
-  let v name = Trace.Counter.value (Trace.counter (Trace.ambient ()) name) in
-  (v "transport.deliver_encodes", v "transport.fanout_shared")
-
 let test_broker_encode_once_counters () =
-  let encodes, shared_enqueues = run_fanout_counters ~subs:4 ~pubs:10 in
-  Alcotest.(check int) "one encode per publish, independent of K" 10 encodes;
-  Alcotest.(check int) "every enqueue shares the frame" 40 shared_enqueues
+  Trace.set_ambient (Trace.create ());
+  let r = Raw.fanout ~subs:4 ~pubs:10 ~cls:"TQuote" quote_value in
+  Alcotest.(check int) "all deliveries arrived" 40 r.delivered;
+  let v name = Trace.Counter.value (Trace.counter (Trace.ambient ()) name) in
+  Alcotest.(check int) "one encode per publish, independent of K" 10
+    (v "transport.deliver_encodes");
+  Alcotest.(check int) "every enqueue shares the frame" 40 (v "transport.fanout_shared")
 
-let raw_dial broker =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
-  Conn.create fd
+let fresh_broker () =
+  Trace.set_ambient (Trace.create ());
+  Raw.broker ()
 
-(* Read what has arrived on a raw connection and pass each message on. *)
-let raw_drain who c on_msg =
-  match Conn.recv c with
-  | `Ok ->
-      let rec go () =
-        match Conn.pop c with
-        | Conn.Msg m ->
-            on_msg m;
-            go ()
-        | Conn.Nothing -> ()
-        | Conn.Bad m -> Alcotest.failf "%s: %s" who m
-      in
-      go ()
-  | `Blocked -> ()
-  | `Closed m -> Alcotest.failf "%s closed: %s" who m
+(* On [broker], a raw subscriber of [TQuote] (delivery window
+   [sub_window]), a raw publisher holding its publish window and
+   [idle] more sockets that connect and never send a byte. *)
+type raw_peers = {
+  broker : Broker.t;
+  sub : Raw.peer;
+  pub : Raw.peer;
+  idle_fds : Unix.file_descr list;
+  acks : int list ref;  (* Pub_acks the publisher got, newest first *)
+  delivered : (int * string) list ref;  (* (pseq, envelope) the subscriber got, newest first *)
+}
 
-(* An in-process broker with a raw subscriber of [TQuote] and a raw
-   publisher, connected and settled: the subscription is installed and
-   the publisher holds its credit window. [publish env] sends one Pub
-   and returns the envelope of the Deliver it causes. *)
-let raw_pair broker =
-  let sub = raw_dial broker and pub = raw_dial broker in
-  let credit = ref 0 and delivered = ref None in
-  let pump_until what cond =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    while (not (cond ())) && Unix.gettimeofday () < deadline do
-      ignore (Conn.flush pub);
-      ignore (Conn.flush sub);
-      ignore (Broker.poll broker ~timeout_ms:1 ());
-      raw_drain "publisher" pub (function
-        | Proto.Welcome { window } -> credit := window
-        | Proto.Credit { n } -> credit := !credit + n
-        | _ -> ());
-      raw_drain "subscriber" sub (function
-        | Proto.Deliver { envelope; _ } -> delivered := Some envelope
-        | _ -> ())
-    done;
-    if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+let turn p = Raw.turn p.broker [ p.sub; p.pub ]
+let until p what cond = Raw.until p.broker [ p.sub; p.pub ] ~what cond
+
+let raw_peers ?(idle = 0) ?(sub_window = 1_000_000) broker =
+  let idle_fds = Raw.idle broker idle in
+  let acks = ref [] and delivered = ref [] in
+  let sub =
+    Raw.dial broker ~id:"sub" ~window:sub_window ~on_view:(function
+      | Proto.V_deliver { pseq; envelope; _ } ->
+          delivered := (pseq, Proto.slice_to_string envelope) :: !delivered
+      | _ -> ())
   in
-  Conn.send sub (Proto.Hello { client = "sub"; window = 1_000_000 });
-  Conn.send sub (Proto.Sub { sid = 0; param = "TQuote"; filter = Value.Null });
-  pump_until "two sessions" (fun () -> Broker.session_count broker = 2);
-  Conn.send pub (Proto.Hello { client = "pub"; window = 0 });
-  Conn.send pub (Proto.Advertise { cls = "TQuote"; supers = [] });
-  pump_until "the publish window" (fun () -> !credit > 0);
-  let pseq = ref 0 in
-  let publish envelope =
-    delivered := None;
-    Conn.send pub (Proto.Pub { pseq = !pseq; cls = "TQuote"; envelope });
-    incr pseq;
-    pump_until "the delivery" (fun () -> !delivered <> None);
-    Option.get !delivered
+  Raw.subscribe sub ~sid:0 "TQuote";
+  let pub =
+    Raw.dial broker ~id:"pub" ~window:0 ~on_view:(function
+      | Proto.V_msg (Proto.Pub_ack { pseq }) -> acks := pseq :: !acks
+      | _ -> ())
   in
-  (sub, pub, publish)
+  (* the subscription first: the publisher's Hello waits in its queue *)
+  Raw.until broker [ sub ] ~what:"every session" (fun () ->
+      Broker.session_count broker = idle + 2);
+  Raw.advertise pub "TQuote";
+  let p = { broker; sub; pub; idle_fds; acks; delivered } in
+  until p "the publish window" (fun () -> pub.credit > 0);
+  p
+
+let close_peers p =
+  Raw.close p.sub;
+  Raw.close p.pub;
+  List.iter Unix.close p.idle_fds;
+  Broker.stop p.broker
+
+(* Send one Pub and return the envelope of the Deliver it causes. *)
+let publish p ~pseq envelope =
+  p.delivered := [];
+  Conn.send p.pub.conn (Proto.Pub { pseq; cls = "TQuote"; envelope });
+  until p "the delivery" (fun () -> !(p.delivered) <> []);
+  snd (List.hd !(p.delivered))
 
 let blob_value seq =
   Value.obj "TQuote" [ ("seq", Value.Int seq); ("data", Value.Str (String.make 8192 'x')) ]
@@ -1237,12 +1056,10 @@ let blob_envelope seq =
    checksummed exactly four times (publisher frame, broker verify,
    broker re-frame, subscriber verify). *)
 let test_crc_bytes_one_pass_per_frame () =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
-  let sub, pub, publish = raw_pair broker in
+  let p = raw_peers (fresh_broker ()) in
   let v name = Trace.Counter.value (Trace.counter (Trace.ambient ()) name) in
   (* let the publisher's first credit round settle before counting *)
-  ignore (publish (blob_envelope 0));
+  ignore (publish p ~pseq:0 (blob_envelope 0));
   let snap () =
     ( v "transport.crc_bytes",
       v "transport.bytes_sent" - (Frame.header_bytes * v "transport.frames_sent"),
@@ -1250,12 +1067,12 @@ let test_crc_bytes_one_pass_per_frame () =
   in
   let crc0, sent0, recv0 = snap () in
   let env = blob_envelope 1 in
-  let got = publish env in
+  let got = publish p ~pseq:1 env in
   (* the peers' replies (acks, credits) may still be in flight *)
   for _ = 1 to 5 do
-    ignore (Conn.flush pub);
-    ignore (Conn.flush sub);
-    ignore (Broker.poll broker ~timeout_ms:1 ())
+    ignore (Conn.flush p.pub.conn);
+    ignore (Conn.flush p.sub.conn);
+    ignore (Broker.poll p.broker ~timeout_ms:1 ())
   done;
   let crc1, sent1, recv1 = snap () in
   Alcotest.(check string) "delivered intact" env got;
@@ -1269,17 +1086,14 @@ let test_crc_bytes_one_pass_per_frame () =
     (crc1 - crc0);
   Alcotest.(check bool) "the event is checksummed four times" true
     (crc1 - crc0 >= 4 * pub_payload && crc1 - crc0 < 5 * pub_payload);
-  Conn.close sub;
-  Conn.close pub;
-  Broker.stop broker
+  close_peers p
 
 (* On Unix a file descriptor is its number. *)
 let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 (* Run [f] with every descriptor below 1024 taken, so whatever it
-   opens lands above; [cleanup] runs either way. Skipped when the
-   process may not open that many. *)
-let above_fd_setsize ~cleanup f =
+   opens lands above. Skipped when the process may not open that many. *)
+let above_fd_setsize f =
   let devnull = Unix.openfile "/dev/null" [ O_RDONLY ] 0 in
   let rec fill acc =
     match Unix.dup devnull with
@@ -1291,129 +1105,59 @@ let above_fd_setsize ~cleanup f =
         (* a process limited to 1024 descriptors cannot open one above it *)
         List.iter Unix.close acc;
         Unix.close devnull;
-        cleanup ();
         Alcotest.skip ()
   in
   let fillers = fill [] in
   Fun.protect
     ~finally:(fun () ->
       List.iter Unix.close fillers;
-      Unix.close devnull;
-      cleanup ())
+      Unix.close devnull)
     f
 
 (* select(2) cannot watch a descriptor at or past FD_SETSIZE (1024):
    with every lower descriptor taken, the broker's sessions are accepted
    above it and must still carry a Pub -> Deliver round trip. *)
 let test_broker_sessions_above_fd_setsize () =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
-  above_fd_setsize ~cleanup:(fun () -> Broker.stop broker) (fun () ->
-      let sub, pub, publish = raw_pair broker in
+  let broker = fresh_broker () in
+  Fun.protect ~finally:(fun () -> Broker.stop broker) @@ fun () ->
+  above_fd_setsize (fun () ->
+      let p = raw_peers broker in
       Alcotest.(check bool) "peers above FD_SETSIZE" true
-        (fd_number (Conn.fd sub) >= 1024 && fd_number (Conn.fd pub) >= 1024);
+        (fd_number (Conn.fd p.sub.conn) >= 1024 && fd_number (Conn.fd p.pub.conn) >= 1024);
       let env = blob_envelope 7 in
-      Alcotest.(check string) "delivered" env (publish env);
-      Conn.close sub;
-      Conn.close pub)
+      Alcotest.(check string) "delivered" env (publish p ~pseq:0 env);
+      Raw.close p.sub;
+      Raw.close p.pub)
 
 (* The client side of the same limit: a client whose socket lands above
    fd 1024 connects, publishes and receives (its waits are poll(2),
    not select). The broker is forked first, below the limit. *)
 let test_client_above_fd_setsize () =
-  Trace.set_ambient (Trace.create ());
-  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
-  let port = bound_port listen_fd in
-  let bp = fork_broker ~listen_fd () in
-  above_fd_setsize
-    ~cleanup:(fun () ->
-      quit_broker bp;
-      Unix.close listen_fd)
-    (fun () ->
-      let sub = fresh_ctx ~id:"sub" ~port in
-      let pub = fresh_ctx ~id:"pub" ~port in
+  with_broker @@ fun port ->
+  above_fd_setsize (fun () ->
+      let sub = client ~port "sub" in
+      let pub = client ~port "pub" in
       let ctxs = [ sub; pub ] in
-      let got, dups, _ = collector sub in
+      let o = collector sub in
       publish_quote pub ~origin:"pub" 0;
       Alcotest.(check bool) "delivered above FD_SETSIZE" true
-        (spin ~ctxs ~until:(fun () -> !got <> []) ~for_ms:5000 ());
-      Alcotest.(check (list (pair string int))) "the one event" [ ("pub", 0) ] !got;
-      Alcotest.(check int) "no dups" 0 !dups;
-      List.iter (fun c -> Client.close c.client) ctxs)
+        (Ctx.spin ctxs ~until:(fun () -> Oracle.delivered o > 0) ~for_ms:5000);
+      Alcotest.(check (list (pair string int))) "the one event" [ ("pub", 0) ]
+        (Oracle.sequence o);
+      Alcotest.(check int) "no dups" 0 (Oracle.dups o);
+      close_all ctxs)
 
 (* --- the pipelined turn --------------------------------------------- *)
-
-(* An in-process broker with a raw subscriber of [TQuote] (delivery
-   window [sub_window]), a raw publisher holding its publish window and
-   [idle] more sockets that connect and never send a byte. [turn] is
-   one round of flushes, one broker poll and draining both peers. *)
-type raw_peers = {
-  broker : Broker.t;
-  sub : Conn.t;
-  pub : Conn.t;
-  idle_fds : Unix.file_descr list;
-  acks : int list ref;  (* Pub_acks the publisher got, newest first *)
-  delivered : int list ref;  (* pseqs the subscriber got, newest first *)
-  credit : int ref;  (* the publisher's window *)
-}
-
-let turn p =
-  ignore (Conn.flush p.pub);
-  ignore (Conn.flush p.sub);
-  ignore (Broker.poll p.broker ~timeout_ms:1 ());
-  raw_drain "publisher" p.pub (function
-    | Proto.Welcome { window } -> p.credit := window
-    | Proto.Credit { n } -> p.credit := !(p.credit) + n
-    | Proto.Pub_ack { pseq } -> p.acks := pseq :: !(p.acks)
-    | _ -> ());
-  raw_drain "subscriber" p.sub (function
-    | Proto.Deliver { pseq; _ } -> p.delivered := pseq :: !(p.delivered)
-    | _ -> ())
-
-let until p what cond =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (cond ())) && Unix.gettimeofday () < deadline do
-    turn p
-  done;
-  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
-
-let raw_peers ?(idle = 0) ~sub_window () =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
-  let idle_fds =
-    List.init idle (fun k ->
-        (* accept as they come, so the listen backlog never fills *)
-        if k mod 16 = 0 then ignore (Broker.poll broker ~timeout_ms:0 ());
-        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
-        fd)
-  in
-  let p =
-    { broker; sub = raw_dial broker; pub = raw_dial broker; idle_fds;
-      acks = ref []; delivered = ref []; credit = ref 0 }
-  in
-  Conn.send p.sub (Proto.Hello { client = "sub"; window = sub_window });
-  Conn.send p.sub (Proto.Sub { sid = 0; param = "TQuote"; filter = Value.Null });
-  until p "every session" (fun () -> Broker.session_count broker = idle + 2);
-  Conn.send p.pub (Proto.Hello { client = "pub"; window = 0 });
-  Conn.send p.pub (Proto.Advertise { cls = "TQuote"; supers = [] });
-  until p "the publish window" (fun () -> !(p.credit) > 0);
-  p
-
-let close_peers p =
-  Conn.close p.sub;
-  Conn.close p.pub;
-  List.iter Unix.close p.idle_fds;
-  Broker.stop p.broker
 
 (* Pubs 0 .. n-1 in one write; the pause lets all of it reach the
    broker's socket buffer, so one read takes the lot. *)
 let burst p n =
   for i = 0 to n - 1 do
-    Conn.send p.pub (Proto.Pub { pseq = i; cls = "TQuote"; envelope = quote_envelope i })
+    Conn.send_gathered p.pub.conn
+      (Proto.pub_frame ~pseq:i ~cls:"TQuote" ~publish_time:0 ~eid:(1, i) (quote_value i))
   done;
-  p.credit := !(p.credit) - n;
-  Alcotest.(check bool) "the burst is written" true (Conn.flush p.pub = `Ok);
+  p.pub.credit <- p.pub.credit - n;
+  Alcotest.(check bool) "the burst is written" true (Conn.flush p.pub.conn = `Ok);
   Unix.sleepf 0.02
 
 let last_ack_is p n () = match !(p.acks) with a :: _ -> a = n | [] -> false
@@ -1421,9 +1165,9 @@ let last_ack_is p n () = match !(p.acks) with a :: _ -> a = n | [] -> false
 (* A window read in one go is acked while it is being routed: at least
    one cumulative ack per quarter window, the first after a quarter. *)
 let test_pipelined_acks () =
-  let p = raw_peers ~sub_window:1_000_000 () in
+  let p = raw_peers (fresh_broker ()) in
   let w = Broker.default_config.pub_window in
-  Alcotest.(check int) "a full window" w !(p.credit);
+  Alcotest.(check int) "a full window" w p.pub.credit;
   burst p w;
   until p "the last ack" (last_ack_is p (w - 1));
   let acks = List.rev !(p.acks) in
@@ -1443,25 +1187,25 @@ let test_pipelined_acks () =
    however often the broker pumps. The queue depth gauge follows the
    held queue exactly. *)
 let test_zero_credit_holds_acks () =
-  let p = raw_peers ~sub_window:0 () in
+  let p = raw_peers ~sub_window:0 (fresh_broker ()) in
   let qdepth = Trace.gauge (Trace.ambient ()) "tpbsd.qdepth" in
   burst p 8;
   for _ = 1 to 20 do
     turn p
   done;
   Alcotest.(check (list int)) "no ack while nothing is delivered" [] !(p.acks);
-  Alcotest.(check (list int)) "nothing delivered" [] !(p.delivered);
+  Alcotest.(check (list int)) "nothing delivered" [] (List.map fst !(p.delivered));
   Alcotest.(check int) "queue depth" 8 (Trace.Gauge.value qdepth);
   let granted = ref 0 in
   let grant n =
     granted := !granted + n;
-    Conn.send p.sub (Proto.Credit { n });
+    Conn.send p.sub.conn (Proto.Credit { n });
     until p "the granted acks" (last_ack_is p (!granted - 1));
     for _ = 1 to 5 do
       turn p
     done;
     Alcotest.(check (list int)) "exactly the granted pubs delivered"
-      (List.init !granted Fun.id) (List.rev !(p.delivered));
+      (List.init !granted Fun.id) (List.rev_map fst !(p.delivered));
     Alcotest.(check bool) "every ack covers flushed pubs only" true
       (List.for_all (fun a -> a < !granted) !(p.acks))
   in
@@ -1475,7 +1219,7 @@ let test_zero_credit_holds_acks () =
 (* Pumps visit the sessions that have work: a burst costs the same
    number of session pumps however many idle sockets are connected. *)
 let burst_pumps ~idle =
-  let p = raw_peers ~idle ~sub_window:1_000_000 () in
+  let p = raw_peers ~idle (fresh_broker ()) in
   let pumps () =
     Trace.Counter.value (Trace.counter (Trace.ambient ()) "tpbsd.session_pumps")
   in
@@ -1497,8 +1241,7 @@ let test_pumps_independent_of_idle () =
    control pipe must not read as readable (its owner would then block
    reading it). *)
 let test_broker_poll_interrupted () =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
+  let broker = fresh_broker () in
   let r, w = Unix.pipe () in
   let old = Sys.signal Sys.sigalrm (Sys.Signal_handle ignore) in
   Fun.protect
@@ -1520,96 +1263,70 @@ let test_broker_poll_interrupted () =
    and the broker copies the envelope once, into the Deliver it
    encodes for its subscribers. *)
 let test_copy_bytes_large_round_trip () =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
-  let sub, pub, publish = raw_pair broker in
+  let p = raw_peers (fresh_broker ()) in
   let copies () = Trace.Counter.value (Trace.counter (Trace.ambient ()) "transport.copy_bytes") in
   (* settle the first credit round and the decoders' buffers *)
-  ignore (publish (blob_envelope 0));
+  ignore (publish p ~pseq:0 (blob_envelope 0));
   for _ = 1 to 5 do
-    ignore (Conn.flush sub);
-    ignore (Broker.poll broker ~timeout_ms:1 ());
-    raw_drain "publisher" pub ignore
+    ignore (Conn.flush p.sub.conn);
+    ignore (Broker.poll p.broker ~timeout_ms:1 ());
+    Raw.drain p.pub
   done;
+  p.delivered := [];
   let c0 = copies () in
   let f = Proto.pub_frame ~pseq:1 ~cls:"TQuote" ~publish_time:0 ~eid:(1, 1) (blob_value 1) in
-  Conn.send_gathered pub f;
-  Alcotest.(check bool) "the Pub is written" true (Conn.flush pub = `Ok);
+  Conn.send_gathered p.pub.conn f;
+  Alcotest.(check bool) "the Pub is written" true (Conn.flush p.pub.conn = `Ok);
   let c1 = copies () in
   Alcotest.(check int) "publisher: no copy" 0 (c1 - c0);
   (* the whole frame reaches the broker's socket before it reads *)
   Unix.sleepf 0.02;
   let sub_readable () =
-    match Unix.select [ Conn.fd sub ] [] [] 0.0 with [], _, _ -> false | _ -> true
+    match Unix.select [ Conn.fd p.sub.conn ] [] [] 0.0 with [], _, _ -> false | _ -> true
   in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (not (sub_readable ())) && Unix.gettimeofday () < deadline do
-    ignore (Broker.poll broker ~timeout_ms:1 ())
+    ignore (Broker.poll p.broker ~timeout_ms:1 ())
   done;
   let env = blob_envelope 1 in
   Alcotest.(check int) "broker: the envelope, once" (String.length env) (copies () - c1);
-  let got = ref None in
-  while !got = None && Unix.gettimeofday () < deadline do
-    raw_drain "subscriber" sub (function
-      | Proto.Deliver { envelope; _ } -> got := Some envelope
-      | _ -> ())
-  done;
-  Alcotest.(check (option string)) "delivered intact" (Some env) !got;
-  Conn.close sub;
-  Conn.close pub;
-  Broker.stop broker
+  until p "the delivery" (fun () -> !(p.delivered) <> []);
+  Alcotest.(check (list string)) "delivered intact" [ env ] (List.map snd !(p.delivered));
+  close_peers p
 
 (* A stand-in broker for one connection, in a child: it welcomes the
    client, then sends the payload of the first Pub frame it reads up
    [out] and hangs up without acking — a broker that dies with the
    publish unacknowledged. *)
 let fork_recorder ~listen_fd out =
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        try
-          let fd, _ = Unix.accept listen_fd in
-          let dec = Frame.Decoder.create () in
-          let buf = Bytes.create 65536 in
-          let rec loop () =
-            match Frame.Decoder.pop dec with
-            | Frame.Decoder.Frame payload -> (
-                match Proto.decode payload with
-                | Some (Proto.Hello _) ->
-                    let w = Frame.preframed_bytes (Proto.frame (Proto.Welcome { window = 64 })) in
-                    ignore (Unix.write_substring fd w 0 (String.length w));
-                    loop ()
-                | Some (Proto.Pub _) ->
-                    ignore (Unix.write_substring out payload 0 (String.length payload));
-                    0
-                | _ -> loop ())
-            | Frame.Decoder.Await ->
-                let n = Unix.read fd buf 0 (Bytes.length buf) in
-                if n = 0 then 2
-                else begin
-                  Frame.Decoder.feed dec (Bytes.unsafe_to_string buf) 0 n;
-                  loop ()
-                end
-            | Frame.Decoder.Corrupt _ -> 3
-          in
-          let code = loop () in
-          Unix.close fd;
-          code
-        with _ -> 4
+  Child.fork "recorder" (fun () ->
+      let fd, _ = Unix.accept listen_fd in
+      let dec = Frame.Decoder.create () in
+      let buf = Bytes.create 65536 in
+      let rec loop () =
+        match Frame.Decoder.pop dec with
+        | Frame.Decoder.Frame payload -> (
+            match Proto.decode payload with
+            | Some (Proto.Hello _) ->
+                let w = Frame.preframed_bytes (Proto.frame (Proto.Welcome { window = 64 })) in
+                ignore (Unix.write_substring fd w 0 (String.length w));
+                loop ()
+            | Some (Proto.Pub _) ->
+                ignore (Unix.write_substring out payload 0 (String.length payload));
+                0
+            | _ -> loop ())
+        | Frame.Decoder.Await ->
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then 2
+            else begin
+              Frame.Decoder.feed dec (Bytes.unsafe_to_string buf) 0 n;
+              loop ()
+            end
+        | Frame.Decoder.Corrupt _ -> 3
       in
-      Unix._exit code
-  | pid -> pid
-
-let read_all fd =
-  let b = Buffer.create 9000 and chunk = Bytes.create 4096 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Buffer.contents b
-    | n ->
-        Buffer.add_subbytes b chunk 0 n;
-        go ()
-  in
-  go ()
+      let code = loop () in
+      Unix.close fd;
+      code)
 
 (* A large Pub whose broker dies unacked is retransmitted, after each
    reconnect, with exactly the bytes of its first send — the frame built
@@ -1617,11 +1334,11 @@ let read_all fd =
    broker exactly once, intact. *)
 let test_large_pub_retransmitted_verbatim () =
   Trace.set_ambient (Trace.create ());
-  let listen_fd = Broker.listen_socket ~host:"127.0.0.1" ~port:0 in
-  let port = bound_port listen_fd in
+  let listen_fd, port = Forked.listen () in
+  Fun.protect ~finally:(fun () -> Unix.close listen_fd) @@ fun () ->
   let record connect =
     let r, w = Unix.pipe () in
-    let pid = fork_recorder ~listen_fd w in
+    let recorder = fork_recorder ~listen_fd w in
     Unix.close w;
     let x = connect () in
     x, (fun pump ->
@@ -1633,16 +1350,17 @@ let test_large_pub_retransmitted_verbatim () =
         do
           pump ()
         done;
-        let payload = read_all r in
-        Unix.close r;
-        let _, status = Unix.waitpid [] pid in
-        Alcotest.(check bool) "the recorder got a Pub" true (status = Unix.WEXITED 0);
+        let ic = Unix.in_channel_of_descr r in
+        let payload = In_channel.input_all ic in
+        close_in ic;
+        Child.wait_all ~timeout_s:10. [ recorder ];
+        Alcotest.(check bool) "the recorder got a Pub" true (Child.code recorder = 0);
         payload)
   in
   let big = String.init 8192 (fun i -> Char.chr (32 + (i mod 90))) in
   let pub, first =
     record (fun () ->
-        let pub = fresh_ctx ~id:"pub" ~port in
+        let pub = client ~port "pub" in
         Pubsub.Process.publish pub.proc
           (Obvent.make pub.reg "TQuote" [ ("seq", Value.Int 0); ("origin", Value.Str big) ]);
         Engine.run pub.engine;
@@ -1660,38 +1378,30 @@ let test_large_pub_retransmitted_verbatim () =
     | Some (Proto.Pub { envelope; _ }) when String.length envelope > 8192 -> 1
     | _ -> 0);
   Alcotest.(check bool) "retransmitted byte for byte" true (String.equal first second);
-  let bp = fork_broker ~listen_fd () in
-  Fun.protect ~finally:(fun () -> quit_broker bp; Unix.close listen_fd)
-  @@ fun () ->
-  let sub = fresh_ctx ~id:"sub" ~port in
-  let got, dups, _ = collector sub in
+  quitting (Forked.start listen_fd) @@ fun () ->
+  let sub = client ~port "sub" in
+  let o = collector sub in
   Alcotest.(check bool) "reconnects to the broker" true
     (Client.reconnect ~timeout_ms:2000 pub.client);
   let ctxs = [ sub; pub ] in
   Alcotest.(check bool) "delivered and acknowledged" true
-    (spin ~ctxs
-       ~until:(fun () -> !got <> [] && Client.queued_count pub.client = 0)
-       ~for_ms:10000 ());
-  ignore (spin ~ctxs ~until:(fun () -> false) ~for_ms:100 ());
-  Alcotest.(check (list (pair string int))) "exactly once, intact" [ (big, 0) ] !got;
-  Alcotest.(check int) "no duplicates" 0 !dups;
+    (Ctx.spin ctxs
+       ~until:(fun () -> Oracle.delivered o > 0 && Client.queued_count pub.client = 0)
+       ~for_ms:10000);
+  ignore (Ctx.spin ctxs ~until:(fun () -> false) ~for_ms:100);
+  Alcotest.(check (list (pair string int))) "exactly once, intact" [ (big, 0) ]
+    (Oracle.sequence o);
+  Alcotest.(check int) "no duplicates" 0 (Oracle.dups o);
   Alcotest.(check int) "sent three times: two retransmits" 2
     (Trace.Counter.value (Trace.counter (Trace.ambient ()) "transport.retransmits"));
-  List.iter (fun c -> Client.close c.client) ctxs
+  close_all ctxs
 
 (* An empty poll allocates the same however many sessions sit idle:
    the wait arrays persist, indexed by session slot, and only their
    event bits are refilled. One process, plain sockets. *)
 let empty_poll_words ~idle =
-  Trace.set_ambient (Trace.create ());
-  let broker = Broker.create ~config:instant_config ~port:0 () in
-  let fds =
-    List.init idle (fun k ->
-        if k mod 16 = 0 then ignore (Broker.poll broker ~timeout_ms:0 ());
-        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, Broker.port broker));
-        fd)
-  in
+  let broker = fresh_broker () in
+  let fds = Raw.idle broker idle in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Broker.session_count broker < idle && Unix.gettimeofday () < deadline do
     ignore (Broker.poll broker ~timeout_ms:1 ())
@@ -1773,6 +1483,37 @@ let test_publish_words () =
     (Printf.sprintf "8 KiB Blob: no envelope-sized allocation (%.1f major words)" blob_major)
     true (blob_major < 256.)
 
+(* The oracle over a made-up sequence from two origins: a duplicate
+   (a:1 twice, which is also out of order: not above a's last), a
+   reorder (b:2 before b:1) and a gap (a:3 never comes). The soak's
+   subscriber exits with the verdict: 4 for duplicates, else 5 for
+   reorders, else 6 for a short run, else 0. *)
+let test_oracle_verdicts () =
+  let feed events =
+    let o = Oracle.create () in
+    List.iter (fun (origin, seq) -> Oracle.see o ~origin ~seq) events;
+    o
+  in
+  let events =
+    [ ("a", 0); ("b", 0); ("a", 1); ("a", 1); ("b", 2); ("b", 1); ("a", 2); ("a", 4) ]
+  in
+  let o = feed events in
+  Alcotest.(check int) "delivered" 8 (Oracle.delivered o);
+  Alcotest.(check int) "duplicates" 1 (Oracle.dups o);
+  Alcotest.(check int) "reorders" 2 (Oracle.reorders o);
+  Alcotest.(check (list (pair string int))) "the sequence, as delivered" events
+    (Oracle.sequence o);
+  Alcotest.(check int) "duplicates first" 4 (Oracle.verdict o ~expect:10);
+  let reordered = feed [ ("b", 0); ("b", 2); ("b", 1) ] in
+  Alcotest.(check int) "one reorder" 1 (Oracle.reorders reordered);
+  Alcotest.(check int) "then reorders" 5 (Oracle.verdict reordered ~expect:3);
+  let gap = feed [ ("a", 0); ("a", 1); ("a", 2); ("a", 4) ] in
+  Alcotest.(check (triple int int int)) "a gap is neither dup nor reorder" (4, 0, 0)
+    (Oracle.delivered gap, Oracle.dups gap, Oracle.reorders gap);
+  Alcotest.(check int) "then a short run" 6 (Oracle.verdict gap ~expect:5);
+  Alcotest.(check int) "a clean run" 0
+    (Oracle.verdict (feed [ ("a", 0); ("b", 0); ("a", 1); ("b", 1) ]) ~expect:4)
+
 let suite =
   ( "transport",
     [ Alcotest.test_case "framing roundtrip" `Quick test_frame_roundtrip;
@@ -1839,4 +1580,6 @@ let suite =
       Alcotest.test_case "empty poll: words flat in idle sessions" `Quick
         test_empty_poll_words_flat;
       Alcotest.test_case "publish: words per Process.publish, framed" `Quick
-        test_publish_words ] )
+        test_publish_words;
+      Alcotest.test_case "oracle: duplicate, reorder and gap verdicts" `Quick
+        test_oracle_verdicts ] )
